@@ -18,6 +18,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("quant=99,ppm=1e9")
 	f.Add("=,=,=")
 	f.Add("mpath=1:2:3+4:5:6+7:8:9+10:11:12")
+	f.Add("mpath=1:0:2222220+2:-1e21:1e-7") // exponents must not split echoes
 	f.Fuzz(func(t *testing.T, spec string) {
 		cfg, err := ParseSpec(spec)
 		if err != nil {

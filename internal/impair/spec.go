@@ -1,20 +1,19 @@
 package impair
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
 
 	"bhss/internal/prng"
+	"bhss/internal/spec"
 )
 
-// Spec grammar (documented in README.md and DESIGN.md §11):
-//
-//	spec    := "" | entry { "," entry }
-//	entry   := key "=" value
-//	key     := cfo | phase | ppm | drift | phnoise | iqgain | iqphase
-//	         | dc | quant | clip | mpath | drop | seed
+// Spec grammar, documented in DESIGN.md §11 "Spec grammar". The lexical
+// rules every spec grammar shares are stated there once and implemented by
+// internal/spec. The keys:
 //
 //	cfo=<Hz>        carrier frequency offset
 //	phase=<rad>     initial carrier phase offset
@@ -35,8 +34,8 @@ import (
 //	                [0,1), mean burst length in samples (>= 1)
 //	seed=<uint64>   chain seed override (default: the seed passed to Chain)
 //
-// All values must be finite; unknown keys, malformed numbers and
-// out-of-range parameters are errors. Zero values are identity: a stage
+// All values must be finite; malformed numbers and out-of-range
+// parameters are errors. Zero values are identity: a stage
 // whose every parameter is zero is omitted from the chain, so
 // ParseSpec("") and ParseSpec("cfo=0,ppm=0") both build empty,
 // bit-transparent chains.
@@ -64,8 +63,8 @@ type SpecConfig struct {
 	CFOHz    float64
 	PhaseRad float64
 
-	PPM           float64
-	DriftPPMPerS  float64
+	PPM          float64
+	DriftPPMPerS float64
 
 	// PhaseNoiseDBc is the oscillator's single-sideband phase-noise
 	// density L(f) in dBc/Hz at a 10 kHz offset, mapped onto the Wiener
@@ -106,216 +105,98 @@ const DefaultClip = 1.5
 // the zero SpecConfig. It never panics, whatever the input.
 func ParseSpec(spec string) (SpecConfig, error) {
 	var c SpecConfig
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return c, nil
-	}
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			return c, fmt.Errorf("impair: empty entry in spec %q", spec)
-		}
-		key, val, ok := strings.Cut(entry, "=")
-		if !ok {
-			return c, fmt.Errorf("impair: entry %q is not key=value", entry)
-		}
-		key = strings.TrimSpace(key)
-		val = strings.TrimSpace(val)
-		var err error
-		switch key {
-		case "cfo":
-			c.CFOHz, err = parseFinite(key, val)
-		case "phase":
-			c.PhaseRad, err = parseFinite(key, val)
-		case "ppm":
-			c.PPM, err = parseFiniteRange(key, val, maxPPM)
-		case "drift":
-			c.DriftPPMPerS, err = parseFiniteRange(key, val, maxDriftPPM)
-		case "phnoise":
-			c.PhaseNoiseDBc, err = parseFinite(key, val)
-			c.HasPhaseNoise = err == nil
-		case "iqgain":
-			c.IQGainDB, err = parseFiniteRange(key, val, 40)
-		case "iqphase":
-			c.IQPhaseDeg, err = parseFiniteRange(key, val, 90)
-		case "dc":
-			c.DCOffsetI, c.DCOffsetQ, err = parsePair(key, val)
-		case "quant":
-			var bits int64
-			bits, err = strconv.ParseInt(val, 10, 32)
-			if err != nil {
-				err = fmt.Errorf("impair: quant=%q: not an integer", val)
-			} else if bits < 0 || bits > maxQuantBits {
-				err = fmt.Errorf("impair: quant=%d out of 0..%d", bits, maxQuantBits)
-			} else {
-				c.QuantBits = int(bits)
-			}
-		case "clip":
-			c.ClipAmp, err = parseFinite(key, val)
-			if err == nil && c.ClipAmp <= 0 {
-				err = fmt.Errorf("impair: clip=%v must be positive", c.ClipAmp)
-			}
-		case "mpath":
-			c.Mpath, err = parseMpath(val)
-		case "drop":
-			c.DropProb, c.DropMeanLen, err = parsePair(key, val)
-			if err == nil {
-				if c.DropProb < 0 || c.DropProb >= 1 {
-					err = fmt.Errorf("impair: drop probability %v out of [0,1)", c.DropProb)
-				} else if c.DropProb > 0 && (c.DropMeanLen < 1 || c.DropMeanLen > 1e9) {
-					err = fmt.Errorf("impair: drop mean length %v out of [1,1e9]", c.DropMeanLen)
-				}
-			}
-		case "seed":
-			c.Seed, err = strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				err = fmt.Errorf("impair: seed=%q: not a uint64", val)
-			} else {
-				c.HasSeed = true
-			}
-		default:
-			err = fmt.Errorf("impair: unknown key %q", key)
-		}
-		if err != nil {
-			return SpecConfig{}, err
-		}
+	if _, err := c.grammar().Parse(spec); err != nil {
+		return SpecConfig{}, err
 	}
 	return c, nil
-}
-
-// parseFinite parses a float64 and rejects NaN and infinities.
-func parseFinite(key, val string) (float64, error) {
-	f, err := strconv.ParseFloat(val, 64)
-	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0, fmt.Errorf("impair: %s=%q: not a finite number", key, val)
-	}
-	return f, nil
-}
-
-// parseFiniteRange additionally enforces |f| <= limit.
-func parseFiniteRange(key, val string, limit float64) (float64, error) {
-	f, err := parseFinite(key, val)
-	if err != nil {
-		return 0, err
-	}
-	if math.Abs(f) > limit {
-		return 0, fmt.Errorf("impair: %s=%v exceeds ±%v", key, f, limit)
-	}
-	return f, nil
-}
-
-// parsePair parses "a" or "a:b" (b defaults to 0).
-func parsePair(key, val string) (a, b float64, err error) {
-	first, second, has := strings.Cut(val, ":")
-	a, err = parseFinite(key, first)
-	if err != nil {
-		return 0, 0, err
-	}
-	if has {
-		b, err = parseFinite(key, second)
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	return a, b, nil
-}
-
-// parseMpath parses "d:gdB:pdeg" echoes joined by '+'.
-func parseMpath(val string) ([]MpathTap, error) {
-	if val == "" {
-		return nil, nil
-	}
-	parts := strings.Split(val, "+")
-	if len(parts) > maxEchoes {
-		return nil, fmt.Errorf("impair: mpath has %d echoes, max %d", len(parts), maxEchoes)
-	}
-	taps := make([]MpathTap, 0, len(parts))
-	for _, p := range parts {
-		fields := strings.Split(p, ":")
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("impair: mpath echo %q is not delay:gaindB:phasedeg", p)
-		}
-		d, err := strconv.ParseInt(strings.TrimSpace(fields[0]), 10, 32)
-		if err != nil || d < 0 || d > maxEchoDelay {
-			return nil, fmt.Errorf("impair: mpath delay %q out of 0..%d", fields[0], maxEchoDelay)
-		}
-		g, err := parseFinite("mpath gain", fields[1])
-		if err != nil {
-			return nil, err
-		}
-		if g > 40 {
-			return nil, fmt.Errorf("impair: mpath gain %v dB exceeds +40", g)
-		}
-		ph, err := parseFinite("mpath phase", fields[2])
-		if err != nil {
-			return nil, err
-		}
-		taps = append(taps, MpathTap{Delay: int(d), GainDB: g, PhaseDeg: ph})
-	}
-	return taps, nil
 }
 
 // String renders the config in canonical spec form: fixed key order,
 // identity stages omitted. Parse(String()) reproduces the config exactly
 // (the round-trip property the fuzz campaign pins).
-func (c SpecConfig) String() string {
-	var b strings.Builder
-	add := func(key, val string) {
-		if b.Len() > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(key)
-		b.WriteByte('=')
-		b.WriteString(val)
+func (c SpecConfig) String() string { return c.grammar().Format() }
+
+// grammar binds the impairment grammar's fields to c, in canonical order.
+func (c *SpecConfig) grammar() spec.Grammar {
+	inf := math.Inf(1)
+	finite := func(key string, p *float64, limit float64) spec.Field {
+		return spec.Float(key, p, -limit, limit, 0)
 	}
-	g := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-	if len(c.Mpath) > 0 {
-		var mp strings.Builder
-		for i, tap := range c.Mpath {
-			if i > 0 {
-				mp.WriteByte('+')
+	drop := spec.Pair("drop", finite("", &c.DropProb, inf), finite("", &c.DropMeanLen, inf))
+	return spec.Grammar{Pkg: "impair", Noun: "impairment", Fields: []spec.Field{
+		{Key: "mpath", Set: c.setMpath, Get: c.getMpath},
+		finite("cfo", &c.CFOHz, inf),
+		finite("phase", &c.PhaseRad, inf),
+		spec.Flag(finite("phnoise", &c.PhaseNoiseDBc, inf), &c.HasPhaseNoise),
+		finite("ppm", &c.PPM, maxPPM),
+		finite("drift", &c.DriftPPMPerS, maxDriftPPM),
+		finite("iqgain", &c.IQGainDB, 40),
+		finite("iqphase", &c.IQPhaseDeg, 90),
+		spec.Pair("dc", finite("", &c.DCOffsetI, inf), finite("", &c.DCOffsetQ, inf)),
+		spec.Int("quant", &c.QuantBits, 0, maxQuantBits, 0),
+		spec.Float("clip", &c.ClipAmp, spec.Positive, inf, 0),
+		// The burst length matters, and is checked and rendered, only
+		// when bursts can start.
+		{Key: "drop", Set: func(val string) error {
+			switch err := drop.Set(val); {
+			case err != nil:
+				return err
+			case c.DropProb < 0 || c.DropProb >= 1:
+				return errors.New("probability out of [0, 1)")
+			case c.DropProb > 0 && (c.DropMeanLen < 1 || c.DropMeanLen > 1e9):
+				return errors.New("mean length out of [1, 1e9]")
 			}
-			fmt.Fprintf(&mp, "%d:%s:%s", tap.Delay, g(tap.GainDB), g(tap.PhaseDeg))
+			return nil
+		}, Get: func() (string, bool) {
+			val, _ := drop.Get()
+			return val, c.DropProb != 0
+		}},
+		spec.Seed("seed", &c.Seed, &c.HasSeed),
+	}}
+}
+
+// setMpath parses "d:gdB:pdeg" echoes joined by '+'.
+func (c *SpecConfig) setMpath(val string) error {
+	if val == "" {
+		return nil
+	}
+	parts := strings.Split(val, "+")
+	if len(parts) > maxEchoes {
+		return fmt.Errorf("%d echoes, max %d", len(parts), maxEchoes)
+	}
+	taps := make([]MpathTap, len(parts))
+	for i, p := range parts {
+		fields := strings.Split(p, ":")
+		if len(fields) != 3 {
+			return fmt.Errorf("echo %q is not delay:gaindB:phasedeg", p)
 		}
-		add("mpath", mp.String())
+		fields[0] = strings.TrimSpace(fields[0])
+		inf := math.Inf(1)
+		for j, f := range []spec.Field{
+			spec.Int("", &taps[i].Delay, 0, maxEchoDelay, 0),
+			spec.Float("", &taps[i].GainDB, -inf, 40, 0),
+			spec.Float("", &taps[i].PhaseDeg, -inf, inf, 0),
+		} {
+			if err := f.Set(fields[j]); err != nil {
+				return fmt.Errorf("echo %q: %v", p, err)
+			}
+		}
 	}
-	if c.CFOHz != 0 {
-		add("cfo", g(c.CFOHz))
+	c.Mpath = taps
+	return nil
+}
+
+func (c *SpecConfig) getMpath() (string, bool) {
+	var b strings.Builder
+	// '+' joins echoes, so exponents render unsigned: 2e06, not 2e+06.
+	g := func(f float64) string { return strings.Replace(strconv.FormatFloat(f, 'g', -1, 64), "e+", "e", 1) }
+	for i, tap := range c.Mpath {
+		if i > 0 {
+			b.WriteByte('+')
+		}
+		fmt.Fprintf(&b, "%d:%s:%s", tap.Delay, g(tap.GainDB), g(tap.PhaseDeg))
 	}
-	if c.PhaseRad != 0 {
-		add("phase", g(c.PhaseRad))
-	}
-	if c.HasPhaseNoise {
-		add("phnoise", g(c.PhaseNoiseDBc))
-	}
-	if c.PPM != 0 {
-		add("ppm", g(c.PPM))
-	}
-	if c.DriftPPMPerS != 0 {
-		add("drift", g(c.DriftPPMPerS))
-	}
-	if c.IQGainDB != 0 {
-		add("iqgain", g(c.IQGainDB))
-	}
-	if c.IQPhaseDeg != 0 {
-		add("iqphase", g(c.IQPhaseDeg))
-	}
-	if c.DCOffsetI != 0 || c.DCOffsetQ != 0 {
-		add("dc", g(c.DCOffsetI)+":"+g(c.DCOffsetQ))
-	}
-	if c.QuantBits != 0 {
-		add("quant", strconv.Itoa(c.QuantBits))
-	}
-	if c.ClipAmp != 0 {
-		add("clip", g(c.ClipAmp))
-	}
-	if c.DropProb != 0 {
-		add("drop", g(c.DropProb)+":"+g(c.DropMeanLen))
-	}
-	if c.HasSeed {
-		add("seed", strconv.FormatUint(c.Seed, 10))
-	}
-	return b.String()
+	return b.String(), len(c.Mpath) > 0
 }
 
 // Enabled reports whether any stage would be built.

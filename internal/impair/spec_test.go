@@ -100,6 +100,8 @@ func TestParseSpecErrors(t *testing.T) {
 		"seed=abc",       // not a uint64
 		"seed=-1",        //
 		"dc=1:2:3",       // extra pair field -> "2:3" not a number
+		"cfo=1,cfo=2",    // duplicate key
+		"seed=1,seed=2",  //
 	}
 	for _, spec := range bad {
 		if _, err := ParseSpec(spec); err == nil {

@@ -1,24 +1,18 @@
 package iqstream
 
 import (
-	"fmt"
-	"math"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"bhss/internal/prng"
+	"bhss/internal/spec"
 )
 
-// Chaos spec grammar (documented in README.md and DESIGN.md §12), in the
-// style of impair.ParseSpec:
-//
-//	chaos   := "" | entry { "," entry }
-//	entry   := key "=" value
-//	key     := latency | stall | reset | resetevery | trunc | short
-//	         | drop | seed
+// Chaos spec grammar (documented in README.md and DESIGN.md §12). The
+// lexical rules every spec grammar shares are stated once, in DESIGN.md
+// §11 "Spec grammar", and implemented by internal/spec. The keys, in
+// canonical order:
 //
 //	latency=<ms>[:<jitter_ms>]  per-chunk forwarding delay plus uniform
 //	                            jitter in [0, jitter_ms)
@@ -80,157 +74,31 @@ type ChaosConfig struct {
 // the zero ChaosConfig. It never panics, whatever the input.
 func ParseChaosSpec(spec string) (ChaosConfig, error) {
 	var c ChaosConfig
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return c, nil
-	}
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			return ChaosConfig{}, fmt.Errorf("iqstream: empty entry in chaos spec %q", spec)
-		}
-		key, val, ok := strings.Cut(entry, "=")
-		if !ok {
-			return ChaosConfig{}, fmt.Errorf("iqstream: chaos entry %q is not key=value", entry)
-		}
-		key = strings.TrimSpace(key)
-		val = strings.TrimSpace(val)
-		var err error
-		switch key {
-		case "latency":
-			c.LatencyMS, c.LatencyJitterMS, err = parseChaosPair(key, val)
-			if err == nil {
-				err = checkChaosMS(key, c.LatencyMS, c.LatencyJitterMS)
-			}
-		case "stall":
-			c.StallProb, c.StallMS, err = parseChaosPair(key, val)
-			if err == nil {
-				if err = checkChaosProb(key, c.StallProb); err == nil {
-					err = checkChaosMS(key, c.StallMS)
-				}
-			}
-		case "reset":
-			c.ResetProb, err = parseChaosProb(key, val)
-		case "resetevery":
-			var n int64
-			n, err = strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				err = fmt.Errorf("iqstream: resetevery=%q: not an integer", val)
-			} else if n < 0 || n > maxChaosResetEvery {
-				err = fmt.Errorf("iqstream: resetevery=%d out of 0..%d", n, maxChaosResetEvery)
-			} else {
-				c.ResetEvery = int(n)
-			}
-		case "trunc":
-			c.TruncProb, err = parseChaosProb(key, val)
-		case "short":
-			c.ShortWriteProb, err = parseChaosProb(key, val)
-		case "drop":
-			c.DropProb, err = parseChaosProb(key, val)
-		case "seed":
-			c.Seed, err = strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				err = fmt.Errorf("iqstream: chaos seed=%q: not a uint64", val)
-			} else {
-				c.HasSeed = true
-			}
-		default:
-			err = fmt.Errorf("iqstream: unknown chaos key %q", key)
-		}
-		if err != nil {
-			return ChaosConfig{}, err
-		}
+	if _, err := c.grammar().Parse(spec); err != nil {
+		return ChaosConfig{}, err
 	}
 	return c, nil
-}
-
-func parseChaosFinite(key, val string) (float64, error) {
-	f, err := strconv.ParseFloat(val, 64)
-	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0, fmt.Errorf("iqstream: chaos %s=%q: not a finite number", key, val)
-	}
-	return f, nil
-}
-
-func parseChaosProb(key, val string) (float64, error) {
-	p, err := parseChaosFinite(key, val)
-	if err != nil {
-		return 0, err
-	}
-	return p, checkChaosProb(key, p)
-}
-
-func checkChaosProb(key string, p float64) error {
-	if p < 0 || p > 1 {
-		return fmt.Errorf("iqstream: chaos %s probability %v out of [0, 1]", key, p)
-	}
-	return nil
-}
-
-func checkChaosMS(key string, vals ...float64) error {
-	for _, v := range vals {
-		if v < 0 || v > maxChaosMS {
-			return fmt.Errorf("iqstream: chaos %s delay %v ms out of 0..%d", key, v, maxChaosMS)
-		}
-	}
-	return nil
-}
-
-// parseChaosPair parses "a" or "a:b" (b defaults to 0).
-func parseChaosPair(key, val string) (a, b float64, err error) {
-	first, second, has := strings.Cut(val, ":")
-	a, err = parseChaosFinite(key, first)
-	if err != nil {
-		return 0, 0, err
-	}
-	if has {
-		b, err = parseChaosFinite(key, second)
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	return a, b, nil
 }
 
 // String renders the config in canonical spec form: fixed key order,
 // identity faults omitted. ParseChaosSpec(String()) reproduces the config
 // exactly (the round-trip property FuzzParseChaosSpec pins).
-func (c ChaosConfig) String() string {
-	var b strings.Builder
-	add := func(key, val string) {
-		if b.Len() > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(key)
-		b.WriteByte('=')
-		b.WriteString(val)
-	}
-	g := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-	if c.LatencyMS != 0 || c.LatencyJitterMS != 0 {
-		add("latency", g(c.LatencyMS)+":"+g(c.LatencyJitterMS))
-	}
-	if c.StallProb != 0 || c.StallMS != 0 {
-		add("stall", g(c.StallProb)+":"+g(c.StallMS))
-	}
-	if c.ResetProb != 0 {
-		add("reset", g(c.ResetProb))
-	}
-	if c.ResetEvery != 0 {
-		add("resetevery", strconv.Itoa(c.ResetEvery))
-	}
-	if c.TruncProb != 0 {
-		add("trunc", g(c.TruncProb))
-	}
-	if c.ShortWriteProb != 0 {
-		add("short", g(c.ShortWriteProb))
-	}
-	if c.DropProb != 0 {
-		add("drop", g(c.DropProb))
-	}
-	if c.HasSeed {
-		add("seed", strconv.FormatUint(c.Seed, 10))
-	}
-	return b.String()
+func (c ChaosConfig) String() string { return c.grammar().Format() }
+
+// grammar binds the chaos grammar's fields to c, in canonical order.
+func (c *ChaosConfig) grammar() spec.Grammar {
+	prob := func(key string, p *float64) spec.Field { return spec.Float(key, p, 0, 1, 0) }
+	ms := func(p *float64) spec.Field { return spec.Float("", p, 0, maxChaosMS, 0) }
+	return spec.Grammar{Pkg: "iqstream", Noun: "chaos", Fields: []spec.Field{
+		spec.Pair("latency", ms(&c.LatencyMS), ms(&c.LatencyJitterMS)),
+		spec.Pair("stall", prob("", &c.StallProb), ms(&c.StallMS)),
+		prob("reset", &c.ResetProb),
+		spec.Int("resetevery", &c.ResetEvery, 0, maxChaosResetEvery, 0),
+		prob("trunc", &c.TruncProb),
+		prob("short", &c.ShortWriteProb),
+		prob("drop", &c.DropProb),
+		spec.Seed("seed", &c.Seed, &c.HasSeed),
+	}}
 }
 
 // Enabled reports whether the proxy would inject any fault.

@@ -77,6 +77,7 @@ func TestParseChaosSpecTable(t *testing.T) {
 		{"drop=1.01", "drop"},
 		{"seed=-1", "seed"},
 		{"seed=pi", "seed"},
+		{"reset=0.1,reset=0.2", "duplicate"},
 	}
 	for _, tc := range bad {
 		if _, err := ParseChaosSpec(tc.spec); err == nil {

@@ -1,23 +1,21 @@
 package jammer
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
-	"strings"
 
 	"bhss/internal/hop"
+	"bhss/internal/spec"
 )
 
-// Spec grammar (documented in README.md and EXPERIMENTS.md), in the
-// internal/impair ParseSpec style: one comma-separated key=value list names
-// any adversary in the zoo, so every jammer is reachable from the
-// bhssjam/bhssbench command lines and the arms-race sweep.
-//
-//	spec    := entry { "," entry }
-//	entry   := key "=" value
-//	key     := jam | bw | freq | span | period | pattern | dwell
-//	         | delay | sense | tones | memory | duty | power | seed
+// Spec grammar (documented in README.md and EXPERIMENTS.md): one spec
+// names any adversary in the zoo, so every jammer is reachable from the
+// bhssjam/bhssbench command lines and the arms-race sweep. The lexical
+// rules every spec grammar shares are stated once, in DESIGN.md §11 "Spec
+// grammar", and implemented by internal/spec. The keys, in canonical order:
 //
 //	jam=<kind>       required: bandlimited | tone | sweep | hopping
 //	                 | reactive | multitone | adaptive
@@ -43,11 +41,10 @@ import (
 //	seed=<uint64>    seed override (default: the seed passed to Build)
 //
 // Frequencies and bandwidths are in the same unit as Build's sample rate
-// (MHz against 20 MS/s, the repo convention). Unknown keys, keys that do
-// not apply to the kind, malformed numbers and out-of-range values are
-// errors. String renders the canonical form — fixed key order, defaults
-// omitted — and ParseSpec(String()) reproduces the config exactly (the
-// round-trip property FuzzParseJamSpec pins).
+// (MHz against 20 MS/s, the repo convention). Keys that do not apply to
+// the kind, malformed numbers and out-of-range values are errors.
+// ParseSpec(String()) reproduces the config exactly (the round-trip
+// property FuzzParseJamSpec pins).
 
 // Spec limits: a hostile spec must not make Build allocate unbounded
 // memory or spin a degenerate emitter.
@@ -135,253 +132,88 @@ func specKeyAllowed(kind, key string) bool {
 // ParseSpec parses a jammer spec string, filling kind defaults so the
 // returned config is fully resolved. It never panics, whatever the input.
 func ParseSpec(spec string) (SpecConfig, error) {
-	var c SpecConfig
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return c, fmt.Errorf("jammer: empty spec (need jam=<kind>)")
+	c := SpecConfig{
+		BWMHz: defaultBWMHz, SpanMHz: defaultSpanMHz, Period: defaultPeriod,
+		Pattern: defaultPattern, Dwell: defaultDwell,
+		Delay: defaultDelay, Sense: defaultSense, Tones: defaultTones,
+		DutyOn: 1, DutyPeriod: defaultPeriod, Power: 1,
 	}
-	entries := strings.Split(spec, ",")
-	// The kind gates which keys are legal, so resolve it first wherever it
-	// appears in the list.
-	seenJam := false
-	for _, entry := range entries {
-		key, val, ok := strings.Cut(entry, "=")
-		if ok && strings.TrimSpace(key) == "jam" {
-			if seenJam {
-				return c, fmt.Errorf("jammer: duplicate jam= key")
-			}
-			seenJam = true
-			c.Kind = strings.TrimSpace(val)
-		}
+	keys, err := c.grammar().Parse(spec)
+	if err == nil {
+		err = c.resolveKind(keys)
 	}
-	switch c.Kind {
-	case "bandlimited", "tone", "sweep", "hopping", "reactive", "multitone", "adaptive":
-	case "":
-		if !seenJam {
-			return c, fmt.Errorf("jammer: spec %q missing jam=<kind>", spec)
-		}
-		return c, fmt.Errorf("jammer: empty jam= kind")
-	default:
-		return c, fmt.Errorf("jammer: unknown kind %q", c.Kind)
-	}
-	// Kind defaults; explicit entries below overwrite them.
-	c.BWMHz = defaultBWMHz
-	c.SpanMHz = defaultSpanMHz
-	c.Period = defaultPeriod
-	c.Pattern = defaultPattern
-	c.Dwell = defaultDwell
-	c.Delay = defaultDelay
-	c.Sense = defaultSense
-	c.Tones = defaultTones
-	c.Memory = defaultMemory(c.Kind)
-	c.DutyOn = 1
-	c.DutyPeriod = defaultPeriod
-	c.Power = 1
-
-	seen := map[string]bool{}
-	for _, entry := range entries {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			return SpecConfig{}, fmt.Errorf("jammer: empty entry in spec %q", spec)
-		}
-		key, val, ok := strings.Cut(entry, "=")
-		if !ok {
-			return SpecConfig{}, fmt.Errorf("jammer: entry %q is not key=value", entry)
-		}
-		key = strings.TrimSpace(key)
-		val = strings.TrimSpace(val)
-		if key != "jam" {
-			if !specKeyAllowed(c.Kind, key) {
-				if specKeyAllowed("bandlimited", key) || specKeyAllowed("sweep", key) ||
-					specKeyAllowed("tone", key) || specKeyAllowed("hopping", key) ||
-					specKeyAllowed("multitone", key) {
-					return SpecConfig{}, fmt.Errorf("jammer: key %q does not apply to kind %q", key, c.Kind)
-				}
-				return SpecConfig{}, fmt.Errorf("jammer: unknown key %q", key)
-			}
-			if seen[key] {
-				return SpecConfig{}, fmt.Errorf("jammer: duplicate key %q", key)
-			}
-			seen[key] = true
-		}
-		var err error
-		switch key {
-		case "jam": // already resolved
-		case "bw":
-			c.BWMHz, err = parsePositiveMHz(key, val)
-		case "freq":
-			c.FreqMHz, err = parseFiniteMHz(key, val)
-		case "span":
-			c.SpanMHz, err = parsePositiveMHz(key, val)
-		case "period":
-			c.Period, err = parseSamples(key, val, 2)
-		case "pattern":
-			switch val {
-			case "linear", "exponential", "parabolic":
-				c.Pattern = val
-			default:
-				err = fmt.Errorf("jammer: pattern=%q is not linear, exponential or parabolic", val)
-			}
-		case "dwell":
-			c.Dwell, err = parseSamples(key, val, 1)
-		case "delay":
-			c.Delay, err = parseSamples(key, val, 0)
-		case "sense":
-			c.Sense, err = parseSamples(key, val, minSenseWindow)
-			if err == nil && c.Sense&(c.Sense-1) != 0 {
-				err = fmt.Errorf("jammer: sense=%d must be a power of two", c.Sense)
-			}
-		case "tones":
-			c.Tones, err = parseSamples(key, val, 1)
-		case "memory":
-			c.Memory, err = strconv.ParseBool(val)
-			if err != nil {
-				err = fmt.Errorf("jammer: memory=%q is not a boolean", val)
-			}
-		case "duty":
-			c.DutyOn, c.DutyPeriod, err = parseDuty(val)
-			if err == nil && c.DutyOn == 1 {
-				// duty=1 is identity: normalize the period away so the
-				// canonical form (which omits the key) round-trips.
-				c.DutyPeriod = defaultPeriod
-			}
-		case "power":
-			var p float64
-			p, err = strconv.ParseFloat(val, 64)
-			if err != nil || math.IsNaN(p) || math.IsInf(p, 0) || p < 0 || p > maxSpecPower {
-				err = fmt.Errorf("jammer: power=%q out of [0, %g]", val, maxSpecPower)
-			} else {
-				c.Power = p
-			}
-		case "seed":
-			c.Seed, err = strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				err = fmt.Errorf("jammer: seed=%q is not a uint64", val)
-			} else {
-				c.HasSeed = true
-			}
-		}
-		if err != nil {
-			return SpecConfig{}, err
-		}
-	}
-	if c.Kind == "multitone" && c.Tones > c.Sense/8 {
-		return SpecConfig{}, fmt.Errorf("jammer: tones=%d exceeds sense resolution (max %d for sense=%d)",
-			c.Tones, c.Sense/8, c.Sense)
+	if err != nil {
+		return SpecConfig{}, err
 	}
 	return c, nil
 }
 
-func parsePositiveMHz(key, val string) (float64, error) {
-	f, err := strconv.ParseFloat(val, 64)
-	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) || f <= 0 || f > maxSpecMHz {
-		return 0, fmt.Errorf("jammer: %s=%q out of (0, %g]", key, val, maxSpecMHz)
+// resolveKind applies the rules that depend on the kind, once every key
+// has parsed: jam= is required, keys must apply to the kind, memory
+// defaults per kind, multitone needs the sense resolution for its tones,
+// and duty=1 drops its period so the canonical form round-trips.
+func (c *SpecConfig) resolveKind(keys []string) error {
+	if c.Kind == "" {
+		return errors.New("jammer: spec missing jam=<kind>")
 	}
-	return f, nil
-}
-
-func parseFiniteMHz(key, val string) (float64, error) {
-	f, err := strconv.ParseFloat(val, 64)
-	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) || math.Abs(f) > maxSpecMHz {
-		return 0, fmt.Errorf("jammer: %s=%q exceeds ±%g", key, val, maxSpecMHz)
-	}
-	return f, nil
-}
-
-func parseSamples(key, val string, min int) (int, error) {
-	n, err := strconv.ParseInt(val, 10, 64)
-	if err != nil || n < int64(min) || n > maxSpecSamples {
-		return 0, fmt.Errorf("jammer: %s=%q out of [%d, %d]", key, val, min, maxSpecSamples)
-	}
-	return int(n), nil
-}
-
-// parseDuty parses "p" or "p:period": on-fraction in (0, 1], period >= 2.
-func parseDuty(val string) (on float64, period int, err error) {
-	first, second, has := strings.Cut(val, ":")
-	on, err = strconv.ParseFloat(first, 64)
-	if err != nil || math.IsNaN(on) || on <= 0 || on > 1 {
-		return 0, 0, fmt.Errorf("jammer: duty=%q on-fraction out of (0, 1]", val)
-	}
-	period = defaultPeriod
-	if has {
-		period, err = parseSamples("duty period", second, 2)
-		if err != nil {
-			return 0, 0, err
+	for _, key := range keys {
+		if !specKeyAllowed(c.Kind, key) {
+			return fmt.Errorf("jammer: key %q does not apply to kind %q", key, c.Kind)
 		}
 	}
-	return on, period, nil
+	if !slices.Contains(keys, "memory") {
+		c.Memory = defaultMemory(c.Kind)
+	}
+	if c.Sense&(c.Sense-1) != 0 {
+		return fmt.Errorf("jammer: sense=%d must be a power of two", c.Sense)
+	}
+	if c.Kind == "multitone" && c.Tones > c.Sense/8 {
+		return fmt.Errorf("jammer: tones=%d exceeds sense resolution (max %d for sense=%d)",
+			c.Tones, c.Sense/8, c.Sense)
+	}
+	if c.DutyOn == 1 {
+		c.DutyPeriod = defaultPeriod
+	}
+	return nil
 }
 
 // String renders the config in canonical spec form: jam= first, fixed key
 // order, kind defaults omitted. ParseSpec(String()) reproduces the config.
-func (c SpecConfig) String() string {
-	var b strings.Builder
-	add := func(key, val string) {
-		if b.Len() > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(key)
-		b.WriteByte('=')
-		b.WriteString(val)
+func (c SpecConfig) String() string { return c.grammar().Format() }
+
+// grammar binds the jammer grammar's fields to c, in canonical order. Keys
+// that do not apply to c's kind sit at their defaults, so Format omits them.
+func (c *SpecConfig) grammar() spec.Grammar {
+	mhz := func(key string, p *float64, lo, def float64) spec.Field {
+		return spec.Float(key, p, lo, maxSpecMHz, def)
 	}
-	g := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-	add("jam", c.Kind)
-	switch c.Kind {
-	case "bandlimited":
-		if c.BWMHz != defaultBWMHz {
-			add("bw", g(c.BWMHz))
-		}
-	case "tone":
-		if c.FreqMHz != 0 {
-			add("freq", g(c.FreqMHz))
-		}
-	case "sweep":
-		if c.SpanMHz != defaultSpanMHz {
-			add("span", g(c.SpanMHz))
-		}
-		if c.Period != defaultPeriod {
-			add("period", strconv.Itoa(c.Period))
-		}
-	case "hopping":
-		if c.Pattern != defaultPattern {
-			add("pattern", c.Pattern)
-		}
-		if c.Dwell != defaultDwell {
-			add("dwell", strconv.Itoa(c.Dwell))
-		}
+	samples := func(key string, p *int, lo, def int) spec.Field {
+		return spec.Int(key, p, lo, maxSpecSamples, def)
 	}
-	if followerKind(c.Kind) {
-		if c.Delay != defaultDelay {
-			add("delay", strconv.Itoa(c.Delay))
-		}
-		if c.Sense != defaultSense {
-			add("sense", strconv.Itoa(c.Sense))
-		}
-		if c.Kind == "multitone" && c.Tones != defaultTones {
-			add("tones", strconv.Itoa(c.Tones))
-		}
-		if c.Memory != defaultMemory(c.Kind) {
-			if c.Memory {
-				add("memory", "1")
-			} else {
-				add("memory", "0")
+	duty := spec.Pair("duty", spec.Float("", &c.DutyOn, spec.Positive, 1, 1), samples("", &c.DutyPeriod, 2, defaultPeriod))
+	return spec.Grammar{Pkg: "jammer", Noun: "jammer", Fields: []spec.Field{
+		spec.Enum("jam", &c.Kind, "", "bandlimited", "tone", "sweep", "hopping", "reactive", "multitone", "adaptive"),
+		mhz("bw", &c.BWMHz, spec.Positive, defaultBWMHz),
+		mhz("freq", &c.FreqMHz, -maxSpecMHz, 0),
+		mhz("span", &c.SpanMHz, spec.Positive, defaultSpanMHz),
+		samples("period", &c.Period, 2, defaultPeriod),
+		spec.Enum("pattern", &c.Pattern, defaultPattern, "linear", "exponential", "parabolic"),
+		samples("dwell", &c.Dwell, 1, defaultDwell),
+		samples("delay", &c.Delay, 0, defaultDelay),
+		samples("sense", &c.Sense, minSenseWindow, defaultSense),
+		samples("tones", &c.Tones, 1, defaultTones),
+		spec.Bool("memory", &c.Memory, defaultMemory(c.Kind)),
+		// duty renders "p" alone at the default period, and nothing at p=1.
+		{Key: "duty", Set: duty.Set, Get: func() (string, bool) {
+			val := strconv.FormatFloat(c.DutyOn, 'g', -1, 64)
+			if c.DutyPeriod != defaultPeriod {
+				val += ":" + strconv.Itoa(c.DutyPeriod)
 			}
-		}
-	} else if c.DutyOn != 1 {
-		if c.DutyPeriod != defaultPeriod {
-			add("duty", g(c.DutyOn)+":"+strconv.Itoa(c.DutyPeriod))
-		} else {
-			add("duty", g(c.DutyOn))
-		}
-	}
-	if c.Power != 1 {
-		add("power", g(c.Power))
-	}
-	if c.HasSeed {
-		add("seed", strconv.FormatUint(c.Seed, 10))
-	}
-	return b.String()
+			return val, c.DutyOn != 1
+		}},
+		spec.Float("power", &c.Power, 0, maxSpecPower, 1),
+		spec.Seed("seed", &c.Seed, &c.HasSeed),
+	}}
 }
 
 // Build constructs the configured jammer for a medium running at
