@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+
+	"bhss/internal/dsp/simd"
 )
 
 // FIR is a finite impulse response filter with complex taps. Filtering is
@@ -12,9 +14,14 @@ import (
 // convolution (ApplyFast) for long signals.
 type FIR struct {
 	taps []complex128
+	// rtaps holds the real taps of a NewFIRReal filter, which Process runs
+	// through the vector kernel; nil for complex taps.
+	rtaps []float64
 	//bhss:scratch
 	state []complex128 // delay line for streaming use, len == len(taps)-1
-	ols   *OverlapSave // lazily built fast convolver, shares the taps
+	//bhss:scratch
+	buf []complex128 // Process's state+input window
+	ols *OverlapSave // lazily built fast convolver, shares the taps
 }
 
 // NewFIR returns a filter with the given taps. The taps slice is copied.
@@ -27,13 +34,16 @@ func NewFIR(taps []complex128) *FIR {
 	return f
 }
 
-// NewFIRReal returns a filter from real-valued taps.
+// NewFIRReal returns a filter from real-valued taps. The taps slice is
+// copied.
 func NewFIRReal(taps []float64) *FIR {
 	c := make([]complex128, len(taps))
 	for i, t := range taps {
 		c[i] = complex(t, 0)
 	}
-	return NewFIR(c)
+	f := NewFIR(c)
+	f.rtaps = append([]float64(nil), taps...)
+	return f
 }
 
 // Taps returns a copy of the filter taps.
@@ -53,26 +63,30 @@ func (f *FIR) Reset() {
 
 // Process filters a block of samples, carrying the delay line across calls,
 // and returns a new slice of the same length. The output at index i is
-// sum_k taps[k] * x[i-k] with history from previous blocks.
+// sum_k taps[k] * x[i-k] with history from previous blocks, summed in
+// ascending k from zero. Real-tap filters run the simd.FIRReal kernel,
+// which keeps that order and so matches the complex-tap loop bit for bit
+// on finite input.
 func (f *FIR) Process(x []complex128) []complex128 {
 	k := len(f.taps)
 	out := make([]complex128, len(x))
 	// Work on a contiguous buffer of state + input for branch-free inner loop.
-	buf := make([]complex128, len(f.state)+len(x))
-	copy(buf, f.state)
-	copy(buf[len(f.state):], x)
-	for i := range x {
-		var acc complex128
-		base := i + k - 1
-		for t := 0; t < k; t++ {
-			acc += f.taps[t] * buf[base-t]
+	buf := append(append(f.buf[:0], f.state...), x...)
+	f.buf = buf
+	if f.rtaps != nil {
+		simd.FIRReal(out, buf, f.rtaps)
+	} else {
+		for i := range x {
+			var acc complex128
+			base := i + k - 1
+			for t := 0; t < k; t++ {
+				acc += f.taps[t] * buf[base-t]
+			}
+			out[i] = acc
 		}
-		out[i] = acc
 	}
 	// Save tail as next state.
-	if k > 1 {
-		copy(f.state, buf[len(buf)-(k-1):])
-	}
+	copy(f.state, buf[len(buf)-(k-1):])
 	return out
 }
 

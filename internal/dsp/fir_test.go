@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -35,6 +36,106 @@ func TestFIRProcessAcrossBlocks(t *testing.T) {
 	for i := range whole {
 		if !cEq(whole[i], part[i], 1e-12) {
 			t.Fatalf("block-split output diverges at %d", i)
+		}
+	}
+}
+
+// complexTwin builds h as a complex-tap filter, whose Process runs the
+// scalar complex-tap loop: the reference the real-tap kernel path must
+// reproduce bit for bit.
+func complexTwin(h []float64) *FIR {
+	c := make([]complex128, len(h))
+	for i, v := range h {
+		c[i] = complex(v, 0)
+	}
+	return NewFIR(c)
+}
+
+// edgeSignal is randSignal with signed zeros and subnormals planted on
+// either rail, and a 600-sample run of signed zeros opening every 4096
+// samples, longer than any filter here, so some outputs sum zeros alone.
+// Subnormals are sparse: each one costs a microcode assist per tap.
+func edgeSignal(n int, seed uint64) []complex128 {
+	x := randSignal(n, seed)
+	zeros := []float64{0, math.Copysign(0, -1)}
+	subnormals := []float64{math.SmallestNonzeroFloat64, -2.2e-310, 1e-315, -math.SmallestNonzeroFloat64}
+	for i := range x {
+		switch {
+		case i%4096 < 600:
+			x[i] = complex(zeros[i%2], zeros[(i/2)%2])
+		case i%101 == 0:
+			x[i] = complex(subnormals[i%4], imag(x[i]))
+		case i%103 == 0:
+			x[i] = complex(real(x[i]), subnormals[i%4])
+		case i%7 == 0:
+			x[i] = complex(zeros[i%2], imag(x[i]))
+		case i%11 == 0:
+			x[i] = complex(real(x[i]), zeros[i%2])
+		}
+	}
+	return x
+}
+
+func sameBits(t *testing.T, name string, got, want []complex128) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d outputs, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+			math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+			t.Fatalf("%s: output %d = %v, complex-tap loop gives %v", name, i, got[i], want[i])
+		}
+	}
+}
+
+// TestFIRRealProcessBitExact pins Process on real taps to the complex-tap
+// loop bit for bit: the jammer's seven hop-band filters (129 taps, 513
+// below 0.625 MHz), taps with exact and negative zeros, and short filters,
+// over input with signed zeros and subnormals, streamed in chunks with the
+// delay line carried across calls.
+func TestFIRRealProcessBitExact(t *testing.T) {
+	const n = 36000
+	x := edgeSignal(n, 77)
+	var taps [][]float64
+	for _, mhz := range []float64{10, 5, 2.5, 1.25, 0.625, 0.3125, 0.15625} {
+		cutoff, k := mhz/20/2, 129
+		if cutoff < 0.01 {
+			k = 513
+		}
+		taps = append(taps, LowPassFIR(cutoff, k, Blackman, 0).rtaps)
+	}
+	zeros := append([]float64(nil), taps[2]...)
+	negZero := math.Copysign(0, -1)
+	zeros[0], zeros[5], zeros[10], zeros[len(zeros)-1] = 0, negZero, 0, negZero
+	zeros[7] = math.SmallestNonzeroFloat64
+	taps = append(taps, zeros, []float64{0.75}, []float64{negZero, 1}, []float64{0.5, negZero, -0.25},
+		[]float64{0.1, -0.2, 0, 0.3, negZero}, []float64{1, 2, 3, 4, 5, 4, 3, 2, 1})
+
+	for _, h := range taps {
+		want := complexTwin(h).Process(x)
+		for _, chunk := range []int{1, 3, 7, len(h), 4096, n} {
+			f := NewFIRReal(h)
+			if f.rtaps == nil {
+				t.Fatal("NewFIRReal did not keep its real taps")
+			}
+			got := make([]complex128, 0, n)
+			for i := 0; i < n; i += chunk {
+				got = append(got, f.Process(x[i:min(i+chunk, n)])...)
+			}
+			sameBits(t, fmt.Sprintf("%d taps, chunks of %d", len(h), chunk), got, want)
+		}
+	}
+}
+
+// TestFIRProcessReusesScratch: once the state+input window has grown,
+// Process allocates only the slice it returns.
+func TestFIRProcessReusesScratch(t *testing.T) {
+	x := randSignal(4096, 1)
+	for _, f := range []*FIR{LowPassFIR(0.1, 129, Blackman, 0), NewFIR([]complex128{1, 0.5i, -0.25})} {
+		f.Process(x)
+		if avg := testing.AllocsPerRun(20, func() { f.Process(x) }); avg != 1 {
+			t.Errorf("%d-tap Process: %v allocs/op, want 1 (the returned slice)", f.Len(), avg)
 		}
 	}
 }

@@ -38,6 +38,7 @@ func bind(Mode) {
 	windowInto = windowIntoAsm
 	mag2Accum = mag2AccumAsm
 	modulate = modulateAsm
+	firReal = firRealAsm
 	demodulate = demodulateAsm
 	dotConj = dotConjAsm
 	corrReal = corrRealAsm
@@ -68,6 +69,10 @@ func mag2AccumAsm(dst []float64, x []complex128) { mag2AccumAVX2(&dst[0], &x[0],
 
 func modulateAsm(out, chips []complex128, g []float64) {
 	modulateAVX2(&out[0], &chips[0], &g[0], len(chips), len(g))
+}
+
+func firRealAsm(out, buf []complex128, h []float64) {
+	firRealAVX2(&out[0], &buf[0], &h[0], len(out), len(h))
 }
 
 func demodulateAsm(out, x []complex128, g []float64, energy float64) {
@@ -124,6 +129,9 @@ func mag2AccumAVX2(dst *float64, x *complex128, n int)
 
 //go:noescape
 func modulateAVX2(out, chips *complex128, taps *float64, nchips, sps int)
+
+//go:noescape
+func firRealAVX2(out, buf *complex128, h *float64, n, k int)
 
 //go:noescape
 func demodulateAVX2(out, x *complex128, taps *float64, nchips, sps int, energy float64)

@@ -50,6 +50,22 @@ func modulateGeneric(out, chips []complex128, g []float64) {
 	}
 }
 
+func firRealGeneric(out, buf []complex128, h []float64) {
+	k := len(h)
+	for i := range out {
+		// Each output from +0, taps in ascending order: the scalar
+		// direct-form sequence the vector code repeats per lane.
+		w := buf[i : i+k]
+		var re, im float64
+		for t, ht := range h {
+			v := w[k-1-t]
+			re += ht * real(v)
+			im += ht * imag(v)
+		}
+		out[i] = complex(re, im)
+	}
+}
+
 func demodulateGeneric(out, x []complex128, g []float64, energy float64) {
 	sps := len(g)
 	for i := range out {

@@ -11,6 +11,7 @@ var (
 	windowInto func(dst, x []complex128, w []float64)                 = windowIntoGeneric
 	mag2Accum  func(dst []float64, x []complex128)                    = mag2AccumGeneric
 	modulate   func(out, chips []complex128, g []float64)             = modulateGeneric
+	firReal    func(out, buf []complex128, h []float64)               = firRealGeneric
 	demodulate func(out, x []complex128, g []float64, energy float64) = demodulateGeneric
 	dotConj    func(a, b []complex128) complex128                     = dotConjGeneric
 	corrReal   func(a, b []complex128) float64                        = corrRealGeneric
@@ -97,6 +98,26 @@ func Modulate(out, chips []complex128, g []float64) {
 	}
 	_ = out[len(chips)*sps-1]
 	modulate(out[:len(chips)*sps], chips, g)
+}
+
+// FIRReal runs a real-tap FIR over complex samples: out[i] =
+// Σₜ h[t]·buf[i+k−1−t] on each rail, with k = len(h). buf holds k−1
+// samples of history followed by the len(out) inputs, so it must be at
+// least len(out)+k−1 long; len(h) must be positive.
+//
+// The kernel vectorizes across outputs, never across taps: every output
+// starts from +0 and adds its taps in ascending t, the order of the scalar
+// direct-form loop acc += complex(h[t], 0)·buf[i+k−1−t]. For finite input
+// the result is bit-identical to that loop. Non-finite input may differ:
+// the complex multiply also forms 0·re and 0·im, so an infinite component
+// turns the other rail into NaN there, and never here.
+func FIRReal(out, buf []complex128, h []float64) {
+	k := len(h)
+	if k == 0 || len(out) == 0 {
+		return
+	}
+	_ = buf[len(out)+k-2]
+	firReal(out, buf[:len(out)+k-1], h)
 }
 
 // Demodulate matched-filters samples with the real pulse g at one chip

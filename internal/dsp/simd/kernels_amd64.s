@@ -6,7 +6,8 @@
 // perform the exact scalar IEEE-754 operation sequence per lane — complex
 // products use separate VMULPD + VADDSUBPD (never FMA), so every lane
 // rounds like the corresponding Go expression. Reduction kernels use the
-// canonical even/odd-lane accumulation order that generic.go spells out.
+// canonical even/odd-lane accumulation order that generic.go spells out;
+// the sliding-window FIR gives each lane its own output, in scalar tap order.
 
 // Sign masks: flip the sign bit of selected 64-bit lanes.
 DATA oddMask<>+0(SB)/8, $0x0000000000000000
@@ -255,6 +256,105 @@ monext:
 	ADDQ $16, SI
 	DECQ CX
 	JNZ  mochip
+	VZEROUPPER
+	RET
+
+// func firRealAVX2(out, buf *complex128, h *float64, n, k int)
+// out[i] = Σₜ h[t]·buf[i+k−1−t], vectorized across outputs: blocks of 8
+// outputs in four accumulators, then pairs, then one. Each lane starts at
+// +0 and adds h[t]·x in ascending t (VMULPD then VADDPD, never FMA), the
+// scalar loop's order.
+TEXT ·firRealAVX2(SB), NOSPLIT, $0-40
+	MOVQ out+0(FP), DI
+	MOVQ buf+8(FP), SI
+	MOVQ h+16(FP), R8
+	MOVQ n+24(FP), CX
+	MOVQ k+32(FP), R9
+	MOVQ R9, AX
+	DECQ AX
+	SHLQ $4, AX
+	ADDQ AX, SI              // SI = &buf[i+k−1], newest sample of output i
+	MOVQ CX, DX
+	SHRQ $3, DX
+	JZ   fr2
+
+fr8block:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   SI, AX
+	MOVQ   R8, BX
+	MOVQ   R9, R10
+
+fr8tap:
+	VBROADCASTSD (BX), Y8
+	VMULPD       (AX), Y8, Y4
+	VMULPD       32(AX), Y8, Y5
+	VMULPD       64(AX), Y8, Y6
+	VMULPD       96(AX), Y8, Y7
+	VADDPD       Y4, Y0, Y0
+	VADDPD       Y5, Y1, Y1
+	VADDPD       Y6, Y2, Y2
+	VADDPD       Y7, Y3, Y3
+	ADDQ         $8, BX
+	SUBQ         $16, AX
+	DECQ         R10
+	JNZ          fr8tap
+	VMOVUPD      Y0, (DI)
+	VMOVUPD      Y1, 32(DI)
+	VMOVUPD      Y2, 64(DI)
+	VMOVUPD      Y3, 96(DI)
+	ADDQ         $128, DI
+	ADDQ         $128, SI
+	DECQ         DX
+	JNZ          fr8block
+
+fr2:
+	ANDQ $7, CX
+	MOVQ CX, DX
+	SHRQ $1, DX
+	JZ   fr1
+
+fr2block:
+	VXORPD Y0, Y0, Y0
+	MOVQ   SI, AX
+	MOVQ   R8, BX
+	MOVQ   R9, R10
+
+fr2tap:
+	VBROADCASTSD (BX), Y8
+	VMULPD       (AX), Y8, Y4
+	VADDPD       Y4, Y0, Y0
+	ADDQ         $8, BX
+	SUBQ         $16, AX
+	DECQ         R10
+	JNZ          fr2tap
+	VMOVUPD      Y0, (DI)
+	ADDQ         $32, DI
+	ADDQ         $32, SI
+	DECQ         DX
+	JNZ          fr2block
+
+fr1:
+	ANDQ $1, CX
+	JZ   frdone
+	VXORPD X0, X0, X0
+	MOVQ   SI, AX
+	MOVQ   R8, BX
+	MOVQ   R9, R10
+
+fr1tap:
+	VMOVDDUP (BX), X8
+	VMULPD   (AX), X8, X4
+	VADDPD   X4, X0, X0
+	ADDQ     $8, BX
+	SUBQ     $16, AX
+	DECQ     R10
+	JNZ      fr1tap
+	VMOVUPD  X0, (DI)
+
+frdone:
 	VZEROUPPER
 	RET
 

@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -216,6 +217,28 @@ func TestDemodulateParity(t *testing.T) {
 	Demodulate(nil, nil, nil, 1)
 }
 
+func TestFIRRealParity(t *testing.T) {
+	rng := lcg(16)
+	// Every residue of the 8-, 2- and 1-output blocks, plus a long run of
+	// each: 4095 ends in all three tails, 36,000 is a jammer frame.
+	lens := []int{4095, 36000}
+	for n := 0; n <= 17; n++ {
+		lens = append(lens, n)
+	}
+	for _, k := range []int{1, 2, 3, 4, 5, 8, 9, 129, 513} {
+		h := rng.floatSlice(k)
+		for _, n := range lens {
+			buf := rng.complexSlice(n + k - 1)
+			want := make([]complex128, n)
+			firRealGeneric(want, buf, h)
+			got := make([]complex128, n)
+			FIRReal(got, buf, h)
+			sameC(t, fmt.Sprintf("FIRReal k=%d n=%d", k, n), got, want)
+		}
+	}
+	FIRReal(nil, nil, nil)
+}
+
 func TestDotConjParity(t *testing.T) {
 	rng := lcg(8)
 	for _, n := range parityLens {
@@ -403,6 +426,19 @@ func BenchmarkDemodulate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Demodulate(out, x, g, 1.25)
+	}
+}
+
+func BenchmarkFIRReal(b *testing.B) {
+	rng := lcg(99)
+	const n, k = 4096, 129
+	buf := rng.complexSlice(n + k - 1)
+	h := rng.floatSlice(k)
+	out := make([]complex128, n)
+	b.SetBytes(n * 16)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		FIRReal(out, buf, h)
 	}
 }
 

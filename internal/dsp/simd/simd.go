@@ -2,7 +2,8 @@
 // inner loops of the BHSS signal chain: complex element-wise multiply for
 // overlap-save convolution, the fused radix-4 FFT butterfly passes, the
 // half-sine modulate/demodulate loops, PSD magnitude-squared accumulation,
-// and the correlation reductions used by acquisition and despreading.
+// the streaming real-tap FIR that shapes the band-limited jammer, and the
+// correlation reductions used by acquisition and despreading.
 //
 // One kernel set is selected at package init — AVX2 (written in Go
 // assembly) on amd64, NEON on arm64 for the kernels whose rounding is
@@ -29,6 +30,10 @@
 //     pure-Go fallback implements the identical order, so both paths
 //     round identically even though the order differs from a naive
 //     sequential sum.
+//   - Sliding-window kernels (FIRReal) vectorize across outputs, never
+//     across taps: each lane is one output that starts from +0 and adds
+//     its taps in ascending order, so every output keeps the scalar
+//     sequential tap order and matches a plain direct-form loop.
 //
 // Real-gain kernels (ScaleReal, WindowInto, Modulate) multiply the real
 // and imaginary components directly instead of widening the gain to

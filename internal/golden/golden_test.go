@@ -1,6 +1,7 @@
 // Package golden pins end-to-end IQ vectors — a clean transmit burst, the
 // same burst through the canonical testbed impairment chain, the burst
-// under band-limited jamming, and each follower jammer's waveform over the
+// under band-limited jamming through each of the jammer's two shaping-filter
+// lengths, and each follower jammer's waveform over the
 // burst at two seeds — as byte-exact files with SHA-256 checksums. Any
 // change to the modulator, the impairment stages, the jammer noise
 // shaping, the follower estimator, or the PRNG alters a hash and fails here:
@@ -65,14 +66,19 @@ func vectors(t *testing.T) []struct {
 	}
 	impaired := chain.ProcessAppend(nil, burst.Samples)
 
-	jam, err := jammer.NewBandlimited(2.5/cfg.SampleRate, stats.FromDB(10), goldenSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noise := jam.Emit(len(burst.Samples))
-	jammed := make([]complex128, len(burst.Samples))
-	for i := range jammed {
-		jammed[i] = burst.Samples[i] + noise[i]
+	// 2.5 MHz selects the jammer's 129-tap shaping filter and 0.15625 MHz
+	// (cutoff below 0.01 cycles/sample) its 513-tap one.
+	jammedBy := func(bw float64) []complex128 {
+		jam, err := jammer.NewBandlimited(bw/cfg.SampleRate, stats.FromDB(10), goldenSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		noise := jam.Emit(len(burst.Samples))
+		jammed := make([]complex128, len(burst.Samples))
+		for i := range jammed {
+			jammed[i] = burst.Samples[i] + noise[i]
+		}
+		return jammed
 	}
 
 	vecs := []struct {
@@ -81,7 +87,8 @@ func vectors(t *testing.T) []struct {
 	}{
 		{"tx_burst", burst.Samples},
 		{"impaired_burst", impaired},
-		{"jammed_burst", jammed},
+		{"jammed_burst", jammedBy(2.5)},
+		{"jammed_narrow_burst", jammedBy(0.15625)},
 	}
 
 	// The follower zoo: each sensing adversary overhears the same pinned

@@ -42,6 +42,11 @@ type Bandlimited struct {
 	src   *prng.Source
 	fir   *dsp.FIR
 	scale float64
+	// warmDue marks a delay line still waiting for its warm-up draws,
+	// which the next Emit takes ahead of its own samples.
+	warmDue bool
+	//bhss:scratch
+	noise []complex128 // unshaped draws for the filter, reused across Emits
 }
 
 // filterTapsForBW returns a low-pass FIR selecting the two-sided bandwidth
@@ -73,36 +78,22 @@ func NewBandlimited(bw, power float64, seed uint64) (*Bandlimited, error) {
 	}
 	b := &Bandlimited{bw: bw, power: power, seed0: seed, src: prng.New(seed), fir: filterTapsForBW(bw)}
 	b.calibrate()
-	b.warm()
+	b.warmDue = b.fir != nil
 	return b, nil
 }
 
-// warm primes the filter's delay line so the first emitted samples already
-// carry full power — the jammer transmits continuously; the capture window
-// just opens somewhere in its stream.
-func (b *Bandlimited) warm() {
-	if b.fir == nil || b.power == 0 {
-		return
-	}
-	warm := make([]complex128, b.fir.Len())
-	for i := range warm {
-		warm[i] = b.src.ComplexNorm()
-	}
-	b.fir.Process(warm)
-}
-
 // Reseed rewinds the jammer to the exact state of a freshly constructed
-// NewBandlimited(bw, power, seed): the noise source is re-seeded, the
-// filter's delay line cleared and the warm-up re-run, so the emitted stream
+// NewBandlimited(bw, power, seed): the noise source is re-seeded and the
+// filter's delay line cleared and marked for warm-up, so the emitted stream
 // is bit-identical to a new jammer's. It lets Hopping reuse one Bandlimited
 // per distribution entry instead of redesigning the band-selection filter
-// every hop.
+// every hop, and it allocates nothing.
 func (b *Bandlimited) Reseed(seed uint64) {
 	b.src.Reseed(seed)
 	if b.fir != nil {
 		b.fir.Reset()
+		b.warmDue = true
 	}
-	b.warm()
 }
 
 // Reset rewinds to the construction seed (Reseed with the original seed).
@@ -137,17 +128,38 @@ func (b *Bandlimited) Bandwidth() float64 { return b.bw }
 // Power returns the jammer's average power.
 func (b *Bandlimited) Power() float64 { return b.power }
 
-// Emit returns the next n samples of band-limited noise.
+// Emit returns the next n samples of band-limited noise, in a new slice the
+// caller owns.
+//
+// After construction or Reseed the filter's delay line is first primed
+// with one noise draw per tap, so the first emitted samples already carry
+// full power: the jammer transmits continuously and the capture window
+// just opens somewhere in its stream. Emit runs that warm-up and its own
+// samples through the filter as one block, which streams bit-identically
+// to two.
 func (b *Bandlimited) Emit(n int) []complex128 {
-	out := make([]complex128, n)
 	if b.scale == 0 {
-		return out
+		return make([]complex128, n)
 	}
-	for i := range out {
-		out[i] = b.src.ComplexNorm()
-	}
-	if b.fir != nil {
-		out = b.fir.Process(out)
+	var out []complex128
+	if b.fir == nil {
+		out = make([]complex128, n)
+		for i := range out {
+			out[i] = b.src.ComplexNorm()
+		}
+	} else {
+		warm := 0
+		if b.warmDue {
+			warm, b.warmDue = b.fir.Len(), false
+		}
+		if cap(b.noise) < warm+n {
+			b.noise = make([]complex128, warm+n)
+		}
+		x := b.noise[:warm+n]
+		for i := range x {
+			x[i] = b.src.ComplexNorm()
+		}
+		out = b.fir.Process(x)[warm:]
 	}
 	g := complex(b.scale, 0)
 	for i := range out {

@@ -62,6 +62,48 @@ func TestBandlimitedStreamingContinuity(t *testing.T) {
 	}
 }
 
+// TestBandlimitedAllocs pins the jammer's heap use: a steady-state Emit
+// allocates only the slice it hands the caller, and Reseed, which Hopping
+// runs every hop, allocates nothing. Covers both filter lengths and the
+// unfiltered full-band jammer.
+func TestBandlimitedAllocs(t *testing.T) {
+	for _, bw := range []float64{0.5, 0.0078125, 1} {
+		j, err := NewBandlimited(bw, 2, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Emit(4096)
+		if avg := testing.AllocsPerRun(20, func() { j.Emit(4096) }); avg != 1 {
+			t.Errorf("bw %v: Emit %v allocs/op, want 1", bw, avg)
+		}
+		if avg := testing.AllocsPerRun(20, func() { j.Reseed(9) }); avg != 0 {
+			t.Errorf("bw %v: Reseed %v allocs/op, want 0", bw, avg)
+		}
+		if avg := testing.AllocsPerRun(20, func() { j.Reseed(9); j.Emit(4096) }); avg != 1 {
+			t.Errorf("bw %v: Reseed+Emit %v allocs/op, want 1", bw, avg)
+		}
+	}
+}
+
+// TestBandlimitedReseedMatchesFresh: a reseeded jammer, whatever it
+// emitted before, streams exactly what a new one with that seed does.
+func TestBandlimitedReseedMatchesFresh(t *testing.T) {
+	for _, bw := range []float64{0.5, 0.0078125, 1} {
+		fresh, _ := NewBandlimited(bw, 2, 21)
+		want := append(fresh.Emit(700), fresh.Emit(300)...)
+		j, _ := NewBandlimited(bw, 2, 20)
+		j.Emit(1234)
+		j.Reseed(21)
+		got := append(j.Emit(700), j.Emit(300)...)
+		for i := range want {
+			if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+				math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+				t.Fatalf("bw %v: reseeded stream diverges at %d: %v != %v", bw, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestBandlimitedErrors(t *testing.T) {
 	if _, err := NewBandlimited(0, 1, 0); err == nil {
 		t.Fatal("bw 0 should error")

@@ -131,9 +131,12 @@ func (s *Source) NormFloat64() float64 {
 	}
 	v := s.Float64()
 	r := math.Sqrt(-2 * math.Log(u))
-	s.gauss = r * math.Sin(2*math.Pi*v)
+	// Sincos shares one argument reduction and rounds exactly like
+	// separate Sin and Cos calls.
+	sin, cos := math.Sincos(2 * math.Pi * v)
+	s.gauss = r * sin
 	s.haveGauss = true
-	return r * math.Cos(2*math.Pi*v)
+	return r * cos
 }
 
 // ComplexNorm returns a circularly symmetric complex Gaussian sample with
