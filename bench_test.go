@@ -195,42 +195,6 @@ func BenchmarkLinkThroughput(b *testing.B) {
 	b.SetBytes(samples * 16 / int64(b.N))
 }
 
-// BenchmarkLinkThroughputPipelined is BenchmarkLinkThroughput with the
-// receiver's concurrent decode pipeline enabled: same bit-exact output,
-// stages overlapped across cores.
-func BenchmarkLinkThroughputPipelined(b *testing.B) {
-	cfg := DefaultConfig(1)
-	tx, err := NewTransmitter(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rx, err := NewReceiver(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := rx.EnablePipeline(PipelineConfig{}); err != nil {
-		b.Fatal(err)
-	}
-	defer rx.Close()
-	payload := make([]byte, 32)
-	var buf []complex128
-	var samples int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		burst, err := tx.EncodeFrameInto(buf[:0], payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf = burst.Samples
-		samples += int64(len(burst.Samples))
-		if _, _, err := rx.DecodeBurst(burst.Samples); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(samples * 16 / int64(b.N))
-}
-
 // BenchmarkLinkThroughputObs is BenchmarkLinkThroughput with the metrics
 // pipeline attached: the allocs/op and ns/op deltas against the plain bench
 // are the price of observability, which the PR-3 contract keeps at zero.

@@ -57,11 +57,6 @@ type (
 	HopSegment = core.HopSegment
 	// RxStats carries per-burst receiver diagnostics.
 	RxStats = core.RxStats
-	// PipelineConfig parameterizes the receiver's opt-in concurrent decode
-	// pipeline (Receiver.EnablePipeline / SimLink.WithPipeline): spectral
-	// estimation+filtering, carrier tracking and demodulation run as
-	// concurrent stages over fixed rings, bit-identical to serial decoding.
-	PipelineConfig = core.PipelineConfig
 	// FilterDecision is the control logic's per-hop filter choice.
 	FilterDecision = core.FilterDecision
 	// SyncMode selects ideal or preamble-based burst synchronization.

@@ -78,7 +78,7 @@ func main() {
   fidelity        packet loss vs front-end impairment severity (minutes)
   soak            transport-resilience soak over a chaos proxy (seconds)
   capacity        concurrent verified links vs real-time factor (seconds)
-  throughput      end-to-end link rate, serial + pipelined     (seconds)
+  throughput      end-to-end link rate                         (seconds)
   all             every paper artifact above (soak, capacity and throughput excluded)`)
 		return
 	}
@@ -429,7 +429,7 @@ func (c *campaign) addThroughput(res experiment.LinkBenchResult) error {
 	if !c.active() {
 		return nil
 	}
-	metrics := make([]resultstore.Metric, 0, 4)
+	metrics := make([]resultstore.Metric, 0, 2)
 	for _, m := range res.StoreMetrics() {
 		metrics = append(metrics, resultstore.Metric(m))
 	}

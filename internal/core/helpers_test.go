@@ -9,41 +9,6 @@ import (
 	"bhss/internal/jammer"
 )
 
-func TestQuantileLevel(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	if q := quantileLevel(xs, 0); q != 1 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := quantileLevel(xs, 0.5); q != 3 {
-		t.Fatalf("q50 = %v", q)
-	}
-	if q := quantileLevel(xs, 1); q != 5 {
-		t.Fatalf("q100 clamps to max, got %v", q)
-	}
-	if quantileLevel(nil, 0.5) != 0 {
-		t.Fatal("empty quantile should be 0")
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 || xs[1] != 1 {
-		t.Fatal("quantileLevel mutated its input")
-	}
-}
-
-func TestPeakToQuantile(t *testing.T) {
-	if r := peakToQuantile([]float64{1, 1, 1, 10}, 0.35); math.Abs(r-10) > 1e-12 {
-		t.Fatalf("ratio = %v, want 10", r)
-	}
-	if r := peakToQuantile([]float64{0, 0, 5}, 0.35); !math.IsInf(r, 1) {
-		t.Fatalf("zero quantile should give +Inf, got %v", r)
-	}
-	if peakToQuantile(nil, 0.35) != 0 {
-		t.Fatal("empty should be 0")
-	}
-	if peakToQuantile([]float64{0, 0}, 0.35) != 0 {
-		t.Fatal("all-zero should be 0")
-	}
-}
-
 func TestPulseShapeGainProperties(t *testing.T) {
 	cfg := DefaultConfig(1)
 	rx, err := NewReceiver(cfg)

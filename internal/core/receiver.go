@@ -132,10 +132,6 @@ type Receiver struct {
 	stats RxStats
 
 	scratch rxScratch
-
-	// pipe is the optional concurrent decode pipeline (EnablePipeline);
-	// nil selects the serial hop loop.
-	pipe *rxPipeline
 }
 
 // SetObserver attaches a metrics pipeline to the receiver (nil detaches).
@@ -448,64 +444,31 @@ func (r *Receiver) pulseShapeGain(sps, k int) []float64 {
 	return shape
 }
 
-// inBandBins extracts the PSD bins within the two-sided band bw (un-shifted
-// ordering in, contiguous slice out).
-func inBandBins(psd []float64, bw float64) []float64 {
-	k := len(psd)
-	half := bw / 2
-	out := make([]float64, 0, k)
-	for i, p := range psd {
-		f := float64(i) / float64(k)
-		if f >= 0.5 {
-			f -= 1
-		}
-		if f >= -half && f <= half {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// filterHop applies the decided filter to the hop's samples. The returned
-// slice aliases receiver scratch that stays valid until the next hop is
-// filtered.
+// filterHop applies the decided filter to the hop's samples. FilterNone
+// returns seg itself, untouched; otherwise the returned slice aliases
+// receiver scratch that stays valid until the next hop is filtered.
 //
 //bhss:hotpath
 //bhss:scratchview output is valid until the next filterHop call
 func (r *Receiver) filterHop(seg []complex128, sps int, decision FilterDecision, ctx hopFilterCtx) ([]complex128, error) {
-	out, err := r.filterHopInto(r.scratch.filtered[:0], seg, sps, decision, ctx)
-	if err != nil {
-		return nil, err
-	}
-	if decision != FilterNone {
-		r.scratch.filtered = out
-	}
-	return out, nil
-}
-
-// filterHopInto is filterHop writing into dst's storage, for callers (the
-// decode pipeline) that own per-slot output buffers instead of sharing the
-// receiver scratch. FilterNone returns seg itself, untouched.
-//
-//bhss:hotpath
-func (r *Receiver) filterHopInto(dst, seg []complex128, sps int, decision FilterDecision, ctx hopFilterCtx) ([]complex128, error) {
 	if r.met != nil && decision != FilterNone {
 		defer r.met.RecordStage(obs.StageRxFilter, obs.Start())
 	}
 	switch decision {
 	case FilterLowPass:
 		//bhss:allow(hotpathfacts) FIR designs and their overlap-save convolvers are memoized per sps; allocates only on cache miss
-		return r.lowPass(sps).Convolver().ApplySame(dst, seg), nil
+		r.scratch.filtered = r.lowPass(sps).Convolver().ApplySame(r.scratch.filtered[:0], seg)
 	case FilterExcision:
 		//bhss:allow(hotpathfacts) notch designs are memoized by quantized-spectrum hash (scratch grows amortized); allocates only on cache miss
 		f, err := r.notchFilter(sps, ctx)
 		if err != nil {
 			return nil, err
 		}
-		return f.Convolver().ApplySame(dst, seg), nil
+		r.scratch.filtered = f.Convolver().ApplySame(r.scratch.filtered[:0], seg)
 	default:
 		return seg, nil
 	}
+	return r.scratch.filtered, nil
 }
 
 // notchFilter returns the excision filter for the hop: a notch-floor
@@ -594,42 +557,6 @@ func (r *Receiver) notchFilter(sps int, ctx hopFilterCtx) (*dsp.FIR, error) {
 // occupies a large fraction of the band.
 const signalQuantile = 0.35
 
-// quantileLevel returns the q-quantile of xs (0 for empty input) without
-// modifying it. Hot paths that own their slice should sort once with
-// dsp.SortFloats and read dsp.QuantileSorted directly, as estimateHop does.
-func quantileLevel(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	dsp.SortFloats(cp)
-	return dsp.QuantileSorted(cp, q)
-}
-
-// peakToQuantile returns max(xs) / quantileLevel(xs, q) (0 when empty,
-// +Inf when the quantile is zero but the peak is not).
-func peakToQuantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var peak float64
-	for _, v := range xs {
-		if v > peak {
-			peak = v
-		}
-	}
-	return ratioOrInf(peak, quantileLevel(xs, q))
-}
-
-// peakOverRef is peakToQuantile for an already-sorted slice with the
-// reference level in hand: the peak is the last element.
-func peakOverRef(sorted []float64, ref float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return ratioOrInf(sorted[len(sorted)-1], ref)
-}
-
 // ratioOrInf returns peak/ref, mapping a zero reference to 0 (when the peak
 // is zero too) or +Inf.
 func ratioOrInf(peak, ref float64) float64 {
@@ -679,15 +606,13 @@ func (r *Receiver) DecodeBurstInto(stats *RxStats, samples []complex128) ([]byte
 }
 
 // The carrier loop persists across hops (Figure 6 places it after the
-// filters); its bandwidth is retuned per hop so the per-chip dynamics stay
-// constant across samples-per-chip changes. It must *acquire* the channel
-// phase — the prototype's free-running oscillators give an arbitrary offset —
-// which is exactly what strong unfiltered jamming prevents.
-// A fixed per-sample loop bandwidth: wide enough to track the residual
-// carrier offset of free-running oscillators, narrow enough to stay quiet on
-// a clean channel. Under jamming the loop's decision-directed error turns
-// into noise and the tracked carrier walks away — the vulnerability the
-// pre-despreading filters protect.
+// filters) with one fixed per-sample bandwidth: wide enough to track the
+// residual carrier offset of free-running oscillators, narrow enough to stay
+// quiet on a clean channel. It must *acquire* the channel phase — the
+// prototype's free-running oscillators give an arbitrary offset — which is
+// exactly what strong unfiltered jamming prevents: under jamming the loop's
+// decision-directed error turns into noise and the tracked carrier walks
+// away, the vulnerability the pre-despreading filters protect.
 const carrierLoopBW = 0.0005
 
 // maxTrackedCFO bounds the coarse acquisition search (cycles/sample).
@@ -736,10 +661,6 @@ func (r *Receiver) decodeBurst(stats *RxStats, samples []complex128) ([]byte, er
 		if err != nil {
 			return nil, err
 		}
-	}
-
-	if r.pipe != nil {
-		return r.decodeHopsPipelined(stats, samples, sched, scramblerSeed, loop)
 	}
 
 	chips := r.scratch.chips[:0]
@@ -833,9 +754,9 @@ func (r *Receiver) decodeBurst(stats *RxStats, samples []complex128) ([]byte, er
 	return r.finishBurst(stats, chips, loop, rotation, scramblerSeed)
 }
 
-// finishBurst is the post-hop-loop tail of a decode, shared by the serial
-// path and the pipeline: record the carrier loop's verdict, undo the QPSK
-// rotation ambiguity, despread and frame-decode the accumulated chips.
+// finishBurst is the post-hop-loop tail of a decode: record the carrier
+// loop's verdict, undo the QPSK rotation ambiguity, despread and
+// frame-decode the accumulated chips.
 func (r *Receiver) finishBurst(stats *RxStats, chips []complex128, loop *tracking.Costas, rotation complex128, scramblerSeed uint64) ([]byte, error) {
 	r.scratch.chips = chips // keep the grown buffer for the next burst
 	if loop != nil {

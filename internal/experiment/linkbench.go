@@ -43,17 +43,13 @@ type LinkBenchResult struct {
 	NumCPU      int    `json:"num_cpu"`
 	// SIMD names the active vector-kernel mode (internal/dsp/simd).
 	SIMD string `json:"simd"`
-	// Serial is the plain DecodeBurst path; Pipelined runs the concurrent
-	// stage pipeline (equal output, different scheduling — on a single
-	// core Pipelined pays a small handoff tax, on multicore it overlaps
-	// estimation with demodulation).
-	Serial    LinkBenchSample `json:"serial"`
-	Pipelined LinkBenchSample `json:"pipelined"`
+	// Serial is the DecodeBurst receive path.
+	Serial LinkBenchSample `json:"serial"`
 }
 
-// linkBenchSample measures one receiver configuration with the testing
-// benchmark harness (which picks an iteration count to fill benchtime).
-func linkBenchSample(pipelined bool) (LinkBenchSample, error) {
+// linkBenchSample measures the link with the testing benchmark harness
+// (which picks an iteration count to fill benchtime).
+func linkBenchSample() (LinkBenchSample, error) {
 	cfg := core.DefaultConfig(1)
 	tx, err := core.NewTransmitter(cfg)
 	if err != nil {
@@ -62,12 +58,6 @@ func linkBenchSample(pipelined bool) (LinkBenchSample, error) {
 	rx, err := core.NewReceiver(cfg)
 	if err != nil {
 		return LinkBenchSample{}, err
-	}
-	if pipelined {
-		if err := rx.EnablePipeline(core.PipelineConfig{}); err != nil {
-			return LinkBenchSample{}, err
-		}
-		defer rx.Close()
 	}
 	payload := make([]byte, 32)
 	var buf []complex128
@@ -103,16 +93,11 @@ func linkBenchSample(pipelined bool) (LinkBenchSample, error) {
 	}, nil
 }
 
-// LinkThroughput measures the end-to-end link on the serial and pipelined
-// receive paths. gitRev is recorded verbatim.
+// LinkThroughput measures the end-to-end link. gitRev is recorded verbatim.
 func LinkThroughput(gitRev, simdMode string) (LinkBenchResult, error) {
-	serial, err := linkBenchSample(false)
+	serial, err := linkBenchSample()
 	if err != nil {
 		return LinkBenchResult{}, fmt.Errorf("experiment: serial link bench: %w", err)
-	}
-	pipelined, err := linkBenchSample(true)
-	if err != nil {
-		return LinkBenchResult{}, fmt.Errorf("experiment: pipelined link bench: %w", err)
 	}
 	return LinkBenchResult{
 		GitRev:    gitRev,
@@ -122,12 +107,11 @@ func LinkThroughput(gitRev, simdMode string) (LinkBenchResult, error) {
 		NumCPU:    runtime.NumCPU(),
 		SIMD:      simdMode,
 		Serial:    serial,
-		Pipelined: pipelined,
 	}, nil
 }
 
 // StoreMetrics flattens the result into the canonical metric list the
-// campaign store records. All four are machine-dependent, so the result
+// campaign store records. Both are machine-dependent, so the result
 // store's regression gate treats them as informational (CI's
 // bench-regression job owns the noise-aware throughput gate); the store
 // still makes their per-revision trajectory visible.
@@ -135,8 +119,6 @@ func (r LinkBenchResult) StoreMetrics() []Metric {
 	return []Metric{
 		{Name: "serial_ms_per_op", Value: r.Serial.MsPerOp, Unit: "ms", HigherIsBetter: false},
 		{Name: "serial_msps", Value: r.Serial.SamplesPerSec / 1e6, Unit: "MS/s", HigherIsBetter: true},
-		{Name: "pipelined_ms_per_op", Value: r.Pipelined.MsPerOp, Unit: "ms", HigherIsBetter: false},
-		{Name: "pipelined_msps", Value: r.Pipelined.SamplesPerSec / 1e6, Unit: "MS/s", HigherIsBetter: true},
 	}
 }
 
@@ -152,9 +134,7 @@ func (r LinkBenchResult) WriteJSON(w io.Writer) error {
 func (r LinkBenchResult) String() string {
 	return fmt.Sprintf(
 		"link throughput @ %s (%s %s/%s, %d cpu, simd %s)\n"+
-			"  serial:    %.3f ms/op  %d allocs/op  %.1f MS/s\n"+
-			"  pipelined: %.3f ms/op  %d allocs/op  %.1f MS/s",
+			"  serial: %.3f ms/op  %d allocs/op  %.1f MS/s",
 		r.GitRev, r.GoVersion, r.GOOS, r.GOARCH, r.NumCPU, r.SIMD,
-		r.Serial.MsPerOp, r.Serial.AllocsPerOp, r.Serial.SamplesPerSec/1e6,
-		r.Pipelined.MsPerOp, r.Pipelined.AllocsPerOp, r.Pipelined.SamplesPerSec/1e6)
+		r.Serial.MsPerOp, r.Serial.AllocsPerOp, r.Serial.SamplesPerSec/1e6)
 }

@@ -13,8 +13,8 @@ package impair
 // ppm means the receiver's clock runs fast, so the signal appears
 // stretched: the stage emits slightly more samples than it consumes.
 type clockStage struct {
-	step0  float64 // initial input step per output sample (1/(1+ppm·1e-6))
-	drift  float64 // step increment per output sample (clock drift)
+	step0            float64 // initial input step per output sample (1/(1+ppm·1e-6))
+	drift            float64 // step increment per output sample (clock drift)
 	minStep, maxStep float64
 
 	step float64 // current step

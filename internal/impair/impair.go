@@ -82,9 +82,9 @@ func (k Kind) String() string {
 // dsp.Mix (periodically renormalized complex oscillator) but with the
 // oscillator state persisted across blocks.
 type cfoStage struct {
-	step  complex128 // e^{j2πf}
-	init  complex128 // e^{jφ0}
-	osc   complex128 // current oscillator value
+	step   complex128 // e^{j2πf}
+	init   complex128 // e^{jφ0}
+	osc    complex128 // current oscillator value
 	renorm int
 }
 

@@ -15,8 +15,8 @@ import (
 // address-taking that escapes the atomic API — as a data race in waiting.
 //
 // Typed atomics (atomic.Int64 and friends) cannot mix by construction and
-// are the recommended fix; the codebase's own counters (rxPipeline's
-// totalSymbols) already use them, so any finding here is legacy-style usage
+// are the recommended fix; the codebase's own counters (obs.Counter and
+// obs.Histogram) already use them, so any finding here is legacy-style usage
 // leaking in. The object index is per package and instance-insensitive: the
 // field object is shared by every instance of the struct, which is exactly
 // the granularity the race detector's happens-before model cares about.

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"encoding/json"
-	"go/types"
 	"sort"
 )
 
@@ -79,11 +78,4 @@ func DecodeFacts(data []byte, dst map[string]FuncFacts) {
 	for _, f := range ff.Funcs {
 		dst[f.Sym] = f
 	}
-}
-
-// lookupImported returns the imported facts for a callee that is not part
-// of the local graph.
-func (g *CallGraph) lookupImported(fn *types.Func) (FuncFacts, bool) {
-	f, ok := g.Imported[fn.FullName()]
-	return f, ok
 }

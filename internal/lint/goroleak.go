@@ -8,7 +8,7 @@ import (
 
 // GoroLeak checks that every goroutine spawned in non-test code has a
 // shutdown edge: some way for the rest of the program to make it return.
-// The long-lived types in this codebase (iqstream.Hub, core.rxPipeline,
+// The long-lived types in this codebase (iqstream.Hub, iqstream.ChaosProxy,
 // obs.SnapshotWriter, the soak harness) all follow the same discipline — a
 // worker loop selects on a quit/done channel that Close/Shutdown closes, or
 // blocks on an operation that closing the underlying resource unblocks.

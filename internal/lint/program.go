@@ -30,14 +30,6 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// inTestFile reports whether pos lies in a _test.go file. Program analyzers
-// skip reporting there: tests spawn scaffolding goroutines and touch
-// internals deliberately, and the per-package analyzers already apply the
-// same exemption via SrcFiles.
-func (p *ProgramPass) inTestFile(pos token.Pos) bool {
-	return isTestFilename(p.Fset.Position(pos).Filename)
-}
-
 // runProgramAnalyzers builds the call graph once and applies every
 // whole-program analyzer to it, filtering findings through the merged
 // //bhss:allow index.

@@ -23,12 +23,12 @@ import (
 // the DSP's 20 MS/s front-end rate, so "30 seconds of simulated traffic"
 // is 3M samples — seconds of wall clock, not minutes.
 const (
-	DefaultLinkRate      = 100e3
-	DefaultSimSeconds    = 30.0
-	DefaultTimeout       = 120 * time.Second
-	DefaultPayload       = "bandwidth hopping spread spectrum soak frame"
-	defaultHubBlock      = 4096
-	defaultRxBuffer      = 64 // blocks: a shallow in-flight cushion, so a link
+	DefaultLinkRate   = 100e3
+	DefaultSimSeconds = 30.0
+	DefaultTimeout    = 120 * time.Second
+	DefaultPayload    = "bandwidth hopping spread spectrum soak frame"
+	defaultHubBlock   = 4096
+	defaultRxBuffer   = 64 // blocks: a shallow in-flight cushion, so a link
 	// reset wipes at most a few bursts of undelivered queue
 	defaultTxPacing      = 20 * time.Millisecond
 	defaultDrainGrace    = 2 * time.Second

@@ -74,17 +74,6 @@ func Median(xs []float64) float64 {
 	return 0.5 * (cp[n/2-1] + cp[n/2])
 }
 
-// MeanCI returns the mean of xs together with the half-width of an
-// approximate 95% confidence interval (normal approximation).
-func MeanCI(xs []float64) (mean, halfWidth float64) {
-	mean = Mean(xs)
-	if len(xs) < 2 {
-		return mean, math.Inf(1)
-	}
-	halfWidth = 1.96 * StdDev(xs) / math.Sqrt(float64(len(xs)))
-	return mean, halfWidth
-}
-
 // WilsonInterval returns the 95% Wilson score interval for a binomial
 // proportion with k successes out of n trials. It is well behaved near 0 and
 // 1, which matters for low packet-loss measurements.

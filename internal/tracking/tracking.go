@@ -175,21 +175,6 @@ func (c *Costas) SetFrequency(cyclesPerSample float64) {
 	c.freq = w
 }
 
-// SetLoopBandwidth retunes the loop gains while preserving the tracked
-// phase and frequency state. Receivers whose sample-per-symbol ratio
-// changes mid-stream (bandwidth hopping) use it to keep the loop's
-// per-symbol dynamics constant.
-func (c *Costas) SetLoopBandwidth(loopBW float64) error {
-	if loopBW <= 0 || loopBW >= 0.5 {
-		return fmt.Errorf("tracking: loop bandwidth %v out of (0, 0.5)", loopBW)
-	}
-	const damping = 0.7071067811865476
-	denom := 1 + 2*damping*loopBW + loopBW*loopBW
-	c.alpha = 4 * damping * loopBW / denom
-	c.beta = 4 * loopBW * loopBW / denom
-	return nil
-}
-
 // Phase returns the current loop phase in radians.
 func (c *Costas) Phase() float64 { return c.phase }
 

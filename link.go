@@ -62,21 +62,6 @@ func (l *SimLink) WithObserver(p *Observer) *SimLink {
 	return l
 }
 
-// WithPipeline enables the receiver's concurrent decode pipeline on the link
-// (see PipelineConfig) and returns the link for chaining. Call Close when
-// done with a pipelined link to stop the stage goroutines.
-func (l *SimLink) WithPipeline(cfg PipelineConfig) (*SimLink, error) {
-	if err := l.Rx.EnablePipeline(cfg); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// Close releases link resources (the receiver's pipeline goroutines, when
-// enabled). A serial link closes as a no-op, so Close is always safe to
-// defer.
-func (l *SimLink) Close() error { return l.Rx.Close() }
-
 // NewSimLink builds the transmitter/receiver pair for cfg and connects them
 // through the channel model. jam may be nil for an unjammed link.
 func NewSimLink(cfg Config, ch ChannelModel, jam Jammer) (*SimLink, error) {

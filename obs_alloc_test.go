@@ -43,47 +43,3 @@ func TestLinkThroughputAllocBudget(t *testing.T) {
 		t.Fatalf("observed link allocates %.1f/op, budget %d", avg, linkThroughputAllocBudget)
 	}
 }
-
-// TestPipelinedThroughputAllocBudget holds the pipelined decode path to the
-// same steady-state allocation budget as the serial one: the stage
-// goroutines, rings and slot buffers are all reused across bursts, so
-// pipelining buys wall-clock time with memory that is allocated once, not
-// per frame.
-func TestPipelinedThroughputAllocBudget(t *testing.T) {
-	cfg := DefaultConfig(1)
-	tx, err := NewTransmitter(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rx, err := NewReceiver(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rx.EnablePipeline(PipelineConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	defer rx.Close()
-	met := NewObserver()
-	tx.SetObserver(met)
-	rx.SetObserver(met)
-	payload := make([]byte, 32)
-
-	var buf []complex128
-	roundTrip := func() {
-		burst, err := tx.EncodeFrameInto(buf[:0], payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = burst.Samples
-		if _, _, err := rx.DecodeBurst(burst.Samples); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Warm the caches and grow the slot buffers out of the measurement.
-	for i := 0; i < 3; i++ {
-		roundTrip()
-	}
-	if avg := testing.AllocsPerRun(20, roundTrip); avg > linkThroughputAllocBudget {
-		t.Fatalf("pipelined link allocates %.1f/op, budget %d", avg, linkThroughputAllocBudget)
-	}
-}
