@@ -1,230 +1,66 @@
-// Command bhsslint runs the BHSS static-analysis suite (internal/lint):
-// eleven analyzers enforcing the zero-alloc hot-path contract (per-package
-// and transitively over the cross-package call graph), deterministic
-// simulation (source bans and value taint), epsilon-safe float comparisons,
-// scratch-buffer lifetimes, the construction-time-only panic policy, and the
-// concurrency contracts (goroutine shutdown edges, atomic/plain access
-// mixing, channel close/send/lock discipline).
-//
-// Standalone (the usual way):
+// Command bhsslint runs the BHSS static-analysis suite (internal/lint) over
+// the named packages (default ./...): seven analyzers enforcing the
+// zero-alloc hot-path contract (an annotated body and every unannotated
+// callee it reaches, across packages), deterministic simulation (no
+// math/rand, no wall-clock reads, no order-sensitive map-range sums),
+// epsilon-safe float comparisons, scratch-buffer lifetimes, the
+// construction-time-only panic policy, goroutine shutdown edges, and channel
+// close/send/lock discipline.
 //
 //	go run ./cmd/bhsslint ./...
-//	go run ./cmd/bhsslint -analyzers hotpathalloc,panicpolicy ./internal/dsp
-//	go run ./cmd/bhsslint -json -baseline lint_baseline.json ./...
+//	go run ./cmd/bhsslint ./internal/dsp/...
 //
-// As a vet tool (speaks the unitchecker protocol, including per-package
-// .vetx facts so the cross-package analyzers still see transitive chains):
+// It takes no flags and always runs the whole suite. The one way to accept
+// an intentional finding is in place, with a
+// `//bhss:allow(analyzer) reason` directive on the flagged line or the line
+// above it.
 //
-//	go build -o bhsslint ./cmd/bhsslint
-//	go vet -vettool=$(pwd)/bhsslint ./...
-//
-// The baseline workflow: -baseline filters out findings recorded in a
-// committed JSON file (matched by analyzer, file and message — line numbers
-// shift too easily to key on), so CI fails only when the set grows;
-// -write-baseline regenerates the file from the current findings.
-//
-// Exit status: 0 when clean, 1 on findings or usage errors (standalone);
-// under -vettool, findings exit 2 per the vet convention.
+// Exit status: 0 when clean, 1 on findings or load errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"bhss/internal/lint"
 )
 
-// baselineEntry identifies one accepted finding. Line numbers are omitted on
-// purpose: an unrelated edit above a finding must not un-baseline it.
-type baselineEntry struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Message  string `json:"message"`
-}
-
-// jsonFinding is the -json output row: the baseline key plus the position.
-type jsonFinding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-// relFile rewrites an absolute position filename relative to the working
-// directory, so baselines and JSON output are machine-independent.
-func relFile(cwd, file string) string {
-	if rel, err := filepath.Rel(cwd, file); err == nil && !strings.HasPrefix(rel, "..") {
-		return filepath.ToSlash(rel)
-	}
-	return filepath.ToSlash(file)
-}
-
-func readBaseline(path string) (map[baselineEntry]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var entries []baselineEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("parsing %s: %v", path, err)
-	}
-	set := make(map[baselineEntry]bool, len(entries))
-	for _, e := range entries {
-		set[e] = true
-	}
-	return set, nil
-}
-
-func writeBaselineFile(path string, diags []lint.Diagnostic, cwd string) error {
-	set := map[baselineEntry]bool{}
-	for _, d := range diags {
-		set[baselineEntry{Analyzer: d.Analyzer, File: relFile(cwd, d.Pos.Filename), Message: d.Message}] = true
-	}
-	entries := make([]baselineEntry, 0, len(set))
-	for e := range set {
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
-	})
-	data, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o666)
-}
-
 func main() {
-	// `go vet -vettool` probes the tool with -V=full (version for the build
-	// cache key) and -flags (JSON list of tool flags it may forward) before
-	// handing it .cfg files; detect all protocol entry points before normal
-	// flag parsing.
-	if len(os.Args) == 2 && os.Args[1] == "-V=full" {
-		lint.PrintVersion(os.Stdout)
-		return
-	}
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]") // no forwardable flags: the suite always runs whole
-		return
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(lint.RunUnitchecker(os.Args[1], lint.All()))
-	}
-
-	var (
-		analyzers     = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-		list          = flag.Bool("list", false, "list available analyzers and exit")
-		jsonOut       = flag.Bool("json", false, "emit findings as a JSON array on stdout")
-		baselinePath  = flag.String("baseline", "", "JSON baseline file; findings recorded there are filtered out")
-		writeBaseline = flag.Bool("write-baseline", false, "rewrite the -baseline file from the current findings and exit 0")
-	)
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: bhsslint [flags] [packages]\n\n")
-		fmt.Fprintf(flag.CommandLine.Output(), "Runs the BHSS analyzer suite over the named packages (default ./...).\n\n")
-		flag.PrintDefaults()
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: bhsslint [packages]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "Runs the BHSS analyzer suite over the named packages (default ./...).\n")
 	}
 	flag.Parse()
+	os.Exit(run(flag.Args(), os.Stdout, os.Stderr))
+}
 
-	if *list {
-		for _, a := range lint.All() {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	selected := lint.All()
-	if *analyzers != "" {
-		var err error
-		selected, err = lint.ByName(*analyzers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-
-	patterns := flag.Args()
+// run lints the packages matching patterns, resolved against the working
+// directory, prints one line per finding to stdout and returns the exit
+// status.
+func run(patterns []string, stdout, stderr io.Writer) int {
 	cwd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bhsslint:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "bhsslint:", err)
+		return 1
 	}
 	pkgs, err := lint.Load(cwd, patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bhsslint:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "bhsslint:", err)
+		return 1
 	}
-	diags, err := lint.RunAnalyzers(pkgs, selected)
+	diags, err := lint.RunAnalyzers(pkgs, lint.All())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bhsslint:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "bhsslint:", err)
+		return 1
 	}
-
-	if *writeBaseline {
-		if *baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "bhsslint: -write-baseline requires -baseline <file>")
-			os.Exit(1)
-		}
-		if err := writeBaselineFile(*baselinePath, diags, cwd); err != nil {
-			fmt.Fprintln(os.Stderr, "bhsslint:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bhsslint: wrote %d finding(s) to %s\n", len(diags), *baselinePath)
-		return
-	}
-
-	if *baselinePath != "" {
-		accepted, err := readBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bhsslint:", err)
-			os.Exit(1)
-		}
-		kept := diags[:0]
-		for _, d := range diags {
-			key := baselineEntry{Analyzer: d.Analyzer, File: relFile(cwd, d.Pos.Filename), Message: d.Message}
-			if !accepted[key] {
-				kept = append(kept, d)
-			}
-		}
-		diags = kept
-	}
-
-	if *jsonOut {
-		out := make([]jsonFinding, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonFinding{
-				Analyzer: d.Analyzer,
-				File:     relFile(cwd, d.Pos.Filename),
-				Line:     d.Pos.Line,
-				Column:   d.Pos.Column,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "bhsslint:", err)
-			os.Exit(1)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "bhsslint: %d finding(s)\n", len(diags))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "bhsslint: %d finding(s)\n", len(diags))
+		return 1
 	}
+	return 0
 }

@@ -1,9 +1,10 @@
 // Package alloctest is the runtime half of the zero-alloc hot-path
-// contract. The static hotpathalloc analyzer (internal/lint) flags direct
-// allocations in //bhss:hotpath functions at review time; the AssertZero
-// helper cross-validates whole call trees at test time, catching allocation
-// through callees, interface conversions and hidden growth that per-function
-// static analysis deliberately leaves to the runtime.
+// contract. The static hotpath analyzer (internal/lint) flags allocations
+// in //bhss:hotpath functions and the unannotated callees they statically
+// reach at review time; the AssertZero helper cross-validates whole call
+// trees at test time, catching allocation through interface and
+// function-value calls, conversions and hidden growth that static analysis
+// deliberately leaves to the runtime.
 package alloctest
 
 import "testing"

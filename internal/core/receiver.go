@@ -319,12 +319,12 @@ func (r *Receiver) estimateHop(seg []complex128, sps int) (FilterDecision, hopFi
 	if k < 16 {
 		return FilterNone, hopFilterCtx{}, report
 	}
-	//bhss:allow(hotpathfacts) welch estimators are memoized per resolution k; the construction allocates only on first sight of a k
+	//bhss:allow(hotpath) welch estimators are memoized per resolution k; the construction allocates only on first sight of a k
 	est, err := r.welch(k)
 	if err != nil {
 		return FilterNone, hopFilterCtx{}, report
 	}
-	//bhss:allow(hotpathfacts) amortized growth: resizeFloats reuses the scratch storage once warm
+	//bhss:allow(hotpath) amortized growth: resizeFloats reuses the scratch storage once warm
 	r.scratch.raw = resizeFloats(r.scratch.raw, k)
 	raw := r.scratch.raw
 	if err := est.PSDInto(raw, seg); err != nil {
@@ -358,7 +358,7 @@ func (r *Receiver) estimateHop(seg []complex128, sps int) (FilterDecision, hopFi
 	// low quantile of the normalized bins — still signal-anchored when
 	// the jammer covers up to ~half of the band (the eq. (11) excision
 	// region extends almost to the matched bandwidth).
-	//bhss:allow(hotpathfacts) pulse-shape spectra are memoized per (sps, k); allocates only on cache miss
+	//bhss:allow(hotpath) pulse-shape spectra are memoized per (sps, k); allocates only on cache miss
 	shape := r.pulseShapeGain(sps, k)
 	normBins := r.scratch.norm[:0]
 	half := signalBW / 2
@@ -456,10 +456,10 @@ func (r *Receiver) filterHop(seg []complex128, sps int, decision FilterDecision,
 	}
 	switch decision {
 	case FilterLowPass:
-		//bhss:allow(hotpathfacts) FIR designs and their overlap-save convolvers are memoized per sps; allocates only on cache miss
+		//bhss:allow(hotpath) FIR designs and their overlap-save convolvers are memoized per sps; allocates only on cache miss
 		r.scratch.filtered = r.lowPass(sps).Convolver().ApplySame(r.scratch.filtered[:0], seg)
 	case FilterExcision:
-		//bhss:allow(hotpathfacts) notch designs are memoized by quantized-spectrum hash (scratch grows amortized); allocates only on cache miss
+		//bhss:allow(hotpath) notch designs are memoized by quantized-spectrum hash (scratch grows amortized); allocates only on cache miss
 		f, err := r.notchFilter(sps, ctx)
 		if err != nil {
 			return nil, err

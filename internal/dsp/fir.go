@@ -376,7 +376,9 @@ func SmoothPSDInto(dst, psd []float64, width int) {
 	half := width / 2
 	var sum float64
 	for d := -half; d <= half; d++ {
-		//bhss:allow(simdloop) wrap-around window seed: the indices fold mod n, so the reads are not contiguous and SumFloats does not apply; runs once per call over `width` bins, not per bin
+		// Wrap-around window seed: the indices fold mod n, so the reads are
+		// not contiguous and SumFloats does not apply; this runs once per
+		// call over `width` bins, not per bin.
 		sum += psd[((d%n)+n)%n]
 	}
 	inv := 1 / float64(width)

@@ -103,7 +103,7 @@ func (o *OverlapSave) ApplyFull(dst, x []complex128) []complex128 {
 		return dst
 	}
 	total := len(x) + o.k - 1
-	//bhss:allow(hotpathfacts) amortized growth: growComplex reuses dst's storage once warm
+	//bhss:allow(hotpath) amortized growth: growComplex reuses dst's storage once warm
 	dst = growComplex(dst, total)
 	out := dst[len(dst)-total:]
 	// Output position pos needs input window x[pos-(k-1) .. pos+step-1];
@@ -148,7 +148,7 @@ func (o *OverlapSave) ApplySame(dst, x []complex128) []complex128 {
 //
 //bhss:hotpath
 func (o *OverlapSave) Process(dst, x []complex128) []complex128 {
-	//bhss:allow(hotpathfacts) amortized growth: growComplex reuses dst's storage once warm
+	//bhss:allow(hotpath) amortized growth: growComplex reuses dst's storage once warm
 	dst = growComplex(dst, len(x))
 	out := dst[len(dst)-len(x):]
 	pos := 0

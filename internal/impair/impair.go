@@ -21,7 +21,7 @@
 // spec.go (e.g. "cfo=2e3,ppm=20,phnoise=-80,quant=8" — see ParseSpec for
 // the grammar). A nil or empty chain is bit-transparent. Steady-state
 // processing performs zero heap allocations (//bhss:hotpath, enforced by
-// the hotpathalloc analyzer and the AllocsPerRun tests).
+// the hotpath analyzer and the AllocsPerRun tests).
 package impair
 
 import (

@@ -4,17 +4,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // This file builds the whole-program view the cross-package analyzers run
 // on: a call graph over every function declared in the analyzed packages,
 // annotated with per-function facts (hot-path directive, direct-allocation
 // sites, static call edges) and two program-wide indexes (channels that are
-// closed anywhere, for goroleak; the merged //bhss:allow table). In
-// standalone mode the graph spans every package named on the command line;
-// under `go vet -vettool` it spans the one package being vetted plus the
-// facts imported from its dependencies' .vetx files (see facts.go).
+// closed anywhere, for goroleak; functions whose value escapes, for
+// hotpath). The graph spans every package named on the command line.
 
 // CallEdge is one static call site: the callee, where the call appears, and
 // the call expression itself (goroleak inspects arguments to follow a closed
@@ -26,8 +23,8 @@ type CallEdge struct {
 }
 
 // AllocSite is one direct allocation inside a function body, as classified
-// by the hotpathalloc rules (vetted Append forms and the obs-defer idiom are
-// already exempted).
+// by walkAllocs (vetted Append forms and the obs-defer idiom are already
+// exempted).
 type AllocSite struct {
 	Pos  token.Pos
 	What string
@@ -36,11 +33,9 @@ type AllocSite struct {
 // FuncInfo is everything the program analyzers know about one declared
 // function.
 type FuncInfo struct {
-	Obj     *types.Func
 	Decl    *ast.FuncDecl
 	Pkg     *Package
 	Hotpath bool // carries the //bhss:hotpath directive
-	Test    bool // declared in a _test.go file
 	Allocs  []AllocSite
 	Calls   []CallEdge
 }
@@ -56,32 +51,23 @@ type CallGraph struct {
 	ClosedChans map[types.Object]bool
 	// AddrTaken marks functions whose identifier is used outside a call
 	// position — passed or stored as a value. Such functions have callers
-	// the static edges cannot see, so hotpathfacts never calls their
+	// the static edges cannot see, so hotpath never calls their
 	// annotations redundant.
 	AddrTaken map[*types.Func]bool
-	// Imported holds dependency facts keyed by symbol (types.Func.FullName)
-	// when running under the vet facts protocol; empty in standalone mode,
-	// where dependencies are themselves part of the graph.
-	Imported map[string]FuncFacts
 }
 
 // buildCallGraph constructs the program fact base over pkgs.
-func buildCallGraph(pkgs []*Package, imported map[string]FuncFacts) *CallGraph {
+func buildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{
 		Funcs:       map[*types.Func]*FuncInfo{},
 		ClosedChans: map[types.Object]bool{},
 		AddrTaken:   map[*types.Func]bool{},
-		Imported:    imported,
-	}
-	if g.Imported == nil {
-		g.Imported = map[string]FuncFacts{}
 	}
 	for _, pkg := range pkgs {
 		if g.Fset == nil {
 			g.Fset = pkg.Fset
 		}
 		for _, f := range pkg.Files {
-			isTest := strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go")
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -92,15 +78,11 @@ func buildCallGraph(pkgs []*Package, imported map[string]FuncFacts) *CallGraph {
 					continue
 				}
 				fi := &FuncInfo{
-					Obj:     obj,
 					Decl:    fd,
 					Pkg:     pkg,
 					Hotpath: funcHasDirective(fd, "hotpath"),
-					Test:    isTest,
+					Allocs:  walkAllocs(pkg.Fset, pkg.Info, fd),
 				}
-				walkAllocs(pkg.Fset, pkg.Info, fd, func(pos token.Pos, msg string) {
-					fi.Allocs = append(fi.Allocs, AllocSite{Pos: pos, What: msg})
-				})
 				collectCallsAndCloses(pkg.Info, fd.Body, fi, g.ClosedChans)
 				g.Funcs[obj] = fi
 			}

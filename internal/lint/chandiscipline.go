@@ -7,8 +7,8 @@ import (
 	"sort"
 )
 
-// ChanDiscipline enforces three channel-usage contracts the transport and
-// pipeline layers rely on:
+// ChanDiscipline enforces three channel-usage contracts the transport layer
+// relies on:
 //
 //  1. close-by-sender: a channel that has senders must be closed from a
 //     function that also sends on it. Closing from the receive side (or
@@ -30,7 +30,6 @@ import (
 // //bhss:allow(chandiscipline) and the branch invariant as the reason.
 var ChanDiscipline = &Analyzer{
 	Name: "chandiscipline",
-	Doc:  "channels: close on the sender side, never send after close, never block on a channel while holding a mutex",
 	Run:  runChanDiscipline,
 }
 
@@ -46,7 +45,7 @@ func runChanDiscipline(pass *Pass) error {
 	}
 	var closes []closeSite
 
-	eachFuncDecl(pass.SrcFiles(), func(fn *ast.FuncDecl) {
+	eachFuncDecl(pass.Files, func(fn *ast.FuncDecl) {
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SendStmt:

@@ -4,8 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strconv"
-	"strings"
 )
 
 // DetRand enforces the repo's determinism contract: every random draw in the
@@ -14,41 +14,33 @@ import (
 //
 // Three rules:
 //
-//  1. Importing math/rand or math/rand/v2 is forbidden everywhere. The
-//     global top-level functions carry process-wide mutable state seeded
-//     per-run, and even the seeded forms use a different generator than the
-//     one the paper-reproduction experiments are calibrated against.
+//  1. Importing math/rand or math/rand/v2 is forbidden everywhere, _test.go
+//     files included. The global top-level functions carry process-wide
+//     mutable state seeded per-run, and even the seeded forms use a
+//     different generator than the one the paper-reproduction experiments
+//     are calibrated against.
 //
-//  2. Calling time.Now() inside simulation packages (bhss/internal/...,
-//     except internal/lint itself) is forbidden — wall-clock values leak into
-//     seeds or measurements and break replay. cmd/ tools may timestamp logs.
+//  2. Reading the wall clock (time.Now, time.Since, time.Until) is
+//     forbidden: wall-clock values leak into seeds or measurements and break
+//     replay. The legitimate readers — transport deadlines, timing
+//     measurements, record timestamps — each carry a reasoned allow.
 //
 //  3. Ranging over a map while compound-accumulating (+=, -=, *=, /=) into a
-//     numeric variable declared outside the loop is forbidden in simulation
-//     packages: map iteration order is randomized, and float accumulation is
-//     order-sensitive, so the same inputs can produce different sums on
-//     different runs. Collect keys, sort, then accumulate (the
-//     figures_measured.go idiom).
+//     numeric variable declared outside the loop is forbidden: map iteration
+//     order is randomized, and float accumulation is order-sensitive, so the
+//     same inputs can produce different sums on different runs. Collect
+//     keys, sort, then accumulate (the figures_measured.go idiom).
+//
+// Rules 2 and 3 apply to the non-test files of every package except the
+// lint tooling itself, which shells out to the go tool; its testdata
+// fixtures are in scope, so the rules stay testable.
 var DetRand = &Analyzer{
 	Name: "detrand",
-	Doc:  "forbids math/rand, time.Now in simulation code, and order-sensitive map-range accumulation",
 	Run:  runDetRand,
 }
 
-// simulationPackage reports whether rules 2 and 3 apply to the package. The
-// lint framework itself is exempt (it shells out to the go tool and may
-// reasonably timestamp); its testdata fixtures are not, so the rules stay
-// testable.
-func simulationPackage(path string) bool {
-	switch path {
-	case "bhss/internal/lint", "bhss/internal/lint/linttest":
-		return false
-	}
-	return strings.HasPrefix(path, "bhss/internal/") || path == "bhss"
-}
-
 func runDetRand(pass *Pass) error {
-	for _, f := range pass.Files {
+	for _, f := range slices.Concat(pass.Files, pass.TestFiles) {
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
@@ -59,17 +51,18 @@ func runDetRand(pass *Pass) error {
 			}
 		}
 	}
-	if !simulationPackage(pass.Path) {
+	if pass.Path == "bhss/internal/lint" || pass.Path == "bhss/internal/lint/linttest" {
 		return nil
 	}
-	// Rules 2 and 3 exempt test files: tests reasonably read the clock for
-	// deadlines, and their map-range sums don't feed published figures.
-	for _, f := range pass.SrcFiles() {
+	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if isPkgFuncCall(pass.Info, n, "time", "Now") {
-					pass.Reportf(n.Pos(), "time.Now() in simulation code breaks deterministic replay; derive values from the experiment seed")
+				if fn := staticCallee(pass.Info, n); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "time" {
+					switch fn.Name() {
+					case "Now", "Since", "Until":
+						pass.Reportf(n.Pos(), "time.%s() reads the wall clock, which breaks deterministic replay; derive values from the experiment seed", fn.Name())
+					}
 				}
 			case *ast.RangeStmt:
 				checkMapRangeAccum(pass, n)
@@ -78,20 +71,6 @@ func runDetRand(pass *Pass) error {
 		})
 	}
 	return nil
-}
-
-// isPkgFuncCall reports whether call is pkg.fn(...) resolving to the named
-// package-level function.
-func isPkgFuncCall(info *types.Info, call *ast.CallExpr, pkgPath, fn string) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != fn {
-		return false
-	}
-	obj, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || obj.Pkg() == nil {
-		return false
-	}
-	return obj.Pkg().Path() == pkgPath
 }
 
 // checkMapRangeAccum flags `for k := range m { total += ... }` where m is a

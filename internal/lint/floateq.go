@@ -21,14 +21,13 @@ import (
 //     comparison helpers (approx/eps/epsilon/close/near/within).
 var FloatEq = &Analyzer{
 	Name: "floateq",
-	Doc:  "flags ==/!= on float64/complex128 outside approved epsilon helpers",
 	Run:  runFloatEq,
 }
 
 var epsilonHelperRE = regexp.MustCompile(`(?i)(approx|eps|epsilon|close|near|within)`)
 
 func runFloatEq(pass *Pass) error {
-	eachFuncDecl(pass.SrcFiles(), func(fn *ast.FuncDecl) {
+	eachFuncDecl(pass.Files, func(fn *ast.FuncDecl) {
 		if epsilonHelperRE.MatchString(fn.Name.Name) {
 			return
 		}

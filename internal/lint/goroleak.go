@@ -37,7 +37,6 @@ import (
 // lifetime is actually bounded.
 var GoroLeak = &Analyzer{
 	Name:       "goroleak",
-	Doc:        "every goroutine's unbounded loops must have a shutdown edge (closed channel, ctx.Done, or a closeable resource)",
 	RunProgram: runGoroLeak,
 }
 
@@ -49,9 +48,6 @@ const goroleakDepth = 5
 func runGoroLeak(pass *ProgramPass) error {
 	reported := map[token.Pos]bool{}
 	for _, fi := range pass.Graph.Funcs {
-		if fi.Test {
-			continue
-		}
 		info := fi.Pkg.Info
 		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 			if gs, ok := n.(*ast.GoStmt); ok {

@@ -7,8 +7,8 @@
 // Analyzer owns a Run function over a Pass carrying syntax and type
 // information — but is built on the standard library alone (go/ast, go/types
 // and `go list`), because this build environment vendors no external
-// modules. cmd/bhsslint is the multichecker driver; it also speaks the
-// `go vet -vettool` unitchecker protocol.
+// modules. cmd/bhsslint is the one driver: it loads the named packages and
+// runs All over them.
 //
 // # Annotations
 //
@@ -22,13 +22,13 @@
 //	//bhss:scratch    — struct field: reusable scratch whose aliases must not
 //	                    outlive a call (see the scratchalias analyzer)
 //
-// A finding that is intentional is suppressed in place with
+// A finding that is intentional is accepted in place, and only in place,
+// with
 //
 //	//bhss:allow(analyzer1,analyzer2) reason...
 //
 // on the flagged line or the line directly above it. The reason is free
-// text but mandatory by convention: a suppression without a why does not
-// survive review.
+// text but mandatory: a directive without one is itself a finding.
 package lint
 
 import (
@@ -38,6 +38,7 @@ import (
 	"go/types"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -47,8 +48,6 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and allow() directives.
 	Name string
-	// Doc is a one-paragraph description of what the analyzer enforces.
-	Doc string
 	// Run performs a per-package check, reporting findings through the Pass.
 	Run func(*Pass) error
 	// RunProgram performs a whole-program check over every loaded package
@@ -61,9 +60,13 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Files    []*ast.File
-	Path     string // import path
-	Pkg      *types.Package
-	Info     *types.Info
+	// TestFiles holds the package's _test.go files parsed only as far as
+	// their imports: detrand's math/rand ban is the one rule that reaches
+	// into tests.
+	TestFiles []*ast.File
+	Path      string // import path
+	Pkg       *types.Package
+	Info      *types.Info
 
 	report func(Diagnostic)
 }
@@ -77,26 +80,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// SrcFiles returns the pass's non-test files. Under `go vet -vettool` a
-// package's test variant includes _test.go files, which are exempt from most
-// checks: determinism tests compare floats bit-exactly on purpose, Example
-// functions panic on mismatch, and timeout helpers read the wall clock. An
-// analyzer whose rule must hold even in tests (detrand's math/rand import
-// ban) iterates Files directly.
-func (p *Pass) SrcFiles() []*ast.File {
-	var out []*ast.File
-	for _, f := range p.Files {
-		if !isTestFilename(p.Fset.Position(f.Pos()).Filename) {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// shortPos renders a position as "file.go:12" with the directory stripped:
-// positions embedded in diagnostic *messages* (as opposed to the Diagnostic's
-// own Pos) must not vary between machines, or they poison the findings
-// baseline, which matches on message text.
+// shortPos renders a position as "file.go:12" with the directory stripped,
+// for positions embedded in diagnostic messages (as opposed to the
+// Diagnostic's own Pos): the message stays short and machine-independent.
 func shortPos(fset *token.FileSet, pos token.Pos) string {
 	p := fset.Position(pos)
 	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
@@ -113,48 +99,19 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s (%s)", d.Pos, d.Message, d.Analyzer)
 }
 
-// All returns the full analyzer suite in reporting order: the six
-// per-package analyzers, then the five whole-program ones.
+// All returns the full analyzer suite in reporting order: the whole-program
+// hot-path contract, the four per-package analyzers, then the two
+// concurrency analyzers (goroleak whole-program, chandiscipline per package).
 func All() []*Analyzer {
 	return []*Analyzer{
-		HotPathAlloc,
-		SIMDLoop,
+		HotPath,
 		DetRand,
 		FloatEq,
 		ScratchAlias,
 		PanicPolicy,
-		HotPathFacts,
 		GoroLeak,
-		AtomicMix,
 		ChanDiscipline,
-		DetTaint,
 	}
-}
-
-// ByName resolves a comma-separated analyzer selection ("hotpathalloc,floateq").
-func ByName(names string) ([]*Analyzer, error) {
-	var out []*Analyzer
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		found := false
-		for _, a := range All() {
-			if a.Name == name {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("lint: unknown analyzer %q", name)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("lint: empty analyzer selection")
-	}
-	return out, nil
 }
 
 // RunAnalyzers applies the analyzers to every package, filters findings
@@ -164,13 +121,6 @@ func ByName(names string) ([]*Analyzer, error) {
 // directives without a reason are themselves reported (analyzer name
 // "allow"): a finding silenced without a why does not survive review.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunAnalyzersWithFacts(pkgs, analyzers, nil)
-}
-
-// RunAnalyzersWithFacts is RunAnalyzers with dependency facts imported from
-// .vetx files, used by the unitchecker driver where the "program" is a
-// single package plus its dependencies' summaries.
-func RunAnalyzersWithFacts(pkgs []*Package, analyzers []*Analyzer, imported map[string]FuncFacts) ([]Diagnostic, error) {
 	var perPkg, prog []*Analyzer
 	for _, a := range analyzers {
 		if a.RunProgram != nil {
@@ -180,20 +130,18 @@ func RunAnalyzersWithFacts(pkgs []*Package, analyzers []*Analyzer, imported map[
 		}
 	}
 	var diags []Diagnostic
-	merged := allowIndex{}
+	allow := allowIndex{}
 	for _, pkg := range pkgs {
-		allow, reasonless := buildAllowIndex(pkg.Fset, pkg.Files)
-		diags = append(diags, reasonless...)
-		for file, lines := range allow {
-			merged[file] = lines
-		}
+		diags = append(diags, allow.add(pkg.Fset, slices.Concat(pkg.Files, pkg.TestFiles))...)
+	}
+	for _, pkg := range pkgs {
 		pd, err := runOnPackage(pkg, allow, perPkg)
 		if err != nil {
 			return nil, err
 		}
 		diags = append(diags, pd...)
 	}
-	pd, err := runProgramAnalyzers(pkgs, prog, imported, merged)
+	pd, err := runProgramAnalyzers(pkgs, prog, allow)
 	if err != nil {
 		return nil, err
 	}
@@ -218,12 +166,13 @@ func runOnPackage(pkg *Package, allow allowIndex, analyzers []*Analyzer) ([]Diag
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Path:     pkg.ImportPath,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
+			Analyzer:  a,
+			Fset:      pkg.Fset,
+			Files:     pkg.Files,
+			TestFiles: pkg.TestFiles,
+			Path:      pkg.ImportPath,
+			Pkg:       pkg.Types,
+			Info:      pkg.Info,
 			report: func(d Diagnostic) {
 				if !allow.allows(d.Pos, d.Analyzer) {
 					diags = append(diags, d)
@@ -250,12 +199,11 @@ var wantClauseRE = regexp.MustCompile(`//\s*want\s+".*$`)
 // below it (the standalone-comment-above-the-statement form).
 type allowIndex map[string]map[int]map[string]bool
 
-// buildAllowIndex indexes every //bhss:allow directive and returns, as
+// add indexes every //bhss:allow directive in files and returns, as
 // ready-made diagnostics, the directives that carry no reason text: the
 // suppression still applies (so a missing reason never un-suppresses a
 // vetted finding into CI noise), but is itself a finding.
-func buildAllowIndex(fset *token.FileSet, files []*ast.File) (allowIndex, []Diagnostic) {
-	idx := allowIndex{}
+func (idx allowIndex) add(fset *token.FileSet, files []*ast.File) []Diagnostic {
 	var reasonless []Diagnostic
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -289,12 +237,7 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) (allowIndex, []Diag
 			}
 		}
 	}
-	return idx, reasonless
-}
-
-// isTestFilename reports whether a source filename is a _test.go file.
-func isTestFilename(name string) bool {
-	return strings.HasSuffix(name, "_test.go")
+	return reasonless
 }
 
 func (idx allowIndex) allows(pos token.Position, analyzer string) bool {

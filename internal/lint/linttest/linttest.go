@@ -15,9 +15,13 @@
 package linttest
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"bhss/internal/lint"
@@ -39,7 +43,8 @@ type expectation struct {
 // the fixtures' want comments. A fixture may be a package tree: every
 // package under the directory is loaded (the whole-program analyzers need
 // cross-package fixtures — a hot-path entry in one package reaching an
-// allocation in another), and every loaded file may carry expectations.
+// allocation in another), and every .go file under the directory may carry
+// expectations, _test.go files included.
 func Run(t *testing.T, a *lint.Analyzer, fixtures ...string) {
 	t.Helper()
 	RunMulti(t, []*lint.Analyzer{a}, fixtures...)
@@ -69,17 +74,13 @@ func RunMulti(t *testing.T, analyzers []*lint.Analyzer, fixtures ...string) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkExpectations(t, pkgs, diags)
+			checkExpectations(t, collectWants(t, abs), diags)
 		})
 	}
 }
 
-func checkExpectations(t *testing.T, pkgs []*lint.Package, diags []lint.Diagnostic) {
+func checkExpectations(t *testing.T, wants []*expectation, diags []lint.Diagnostic) {
 	t.Helper()
-	var wants []*expectation
-	for _, pkg := range pkgs {
-		collectWants(t, pkg, &wants)
-	}
 	for _, d := range diags {
 		if w := matchWant(wants, d); w != nil {
 			w.matched = true
@@ -94,16 +95,28 @@ func checkExpectations(t *testing.T, pkgs []*lint.Package, diags []lint.Diagnost
 	}
 }
 
-func collectWants(t *testing.T, pkg *lint.Package, wants *[]*expectation) {
+// collectWants parses every .go file under dir itself rather than reading
+// the loaded packages, so a want in a file the loader skipped (a _test.go
+// file, say) fails the test instead of going unchecked.
+func collectWants(t *testing.T, dir string) []*expectation {
 	t.Helper()
-	for _, f := range pkg.Files {
+	var wants []*expectation
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				m := wantRE.FindStringSubmatch(c.Text)
 				if m == nil {
 					continue
 				}
-				pos := pkg.Fset.Position(c.Pos())
+				pos := fset.Position(c.Pos())
 				quoted := quotedRE.FindAllStringSubmatch(m[1], -1)
 				if len(quoted) == 0 {
 					t.Errorf("%s: want comment with no quoted pattern", pos)
@@ -120,11 +133,16 @@ func collectWants(t *testing.T, pkg *lint.Package, wants *[]*expectation) {
 						t.Errorf("%s: bad want regexp %q: %v", pos, pat, err)
 						continue
 					}
-					*wants = append(*wants, &expectation{file: pos.Filename, line: pos.Line, re: re})
+					wants = append(wants, &expectation{file: pos.Filename, line: pos.Line, re: re})
 				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("reading fixture expectations: %v", err)
 	}
+	return wants
 }
 
 func matchWant(wants []*expectation, d lint.Diagnostic) *expectation {

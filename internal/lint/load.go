@@ -18,25 +18,30 @@ import (
 // Package is one type-checked package ready for analysis.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
-	Types      *types.Package
-	Info       *types.Info
+	// TestFiles holds the _test.go files (in-package and external) parsed
+	// with parser.ImportsOnly: they are neither type-checked nor walked,
+	// and only detrand's import ban reads them.
+	TestFiles []*ast.File
+	Types     *types.Package
+	Info      *types.Info
 }
 
 // listPackage mirrors the subset of `go list -json` output the loader reads.
 type listPackage struct {
-	Dir        string
-	ImportPath string
-	Name       string
-	GoFiles    []string
-	CgoFiles   []string
-	Imports    []string
-	ImportMap  map[string]string
-	Standard   bool
-	DepOnly    bool
-	Error      *listError
+	Dir          string
+	ImportPath   string
+	Name         string
+	GoFiles      []string
+	CgoFiles     []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Imports      []string
+	ImportMap    map[string]string
+	Standard     bool
+	DepOnly      bool
+	Error        *listError
 }
 
 type listError struct {
@@ -46,8 +51,9 @@ type listError struct {
 // Load enumerates the packages matching patterns with `go list` and
 // type-checks them — together with their entire dependency graph — from
 // source. Only the root packages (the ones the patterns name) are returned,
-// with full syntax trees and type information; dependencies are checked just
-// deeply enough to supply their exported API.
+// with full syntax trees and type information for their non-test files and
+// the import declarations of their _test.go files; dependencies are checked
+// just deeply enough to supply their exported API.
 //
 // The loader forces CGO_ENABLED=0 so every dependency, including the
 // standard library, resolves to a pure-Go file set that go/types can check
@@ -60,7 +66,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 	args := append([]string{
 		"list", "-e", "-deps",
-		"-json=Dir,ImportPath,Name,GoFiles,CgoFiles,Imports,ImportMap,Standard,DepOnly,Error",
+		"-json=Dir,ImportPath,Name,GoFiles,CgoFiles,TestGoFiles,XTestGoFiles,Imports,ImportMap,Standard,DepOnly,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -104,13 +110,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if len(lp.CgoFiles) > 0 {
 			return nil, fmt.Errorf("lint: %s uses cgo, which the source loader cannot check", lp.ImportPath)
 		}
-		files := make([]*ast.File, 0, len(lp.GoFiles))
-		for _, name := range lp.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-			if err != nil {
-				return nil, fmt.Errorf("lint: %v", err)
-			}
-			files = append(files, f)
+		files, err := parseFiles(fset, lp.Dir, lp.GoFiles, 0)
+		if err != nil {
+			return nil, err
 		}
 		var info *types.Info
 		if !lp.DepOnly {
@@ -139,18 +141,37 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, fmt.Errorf("lint: type-checking %s: %v", lp.ImportPath, err)
 		}
 		checked[lp.ImportPath] = tpkg
-		if !lp.DepOnly {
-			roots = append(roots, &Package{
-				ImportPath: lp.ImportPath,
-				Dir:        lp.Dir,
-				Fset:       fset,
-				Files:      files,
-				Types:      tpkg,
-				Info:       info,
-			})
+		if lp.DepOnly {
+			continue
 		}
+		testFiles, err := parseFiles(fset, lp.Dir, append(lp.TestGoFiles, lp.XTestGoFiles...), parser.ImportsOnly)
+		if err != nil {
+			return nil, err
+		}
+		roots = append(roots, &Package{
+			ImportPath: lp.ImportPath,
+			Fset:       fset,
+			Files:      files,
+			TestFiles:  testFiles,
+			Types:      tpkg,
+			Info:       info,
+		})
 	}
 	return roots, nil
+}
+
+// parseFiles parses the named files in dir, keeping comments (directives and
+// fixture expectations live there) on top of the extra parser mode.
+func parseFiles(fset *token.FileSet, dir string, names []string, mode parser.Mode) ([]*ast.File, error) {
+	files := make([]*ast.File, 0, len(names))
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, mode|parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, fmt.Errorf("lint: %v", err)
+		}
+		files = append(files, f)
+	}
+	return files, nil
 }
 
 // mapImporter resolves imports against the already-checked package set,

@@ -22,12 +22,11 @@ import (
 //     a caller bug by documented contract).
 var PanicPolicy = &Analyzer{
 	Name: "panicpolicy",
-	Doc:  "restricts panic to construction/plan-time code",
 	Run:  runPanicPolicy,
 }
 
 func runPanicPolicy(pass *Pass) error {
-	eachFuncDecl(pass.SrcFiles(), func(fn *ast.FuncDecl) {
+	eachFuncDecl(pass.Files, func(fn *ast.FuncDecl) {
 		name := fn.Name.Name
 		if name == "init" || strings.HasPrefix(name, "New") || strings.HasPrefix(name, "Must") {
 			return

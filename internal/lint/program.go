@@ -8,7 +8,7 @@ import (
 // A ProgramPass connects one whole-program analyzer run to the full set of
 // loaded packages and the call graph built over them. Unlike Pass, which
 // sees one package at a time, a ProgramPass sees every package named on the
-// command line at once — this is what lets hotpathfacts follow a call chain
+// command line at once — this is what lets hotpath follow a call chain
 // from a //bhss:hotpath entry point in internal/core into an allocating
 // helper in internal/dsp, and goroleak match a goroutine's channel receive
 // in one file against the close() in another.
@@ -31,13 +31,13 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // runProgramAnalyzers builds the call graph once and applies every
-// whole-program analyzer to it, filtering findings through the merged
-// //bhss:allow index.
-func runProgramAnalyzers(pkgs []*Package, analyzers []*Analyzer, imported map[string]FuncFacts, allow allowIndex) ([]Diagnostic, error) {
+// whole-program analyzer to it, filtering findings through the
+// program-wide //bhss:allow index.
+func runProgramAnalyzers(pkgs []*Package, analyzers []*Analyzer, allow allowIndex) ([]Diagnostic, error) {
 	if len(analyzers) == 0 || len(pkgs) == 0 {
 		return nil, nil
 	}
-	g := buildCallGraph(pkgs, imported)
+	g := buildCallGraph(pkgs)
 	fset := pkgs[0].Fset
 	var diags []Diagnostic
 	for _, a := range analyzers {

@@ -31,7 +31,6 @@ import (
 // overwrite, and the callee's own contract is checked at its declaration.
 var ScratchAlias = &Analyzer{
 	Name: "scratchalias",
-	Doc:  "detects scratch-buffer views escaping a call's lifetime",
 	Run:  runScratchAlias,
 }
 
@@ -40,7 +39,7 @@ func runScratchAlias(pass *Pass) error {
 	if len(scratchFields) == 0 {
 		return nil
 	}
-	eachFuncDecl(pass.SrcFiles(), func(fn *ast.FuncDecl) {
+	eachFuncDecl(pass.Files, func(fn *ast.FuncDecl) {
 		view := funcHasDirective(fn, "scratchview")
 		w := &scratchWalker{pass: pass, fields: scratchFields, aliases: map[types.Object]bool{}, view: view}
 		// Pass 1: collect single-level local aliases (raw := r.scratch.raw).

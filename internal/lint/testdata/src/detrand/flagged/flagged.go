@@ -13,6 +13,14 @@ func seedFromClock() int64 {
 	return time.Now().UnixNano() // want "time.Now"
 }
 
+func elapsed(start time.Time) time.Duration {
+	return time.Since(start) // want "time.Since"
+}
+
+func remaining(deadline time.Time) time.Duration {
+	return time.Until(deadline) // want "time.Until"
+}
+
 func drift() float64 {
 	return rand.Float64() + randv2.Float64()
 }
@@ -26,5 +34,7 @@ func sumGains(gains map[int]float64) float64 {
 }
 
 var _ = seedFromClock
+var _ = elapsed
+var _ = remaining
 var _ = drift
 var _ = sumGains

@@ -1,5 +1,6 @@
-// Package flagged exercises every hotpathalloc rule: each line below
-// allocates in a way the zero-alloc hot-path contract forbids.
+// Package flagged exercises every own-body rule of the hotpath analyzer:
+// each line below allocates in a way the zero-alloc hot-path contract
+// forbids.
 package flagged
 
 import "bhss/internal/obs"

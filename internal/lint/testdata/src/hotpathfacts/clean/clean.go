@@ -1,4 +1,4 @@
-// Package clean holds the hotpathfacts idioms that must stay silent:
+// Package clean holds the transitive-walk idioms that must stay silent:
 // alloc-free helper chains, annotated callees as chain boundaries, and
 // suppressed memoized construction.
 package clean
@@ -19,7 +19,7 @@ func accumulate(dst []complex128) {
 }
 
 // Boundary calls an annotated helper: the walk stops there — the helper's
-// body is hotpathalloc's business at its own declaration, and its edges are
+// body is checked at its own declaration, and its edges are
 // walked from there.
 //
 //bhss:hotpath
@@ -45,7 +45,7 @@ func Memoized(k int) []float64 {
 	if s, ok := cache[k]; ok {
 		return s
 	}
-	//bhss:allow(hotpathfacts) memoized: the build runs once per k, then every hop hits the cache
+	//bhss:allow(hotpath) memoized: the build runs once per k, then every hop hits the cache
 	return build(k)
 }
 

@@ -1,7 +1,7 @@
-// Package flagged exercises the hotpathfacts transitive walk: the annotated
-// entry points below allocate only through unannotated helpers — one of
-// them across a package boundary — so hotpathalloc alone would pass all of
-// them.
+// Package flagged exercises the hotpath analyzer's transitive walk: the
+// annotated entry points below allocate only through unannotated helpers —
+// one of them across a package boundary — so a check of annotated bodies
+// alone would pass all of them.
 package flagged
 
 import "bhss/internal/lint/testdata/src/hotpathfacts/flagged/sub"

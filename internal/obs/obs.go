@@ -45,6 +45,8 @@ var epoch = time.Now()
 // Now returns monotonic nanoseconds since process start. It never goes
 // backwards (time.Since reads the monotonic clock) and performs no
 // allocation.
+//
+//bhss:allow(detrand) observability clock: readings time stages and never feed the simulation
 func Now() int64 { return int64(time.Since(epoch)) }
 
 // Stopwatch marks one start instant on the monotonic clock.

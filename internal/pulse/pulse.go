@@ -143,7 +143,7 @@ func Modulate(chips []complex128, g []float64) []complex128 {
 //bhss:hotpath
 func ModulateAppend(dst []complex128, chips []complex128, g []float64) []complex128 {
 	sps := len(g)
-	//bhss:allow(hotpathfacts) amortized growth: growSamples reuses dst's storage once warm
+	//bhss:allow(hotpath) amortized growth: growSamples reuses dst's storage once warm
 	dst = growSamples(dst, len(chips)*sps)
 	out := dst[len(dst)-len(chips)*sps:]
 	simd.Modulate(out, chips, g)
@@ -179,7 +179,7 @@ func DemodulateAppend(dst []complex128, samples []complex128, g []float64, offse
 	for _, v := range g {
 		energy += v * v
 	}
-	//bhss:allow(hotpathfacts) amortized growth: growSamples reuses dst's storage once warm
+	//bhss:allow(hotpath) amortized growth: growSamples reuses dst's storage once warm
 	dst = growSamples(dst, n)
 	out := dst[len(dst)-n:]
 	simd.Demodulate(out, samples[offset:], g, energy)

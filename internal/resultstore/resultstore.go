@@ -20,7 +20,7 @@
 // key schema and the anchor/compare workflow.
 //
 // The package never reads the wall clock or any other ambient state
-// (bhsslint's detrand/dettaint contracts): timestamps and git revisions are
+// (bhsslint's detrand contract): timestamps and git revisions are
 // supplied by the caller, so the stored bytes are a pure function of the
 // appended records.
 package resultstore

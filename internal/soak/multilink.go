@@ -164,6 +164,7 @@ func MultiLink(cfg MultiLinkConfig) (MultiLinkReport, error) {
 		}(i)
 	}
 	wg.Wait()
+	//bhss:allow(detrand) the wall clock IS the measurement here: RTF is simulated time over wall time
 	wall := time.Since(start).Seconds()
 	select {
 	case err := <-errs:

@@ -142,7 +142,7 @@ func (r *Reusable) PSDInto(dst []float64, x []complex128) error {
 		if r.plan != nil {
 			r.plan.Forward(spec)
 		} else {
-			//bhss:allow(hotpathfacts) planless fallback: dsp.FFT memoizes its plan per size, allocating only on first use
+			//bhss:allow(hotpath) planless fallback: dsp.FFT memoizes its plan per size, allocating only on first use
 			spec = dsp.FFT(spec)
 		}
 		simd.Mag2Accum(dst, spec)
