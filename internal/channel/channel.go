@@ -50,22 +50,20 @@ func (a *AWGN) Add(x []complex128) {
 	}
 	if a.variance != 0 {
 		g := complex(a.amp, 0)
-		for i := range x {
-			x[i] += a.src.ComplexNorm() * g
+		var noise [64]complex128
+		for rest := x; len(rest) > 0; {
+			w := noise[:min(len(rest), len(noise))]
+			a.src.ComplexNormInto(w)
+			for i, z := range w {
+				rest[i] += z * g
+			}
+			rest = rest[len(w):]
 		}
 	}
 	if a.met != nil {
 		a.met.NoiseSamples.Add(int64(len(x)))
 		a.met.MixNS.ObserveSince(sw)
 	}
-}
-
-// Sample returns one noise sample (used by streaming paths).
-func (a *AWGN) Sample() complex128 {
-	if a.variance == 0 {
-		return 0
-	}
-	return a.src.ComplexNorm() * complex(a.amp, 0)
 }
 
 // Attenuate scales x in place by the given attenuation in dB (positive

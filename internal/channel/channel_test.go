@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bhss/internal/dsp"
+	"bhss/internal/prng"
 )
 
 func constSignal(n int, v complex128) []complex128 {
@@ -37,17 +38,48 @@ func TestAWGNZeroVarianceIsNoop(t *testing.T) {
 			t.Fatal("zero-variance noise changed the signal")
 		}
 	}
-	if a.Sample() != 0 {
-		t.Fatal("zero-variance sample should be 0")
+}
+
+// TestAWGNDeterministic pins Add to the per-sample draw it replaced,
+// x[i] += ComplexNorm()·amp, bit for bit, and shows the stream is the
+// same however the calls split it.
+func TestAWGNDeterministic(t *testing.T) {
+	const n = 1000
+	sig := make([]complex128, n)
+	for i := range sig {
+		sig[i] = complex(float64(i%7)-3, float64(i%5)-2)
+	}
+	src := prng.New(7)
+	g := complex(math.Sqrt(2.5), 0)
+	want := append([]complex128(nil), sig...)
+	for i := range want {
+		want[i] += src.ComplexNorm() * g
+	}
+
+	whole := append([]complex128(nil), sig...)
+	NewAWGN(2.5, 7).Add(whole)
+	split := append([]complex128(nil), sig...)
+	a := NewAWGN(2.5, 7)
+	for rest, k := split, 1; len(rest) > 0; k = k*3 + 1 {
+		k = min(k, len(rest))
+		a.Add(rest[:k])
+		rest = rest[k:]
+	}
+	for i := range want {
+		for _, got := range []complex128{whole[i], split[i]} {
+			if math.Float64bits(real(got)) != math.Float64bits(real(want[i])) ||
+				math.Float64bits(imag(got)) != math.Float64bits(imag(want[i])) {
+				t.Fatalf("sample %d: Add gives %v, per-sample draws %v", i, got, want[i])
+			}
+		}
 	}
 }
 
-func TestAWGNDeterministic(t *testing.T) {
-	a, b := NewAWGN(1, 7), NewAWGN(1, 7)
-	for i := 0; i < 100; i++ {
-		if a.Sample() != b.Sample() {
-			t.Fatal("same-seed noise sources diverged")
-		}
+func TestAWGNAddAllocs(t *testing.T) {
+	a := NewAWGN(1, 3)
+	x := make([]complex128, 1000)
+	if n := testing.AllocsPerRun(20, func() { a.Add(x) }); n != 0 {
+		t.Fatalf("AWGN.Add allocates %v times per call, want 0", n)
 	}
 }
 

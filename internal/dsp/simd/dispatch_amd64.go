@@ -106,6 +106,19 @@ func radix4InvAsm(x []complex128, h int, twA, twB []complex128) {
 	radix4InvAVX2(&x[0], len(x), h, &twA[0], &twB[0])
 }
 
+// boxMuller runs the AVX2 kernel over the multiple of four and the generic
+// body over the tail.
+func boxMuller(dst []complex128, u, v []float64, gain float64) {
+	n := 0
+	if active == AVX2 {
+		n = len(dst) &^ 3
+		if n > 0 {
+			boxMullerAVX2(&dst[0], &u[0], &v[0], n, gain)
+		}
+	}
+	boxMullerGeneric(dst[n:], u[n:], v[n:], gain)
+}
+
 // Assembly routines (kernels_amd64.s, cpu_amd64.s).
 
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -132,6 +145,9 @@ func modulateAVX2(out, chips *complex128, taps *float64, nchips, sps int)
 
 //go:noescape
 func firRealAVX2(out, buf *complex128, h *float64, n, k int)
+
+//go:noescape
+func boxMullerAVX2(dst *complex128, u, v *float64, n int, gain float64)
 
 //go:noescape
 func demodulateAVX2(out, x *complex128, taps *float64, nchips, sps int, energy float64)

@@ -20,6 +20,11 @@ func bind(Mode) {
 	unit4Inv = unit4InvAsmARM
 }
 
+// boxMuller stays generic: its polynomials are multiply-then-add chains.
+func boxMuller(dst []complex128, u, v []float64, gain float64) {
+	boxMullerGeneric(dst, u, v, gain)
+}
+
 func addToAsmARM(dst, src []complex128) { addToNEON(&dst[0], &src[0], len(dst)) }
 
 func scaleRealAsmARM(x []complex128, g float64) { scaleRealNEON(&x[0], len(x), g) }

@@ -1,5 +1,7 @@
 package simd
 
+import "math"
+
 // Pure-Go canonical kernels. These are the fallback on CPUs without an
 // assembly set and the reference the parity tests compare the assembly
 // against — both paths must round identically, so the reduction kernels
@@ -47,6 +49,14 @@ func modulateGeneric(out, chips []complex128, g []float64) {
 		for k, gv := range g {
 			out[base+k] = complex(cr*gv, ci*gv)
 		}
+	}
+}
+
+func boxMullerGeneric(dst []complex128, u, v []float64, gain float64) {
+	for i := range dst {
+		r := math.Sqrt(-2 * math.Log(u[i]))
+		sin, cos := math.Sincos(2 * math.Pi * v[i])
+		dst[i] = complex(r*cos*gain, r*sin*gain)
 	}
 }
 

@@ -3,7 +3,7 @@ package simd
 // The exported kernels dispatch through these function variables, bound
 // once at init (see simd.go). Every variable starts at the pure-Go
 // canonical implementation; bind() swaps in the assembly version when the
-// detected CPU supports it.
+// detected CPU supports it. BoxMuller alone calls its kernel directly.
 var (
 	cmulTo     func(dst, src []complex128)                            = cmulToGeneric
 	scaleReal  func(x []complex128, g float64)                        = scaleRealGeneric
@@ -118,6 +118,25 @@ func FIRReal(out, buf []complex128, h []float64) {
 	}
 	_ = buf[len(out)+k-2]
 	firReal(out, buf[:len(out)+k-1], h)
+}
+
+// BoxMuller writes dst[i] = (r·cos·gain, r·sin·gain) with r =
+// √(−2·ln u[i]) and sin, cos = Sincos(2π·v[i]): one Box–Muller pair per
+// element, over the common prefix.
+//
+// The AVX2 kernel repeats the scalar path's math.Log (log_amd64.s) and
+// math.Sincos operation for operation, so for u in (0, 1] and v in
+// [0, 1), where neither takes a special-case branch, every element is
+// bit-identical to the Go expression; prng.Source draws its uniforms
+// there. BoxMuller calls its kernel directly, not through a function
+// variable as the other kernels do: an indirect call would make the
+// caller's slices escape, and prng's stack scratch with them.
+func BoxMuller(dst []complex128, u, v []float64, gain float64) {
+	n := min(len(dst), len(u), len(v))
+	if n == 0 {
+		return
+	}
+	boxMuller(dst[:n], u[:n], v[:n], gain)
 }
 
 // Demodulate matched-filters samples with the real pulse g at one chip

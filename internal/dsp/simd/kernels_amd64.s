@@ -895,3 +895,222 @@ r4ik:
 	JLT  r4iblock
 	VZEROUPPER
 	RET
+
+// Box–Muller constants, one float64 bit pattern in each of four lanes:
+// log_amd64.s's Frexp masks and coefficients, then math.Sincos's
+// reduction constants and the _sin/_cos polynomial coefficients.
+#define BCAST4(name, bits) \
+	DATA name<>+0(SB)/8, $bits; \
+	DATA name<>+8(SB)/8, $bits; \
+	DATA name<>+16(SB)/8, $bits; \
+	DATA name<>+24(SB)/8, $bits; \
+	GLOBL name<>(SB), RODATA|NOPTR, $32
+
+BCAST4(bmMant, 0x000FFFFFFFFFFFFF)
+BCAST4(bmExp, 0x00000000000007FF)
+BCAST4(bmSign, 0x8000000000000000)
+BCAST4(bmHalf, 0x3FE0000000000000)   // 0.5
+BCAST4(bmOne, 0x3FF0000000000000)    // 1
+BCAST4(bmTwo, 0x4000000000000000)    // 2
+BCAST4(bmMinus2, 0xC000000000000000) // −2
+BCAST4(bmTwo52, 0x4330000000000000)  // 2⁵²
+BCAST4(bmBias, 0x408FF00000000000)   // 1022
+BCAST4(bmHSqrt2, 0x3FE6A09E667F3BCD)
+BCAST4(bmLn2Hi, 0x3FE62E42FEE00000)
+BCAST4(bmLn2Lo, 0x3DEA39EF35793C76)
+BCAST4(bmL1, 0x3FE5555555555593)
+BCAST4(bmL2, 0x3FD999999997FA04)
+BCAST4(bmL3, 0x3FD2492494229359)
+BCAST4(bmL4, 0x3FCC71C51D8E78AF)
+BCAST4(bmL5, 0x3FC7466496CB03DE)
+BCAST4(bmL6, 0x3FC39A09D078C69F)
+BCAST4(bmL7, 0x3FC2F112DF3E5244)
+BCAST4(bmTwoPi, 0x401921FB54442D18)
+BCAST4(bmFourOverPi, 0x3FF45F306DC9C883)
+BCAST4(bmPI4A, 0x3FE921FB40000000)
+BCAST4(bmPI4B, 0x3E64442D00000000)
+BCAST4(bmPI4C, 0x3CE8469898CC5170)
+BCAST4(bmS0, 0x3DE5D8FD1FD19CCD)
+BCAST4(bmS1, 0xBE5AE5E5A9291F5D)
+BCAST4(bmS2, 0x3EC71DE3567D48A1)
+BCAST4(bmS3, 0xBF2A01A019BFDF03)
+BCAST4(bmS4, 0x3F8111111110F7D0)
+BCAST4(bmS5, 0xBFC5555555555548)
+BCAST4(bmC0, 0xBDA8FA49A0861A9B)
+BCAST4(bmC1, 0x3E21EE9D7B4E3F05)
+BCAST4(bmC2, 0xBE927E4F7EAC4BC6)
+BCAST4(bmC3, 0x3EFA01A019C844F5)
+BCAST4(bmC4, 0xBF56C16C16C14F91)
+BCAST4(bmC5, 0x3FA555555555554B)
+
+// Four int32 lanes of 1 and of ^1, for rounding the octant up to even.
+DATA bmOneI<>+0(SB)/8, $0x0000000100000001
+DATA bmOneI<>+8(SB)/8, $0x0000000100000001
+GLOBL bmOneI<>(SB), RODATA|NOPTR, $16
+DATA bmEvenI<>+0(SB)/8, $0xFFFFFFFEFFFFFFFE
+DATA bmEvenI<>+8(SB)/8, $0xFFFFFFFEFFFFFFFE
+GLOBL bmEvenI<>(SB), RODATA|NOPTR, $16
+
+// func boxMullerAVX2(dst *complex128, u, v *float64, n int, gain float64)
+// dst[i] = (r·cos·gain, r·sin·gain) with r = √(−2·log u[i]) and
+// sin, cos = Sincos(2π·v[i]), four lanes at a time; n is a multiple of 4.
+// The log is log_amd64.s and the sincos math.Sincos, operation for
+// operation with separate VMULPD/VADDPD (never FMA): the Frexp is done on
+// the bit pattern, the f1 ≤ √2/2 test is the same CMP predicate 5 (NLT),
+// and Sincos's octant branches become masks: after rounding j up to even,
+// bit 1 of j swaps sin and cos, bit 2 negates sin, and bit 1 XOR bit 2
+// negates cos. u must lie in (0, 1] and v in [0, 1), where Log and
+// Sincos take no special-case branch.
+TEXT ·boxMullerAVX2(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), DI
+	MOVQ         u+8(FP), SI
+	MOVQ         v+16(FP), DX
+	MOVQ         n+24(FP), CX
+	VBROADCASTSD gain+32(FP), Y15
+	VMOVUPD      bmOne<>(SB), Y14
+	SHRQ         $2, CX
+	JZ           bmdone
+
+bmloop:
+	// f1, k := Frexp(u), as log_amd64.s: f1 keeps u's mantissa under
+	// 0.5's exponent; k = exponent − 1022, formed exactly as 2⁵²+e − 2⁵².
+	VMOVUPD (SI), Y0
+	VANDPD  bmMant<>(SB), Y0, Y2
+	VORPD   bmHalf<>(SB), Y2, Y2  // f1
+	VPSRLQ  $52, Y0, Y1
+	VPAND   bmExp<>(SB), Y1, Y1
+	VPOR    bmTwo52<>(SB), Y1, Y1
+	VSUBPD  bmTwo52<>(SB), Y1, Y1
+	VSUBPD  bmBias<>(SB), Y1, Y1  // k
+
+	// if !(√2/2 < f1) { k -= 1; f1 *= 2 }, as (k − t, f1·(t+1)).
+	VMOVUPD bmHSqrt2<>(SB), Y3
+	VCMPPD  $5, Y2, Y3, Y3
+	VANDPD  Y14, Y3, Y3
+	VSUBPD  Y3, Y1, Y1
+	VADDPD  Y14, Y3, Y3
+	VMULPD  Y3, Y2, Y2
+	VSUBPD  Y14, Y2, Y2           // f = f1 − 1
+
+	// s = f/(2+f); s2 = s·s; s4 = s2·s2
+	VADDPD bmTwo<>(SB), Y2, Y0
+	VDIVPD Y0, Y2, Y3             // s
+	VMULPD Y3, Y3, Y4             // s2
+	VMULPD Y4, Y4, Y5             // s4
+
+	// t1 = s2·(L1 + s4·(L3 + s4·(L5 + s4·L7)))
+	VMULPD bmL7<>(SB), Y5, Y6
+	VADDPD bmL5<>(SB), Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD bmL3<>(SB), Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD bmL1<>(SB), Y6, Y6
+	VMULPD Y6, Y4, Y4             // t1
+
+	// t2 = s4·(L2 + s4·(L4 + s4·L6)); R = t1 + t2
+	VMULPD bmL6<>(SB), Y5, Y6
+	VADDPD bmL4<>(SB), Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD bmL2<>(SB), Y6, Y6
+	VMULPD Y6, Y5, Y5             // t2
+	VADDPD Y5, Y4, Y4             // R
+
+	// log = k·Ln2Hi − ((hfsq − (s·(hfsq+R) + k·Ln2Lo)) − f), hfsq = 0.5·f·f
+	VMULPD bmHalf<>(SB), Y2, Y0
+	VMULPD Y2, Y0, Y0             // hfsq
+	VADDPD Y0, Y4, Y4
+	VMULPD Y4, Y3, Y3
+	VMULPD bmLn2Lo<>(SB), Y1, Y4
+	VADDPD Y4, Y3, Y3
+	VSUBPD Y3, Y0, Y0
+	VSUBPD Y2, Y0, Y0
+	VMULPD bmLn2Hi<>(SB), Y1, Y1
+	VSUBPD Y0, Y1, Y1             // log u
+
+	// r = √(−2·log u)
+	VMULPD  bmMinus2<>(SB), Y1, Y1
+	VSQRTPD Y1, Y1                // r
+
+	// x = 2π·v; j = int(x·(4/π)), rounded up to even; y = float(j)
+	VMOVUPD     (DX), Y7
+	VMULPD      bmTwoPi<>(SB), Y7, Y7
+	VMULPD      bmFourOverPi<>(SB), Y7, Y8
+	VCVTTPD2DQY Y8, X8
+	VPADDD      bmOneI<>(SB), X8, X8
+	VPAND       bmEvenI<>(SB), X8, X8
+	VCVTDQ2PD   X8, Y9
+
+	// z = ((x − y·PI4A) − y·PI4B) − y·PI4C; zz = z·z
+	VMULPD bmPI4A<>(SB), Y9, Y10
+	VSUBPD Y10, Y7, Y7
+	VMULPD bmPI4B<>(SB), Y9, Y10
+	VSUBPD Y10, Y7, Y7
+	VMULPD bmPI4C<>(SB), Y9, Y10
+	VSUBPD Y10, Y7, Y7            // z
+	VMULPD Y7, Y7, Y9             // zz
+
+	// cos = 1 − 0.5·zz + zz·zz·((((((C0·zz)+C1)·zz+C2)·zz+C3)·zz+C4)·zz+C5)
+	VMULPD bmC0<>(SB), Y9, Y10
+	VADDPD bmC1<>(SB), Y10, Y10
+	VMULPD Y9, Y10, Y10
+	VADDPD bmC2<>(SB), Y10, Y10
+	VMULPD Y9, Y10, Y10
+	VADDPD bmC3<>(SB), Y10, Y10
+	VMULPD Y9, Y10, Y10
+	VADDPD bmC4<>(SB), Y10, Y10
+	VMULPD Y9, Y10, Y10
+	VADDPD bmC5<>(SB), Y10, Y10
+	VMULPD Y9, Y9, Y11
+	VMULPD Y11, Y10, Y10
+	VMULPD bmHalf<>(SB), Y9, Y11
+	VSUBPD Y11, Y14, Y11
+	VADDPD Y10, Y11, Y10          // cos before the octant fix-up
+
+	// sin = z + z·zz·((((((S0·zz)+S1)·zz+S2)·zz+S3)·zz+S4)·zz+S5)
+	VMULPD bmS0<>(SB), Y9, Y11
+	VADDPD bmS1<>(SB), Y11, Y11
+	VMULPD Y9, Y11, Y11
+	VADDPD bmS2<>(SB), Y11, Y11
+	VMULPD Y9, Y11, Y11
+	VADDPD bmS3<>(SB), Y11, Y11
+	VMULPD Y9, Y11, Y11
+	VADDPD bmS4<>(SB), Y11, Y11
+	VMULPD Y9, Y11, Y11
+	VADDPD bmS5<>(SB), Y11, Y11
+	VMULPD Y9, Y7, Y12
+	VMULPD Y11, Y12, Y12
+	VADDPD Y12, Y7, Y11           // sin before the octant fix-up
+
+	// Octant j&7 ∈ {0, 2, 4, 6}: bit 1 → sign bit swaps, bit 2 → sign
+	// bit negates sin, and their XOR negates cos.
+	VPMOVZXDQ X8, Y8
+	VPSLLQ    $62, Y8, Y12        // swap
+	VPSLLQ    $61, Y8, Y13
+	VXORPD    Y12, Y13, Y8
+	VANDPD    bmSign<>(SB), Y13, Y13 // sin sign
+	VANDPD    bmSign<>(SB), Y8, Y8   // cos sign
+	VBLENDVPD Y12, Y10, Y11, Y0
+	VBLENDVPD Y12, Y11, Y10, Y2
+	VXORPD    Y13, Y0, Y0         // sin
+	VXORPD    Y8, Y2, Y2          // cos
+
+	// dst = (r·cos·gain, r·sin·gain), interleaved.
+	VMULPD     Y2, Y1, Y2
+	VMULPD     Y15, Y2, Y2
+	VMULPD     Y0, Y1, Y0
+	VMULPD     Y15, Y0, Y0
+	VUNPCKLPD  Y0, Y2, Y3         // [re0 im0 re2 im2]
+	VUNPCKHPD  Y0, Y2, Y4         // [re1 im1 re3 im3]
+	VPERM2F128 $0x20, Y4, Y3, Y5
+	VPERM2F128 $0x31, Y4, Y3, Y6
+	VMOVUPD    Y5, (DI)
+	VMOVUPD    Y6, 32(DI)
+	ADDQ       $64, DI
+	ADDQ       $32, SI
+	ADDQ       $32, DX
+	DECQ       CX
+	JNZ        bmloop
+
+bmdone:
+	VZEROUPPER
+	RET

@@ -239,6 +239,87 @@ func TestFIRRealParity(t *testing.T) {
 	FIRReal(nil, nil, nil)
 }
 
+// unitU returns a Box–Muller u as prng.Source draws it: k·2⁻⁵³, k ≥ 1.
+func (r *lcg) unitU() float64 {
+	for {
+		if k := r.next() >> 11; k != 0 {
+			return float64(k) / (1 << 53)
+		}
+	}
+}
+
+// unitV returns a Box–Muller v in [0, 1), k·2⁻⁵³.
+func (r *lcg) unitV() float64 { return float64(r.next()>>11) / (1 << 53) }
+
+// boxMullerEdges returns the uniforms where the kernel's branch-free
+// forms of Log and Sincos could part from the scalar branches: u at both
+// ends of its range and on either side of Frexp's √2/2 test at several
+// exponents; v at both ends and within 64 ulps of every octant boundary
+// k/8, where the truncated j changes and the sign and swap masks flip.
+func boxMullerEdges() (us, vs []float64) {
+	us = []float64{0x1p-53, 1 - 0x1p-53, 1, 0.5, 0.25}
+	for _, e := range []float64{1, 0x1p-1, 0x1p-2, 0x1p-20, 0x1p-52} {
+		x := math.Sqrt2 / 2 * e
+		us = append(us, x)
+		lo, hi := x, x
+		for range 3 {
+			lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, 1)
+			us = append(us, lo, hi)
+		}
+	}
+	vs = []float64{0, 0x1p-53, 1 - 0x1p-53}
+	for k := 1; k < 8; k++ {
+		x := float64(k) / 8
+		vs = append(vs, x)
+		lo, hi := x, x
+		for range 64 {
+			lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, 1)
+			vs = append(vs, lo, hi)
+		}
+	}
+	return us, vs
+}
+
+func TestBoxMullerParity(t *testing.T) {
+	const gain = 0.7071067811865476
+	rng := lcg(14)
+	for _, n := range append(parityLens, 1<<16) {
+		u, v := make([]float64, n), make([]float64, n)
+		for i := range u {
+			u[i], v[i] = rng.unitU(), rng.unitV()
+		}
+		want := make([]complex128, n)
+		boxMullerGeneric(want, u, v, gain)
+		got := make([]complex128, n)
+		BoxMuller(got, u, v, gain)
+		sameC(t, "BoxMuller", got, want)
+	}
+
+	// Every edge u against every edge v, shifted through all four lanes.
+	eu, ev := boxMullerEdges()
+	var u, v []float64
+	for _, x := range eu {
+		for _, y := range ev {
+			u, v = append(u, x), append(v, y)
+		}
+	}
+	for off := range 4 {
+		want := make([]complex128, len(u)-off)
+		boxMullerGeneric(want, u[off:], v[off:], gain)
+		got := make([]complex128, len(want))
+		BoxMuller(got, u[off:], v[off:], gain)
+		sameC(t, fmt.Sprintf("BoxMuller edges (offset %d)", off), got, want)
+	}
+
+	// The common prefix only; nothing past it is written.
+	got := []complex128{7, 7, 7}
+	BoxMuller(got, u[:2], v, 1)
+	if got[2] != 7 {
+		t.Fatalf("BoxMuller wrote past the shortest input: %v", got)
+	}
+	BoxMuller(nil, nil, nil, 1) // no panic on empty
+}
+
 func TestDotConjParity(t *testing.T) {
 	rng := lcg(8)
 	for _, n := range parityLens {
@@ -439,6 +520,21 @@ func BenchmarkFIRReal(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		FIRReal(out, buf, h)
+	}
+}
+
+func BenchmarkBoxMuller(b *testing.B) {
+	rng := lcg(99)
+	const n = 4096
+	u, v := make([]float64, n), make([]float64, n)
+	for i := range u {
+		u[i], v[i] = rng.unitU(), rng.unitV()
+	}
+	dst := make([]complex128, n)
+	b.SetBytes(n * 16)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BoxMuller(dst, u, v, 1)
 	}
 }
 

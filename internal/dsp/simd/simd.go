@@ -2,7 +2,8 @@
 // inner loops of the BHSS signal chain: complex element-wise multiply for
 // overlap-save convolution, the fused radix-4 FFT butterfly passes, the
 // half-sine modulate/demodulate loops, PSD magnitude-squared accumulation,
-// the streaming real-tap FIR that shapes the band-limited jammer, and the
+// the streaming real-tap FIR that shapes the band-limited jammer, the
+// Box–Muller transform behind every Gaussian noise draw, and the
 // correlation reductions used by acquisition and despreading.
 //
 // One kernel set is selected at package init — AVX2 (written in Go
@@ -34,6 +35,10 @@
 //     across taps: each lane is one output that starts from +0 and adds
 //     its taps in ascending order, so every output keeps the scalar
 //     sequential tap order and matches a plain direct-form loop.
+//   - Transcendental kernels (BoxMuller) copy the math routine the scalar
+//     path runs operation for operation — on amd64 math.Log is
+//     log_amd64.s, not log.go — with the branches turned into lane masks
+//     and blends. They stay generic on arm64.
 //
 // Real-gain kernels (ScaleReal, WindowInto, Modulate) multiply the real
 // and imaginary components directly instead of widening the gain to

@@ -202,9 +202,27 @@ func (h *Hub) leastLoadedShardLocked() int {
 // same ID is untouched (the registry entry is compared by identity, not ID).
 // All of the link's peer connections are closed, tearing down their serve
 // goroutines; pending samples are discarded.
-func (h *Hub) evictLink(lk *link, reason string) {
+func (h *Hub) evictLink(lk *link, reason string) { h.evict(lk, reason, false) }
+
+// maybeEvictEmpty evicts a link whose last peer has left. Link 0 is exempt:
+// it is the legacy medium and keeps its noise/impair/jam state for the
+// hub's lifetime so single-link runs stay bit-identical across reconnects.
+func (h *Hub) maybeEvictEmpty(lk *link) {
+	if lk.id != 0 {
+		h.evict(lk, "all peers left", true)
+	}
+}
+
+// evict is evictLink, and with onlyIfEmpty it first checks that no peer
+// holds the link. The check and the registry removal share one critical
+// section, h.mu then lk.mu (attachTx's order), so a peer that attaches
+// after the last one left keeps the link and its OK.
+func (h *Hub) evict(lk *link, reason string, onlyIfEmpty bool) {
 	h.mu.Lock()
-	if h.links[lk.id] != lk {
+	lk.mu.Lock()
+	keep := h.links[lk.id] != lk || onlyIfEmpty && !lk.emptyLocked()
+	lk.mu.Unlock()
+	if keep {
 		h.mu.Unlock()
 		return
 	}
@@ -232,21 +250,6 @@ func (h *Hub) evictLink(lk *link, reason string) {
 	}
 	lk.mu.Unlock()
 	h.cfg.Logf("link %d evicted (%s)", lk.id, reason)
-}
-
-// maybeEvictEmpty evicts a link whose last peer has left. Link 0 is exempt:
-// it is the legacy medium and keeps its noise/impair/jam state for the
-// hub's lifetime so single-link runs stay bit-identical across reconnects.
-func (h *Hub) maybeEvictEmpty(lk *link) {
-	if lk.id == 0 {
-		return
-	}
-	lk.mu.Lock()
-	empty := lk.emptyLocked() && lk.state != LinkEvicted
-	lk.mu.Unlock()
-	if empty {
-		h.evictLink(lk, "all peers left")
-	}
 }
 
 // linksSnapshot copies the current registry for lock-free iteration.

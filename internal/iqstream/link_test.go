@@ -191,6 +191,46 @@ func TestHubLinkEvictionExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestHubEvictionSparesLateAttach replays the empty-link eviction race
+// without timing: link 9 is registered and empty, as when its last peer
+// has just left and the eviction that departure asked for has not run;
+// a transmitter then attaches and is answered OK; only then does the
+// eviction run. It must find the link occupied and leave the link and the
+// transmitter registered.
+func TestHubEvictionSparesLateAttach(t *testing.T) {
+	checkGoroutines(t)
+	met := &obs.HubMetrics{}
+	h := startHub(t, HubConfig{BlockSize: 64, Metrics: met})
+
+	h.mu.Lock()
+	lk, err := h.admitLocked(9)
+	h.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := DialTxLink(h.Addr().String(), 0, LinkOpts{Link: 9})
+	if err != nil {
+		t.Fatalf("late transmitter on link 9: %v, want OK", err)
+	}
+	defer tx.Close()
+
+	h.maybeEvictEmpty(lk)
+
+	h.mu.Lock()
+	registered := h.links[9]
+	h.mu.Unlock()
+	lk.mu.Lock()
+	txs, state := len(lk.txConns), lk.state
+	lk.mu.Unlock()
+	if registered != lk || txs != 1 || state == LinkEvicted {
+		t.Fatalf("after the late eviction: link 9 registered as %p (want %p), %d tx conns, state %v",
+			registered, lk, txs, state)
+	}
+	if got := met.LinksEvicted.Load(); got != 0 {
+		t.Fatalf("LinksEvicted = %d, want 0", got)
+	}
+}
+
 // TestHubExcludeSelf pins the sense-stream exclusion semantics (the bhssjam
 // self-hearing fix): a receiver naming EXCL <tag> hears its link's mix with
 // the tagged transmitter's scaled contribution subtracted, while plain

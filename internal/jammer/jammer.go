@@ -144,9 +144,7 @@ func (b *Bandlimited) Emit(n int) []complex128 {
 	var out []complex128
 	if b.fir == nil {
 		out = make([]complex128, n)
-		for i := range out {
-			out[i] = b.src.ComplexNorm()
-		}
+		b.src.ComplexNormInto(out)
 	} else {
 		warm := 0
 		if b.warmDue {
@@ -156,9 +154,7 @@ func (b *Bandlimited) Emit(n int) []complex128 {
 			b.noise = make([]complex128, warm+n)
 		}
 		x := b.noise[:warm+n]
-		for i := range x {
-			x[i] = b.src.ComplexNorm()
-		}
+		b.src.ComplexNormInto(x)
 		out = b.fir.Process(x)[warm:]
 	}
 	g := complex(b.scale, 0)

@@ -16,7 +16,12 @@
 // one-type change.
 package prng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+
+	"bhss/internal/dsp/simd"
+)
 
 // Source is a deterministic xoshiro256** generator. The zero value is not
 // usable; construct with New. Source is not safe for concurrent use; give
@@ -58,18 +63,16 @@ func (s *Source) Reseed(seed uint64) {
 	s.gauss = 0
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // Uint64 returns the next 64 uniformly distributed bits.
 func (s *Source) Uint64() uint64 {
-	result := rotl(s.s1*5, 7) * 9
+	result := bits.RotateLeft64(s.s1*5, 7) * 9
 	t := s.s1 << 17
 	s.s2 ^= s.s0
 	s.s3 ^= s.s1
 	s.s1 ^= s.s2
 	s.s0 ^= s.s3
 	s.s2 ^= t
-	s.s3 = rotl(s.s3, 45)
+	s.s3 = bits.RotateLeft64(s.s3, 45)
 	return result
 }
 
@@ -139,11 +142,49 @@ func (s *Source) NormFloat64() float64 {
 	return r * cos
 }
 
+// invSqrt2 scales a unit-variance deviate to one rail of a unit-power
+// complex sample.
+const invSqrt2 = 0.7071067811865476
+
 // ComplexNorm returns a circularly symmetric complex Gaussian sample with
 // total variance 1 (0.5 per rail).
 func (s *Source) ComplexNorm() complex128 {
-	const invSqrt2 = 0.7071067811865476
 	return complex(s.NormFloat64()*invSqrt2, s.NormFloat64()*invSqrt2)
+}
+
+// normChunk is how many Box–Muller pairs ComplexNormInto draws per kernel
+// call, into stack scratch.
+const normChunk = 64
+
+// ComplexNormInto fills dst with exactly what len(dst) calls to
+// ComplexNorm would return, leaving the Source in the same state: the
+// uniforms come off the stream in the same order (u, redrawn while 0,
+// then v, per pair), and the transform runs in simd.BoxMuller, a chunk of
+// pairs at a time.
+//
+// A deviate cached by an odd number of NormFloat64 calls would put every
+// pair across two samples, so that case keeps the scalar path; no caller
+// mixes the two kinds of draw on one Source.
+func (s *Source) ComplexNormInto(dst []complex128) {
+	if s.haveGauss {
+		for i := range dst {
+			dst[i] = s.ComplexNorm()
+		}
+		return
+	}
+	var u, v [normChunk]float64
+	for len(dst) > 0 {
+		n := min(len(dst), normChunk)
+		for i := range n {
+			x := s.Float64()
+			for x == 0 {
+				x = s.Float64()
+			}
+			u[i], v[i] = x, s.Float64()
+		}
+		simd.BoxMuller(dst[:n], u[:n], v[:n], invSqrt2)
+		dst = dst[n:]
+	}
 }
 
 // Bit returns a single uniformly distributed bit.

@@ -162,6 +162,65 @@ func TestNormFloat64MatchesSinAndCos(t *testing.T) {
 	}
 }
 
+// TestComplexNormIntoMatchesComplexNorm pins the bulk draw to the scalar
+// one bit for bit: 10⁷ complex draws over three seeds and both pair-cache
+// parities, in chunks that are mostly not multiples of the kernel's four
+// lanes, with the two Sources in the same state after every chunk.
+func TestComplexNormIntoMatchesComplexNorm(t *testing.T) {
+	chunks := []int{1, 2, 3, 5, 7, 63, 64, 65, 127, 129, 1000, 4099}
+	buf := make([]complex128, 4099)
+	for _, seed := range []uint64{1, 42, 0x9e3779b97f4a7c15} {
+		for _, odd := range []bool{false, true} {
+			bulk, ref := New(seed), New(seed)
+			if odd {
+				bulk.NormFloat64()
+				ref.NormFloat64()
+			}
+			draws := 0
+			for c := 0; draws < 1_700_000; c++ {
+				dst := buf[:chunks[c%len(chunks)]]
+				bulk.ComplexNormInto(dst)
+				for i, got := range dst {
+					want := ref.ComplexNorm()
+					if math.Float64bits(real(got)) != math.Float64bits(real(want)) ||
+						math.Float64bits(imag(got)) != math.Float64bits(imag(want)) {
+						t.Fatalf("seed %#x odd=%v draw %d: ComplexNormInto %v, ComplexNorm %v", seed, odd, draws+i, got, want)
+					}
+				}
+				draws += len(dst)
+				if !sameState(bulk, ref) {
+					t.Fatalf("seed %#x odd=%v after %d draws: state %+v, want %+v", seed, odd, draws, *bulk, *ref)
+				}
+			}
+			bulk.ComplexNormInto(nil)
+			if !sameState(bulk, ref) || bulk.Uint64() != ref.Uint64() {
+				t.Fatalf("seed %#x odd=%v: streams part after the bulk draws", seed, odd)
+			}
+		}
+	}
+}
+
+// sameState reports whether a and b will produce the same stream: the
+// same xoshiro words and the same cached deviate, if any.
+func sameState(a, b *Source) bool {
+	return a.s0 == b.s0 && a.s1 == b.s1 && a.s2 == b.s2 && a.s3 == b.s3 &&
+		a.haveGauss == b.haveGauss &&
+		(!a.haveGauss || math.Float64bits(a.gauss) == math.Float64bits(b.gauss))
+}
+
+func TestComplexNormIntoAllocs(t *testing.T) {
+	s := New(3)
+	dst := make([]complex128, 1000)
+	for _, odd := range []bool{false, true} {
+		if odd {
+			s.NormFloat64()
+		}
+		if n := testing.AllocsPerRun(20, func() { s.ComplexNormInto(dst) }); n != 0 {
+			t.Fatalf("odd=%v: ComplexNormInto allocates %v times per call, want 0", odd, n)
+		}
+	}
+}
+
 func TestComplexNormPower(t *testing.T) {
 	s := New(9)
 	const n = 100000
@@ -280,4 +339,13 @@ func BenchmarkNormFloat64(b *testing.B) {
 		sink += s.NormFloat64()
 	}
 	_ = sink
+}
+
+func BenchmarkComplexNormInto(b *testing.B) {
+	s := New(1)
+	dst := make([]complex128, 4096)
+	for i := 0; i < b.N; i++ {
+		s.ComplexNormInto(dst)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dst)), "ns/draw")
 }

@@ -13,7 +13,6 @@ package tracking
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"bhss/internal/dsp"
 	"bhss/internal/dsp/simd"
@@ -200,8 +199,7 @@ func (c *Costas) LockQuality() float64 {
 func (c *Costas) Process(x []complex128) {
 	maxW := 2 * math.Pi * c.MaxFreq
 	for i, v := range x {
-		rot := cmplx.Exp(complex(0, -c.phase))
-		y := v * rot
+		y := v * derotor(c.phase)
 		x[i] = y
 		ii, qq := real(y), imag(y)
 		var err float64
@@ -250,6 +248,14 @@ func (c *Costas) Process(x []complex128) {
 			c.phase += 2 * math.Pi
 		}
 	}
+}
+
+// derotor returns e^(−iφ) as complex(cos, sin) from math.Sincos(−φ). It is
+// bit-identical to cmplx.Exp(complex(0, −φ)), whose exp(0) factor is
+// exactly 1, and skips that call's Exp.
+func derotor(phase float64) complex128 {
+	sin, cos := math.Sincos(-phase)
+	return complex(cos, sin)
 }
 
 // Gardner is a symbol-timing recovery loop using the Gardner timing error
