@@ -21,12 +21,12 @@
 // differs mainly in seeing the mix before the front-end impairment chain.
 //
 // The hub carries many concurrent links (RF sessions): clients address one
-// with -link, links are partitioned across -shards mixer goroutines, and
-// admission past -max-links/-max-links-per-shard is refused with "ERR hub
-// full". A supervisor watchdog restarts wedged shards and re-homes their
-// links, and sustained receiver-queue overflow sheds the worst
-// drop-majority link. SIGINT/SIGTERM trigger a graceful Shutdown that
-// drains pending transmitter samples to the receivers before closing.
+// with -link, links are partitioned across min(GOMAXPROCS, 8) mixer
+// goroutines, and admission past 4096 links is refused with "ERR hub
+// full". The transport bounds (queue depths, deadlines, the slow-receiver
+// stall budget) take the iqstream defaults (DESIGN.md §12, §17).
+// SIGINT/SIGTERM trigger a graceful Shutdown that drains pending
+// transmitter samples to the receivers before closing.
 package main
 
 import (
@@ -64,48 +64,21 @@ func run() error {
 		quiet      = flag.Bool("quiet", false, "suppress connection logs")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/bhss, /debug/vars and /debug/pprof on this address (empty = off)")
 
-		chaosSpec   = flag.String("chaos", "", "fault-injection spec, e.g. latency=5:2,reset=0.001,trunc=0.01,seed=9 (empty = no proxy)")
-		maxPending  = flag.Int("max-pending", 0, "per-transmitter pending queue bound in samples (0 = default)")
-		overflow    = flag.String("overflow", "block", "pending-queue overflow policy: block or drop-oldest")
-		overflowDL  = flag.Duration("overflow-deadline", 0, "max backpressure wait under the block policy (0 = default, negative = unbounded)")
-		rxBuffer    = flag.Int("rx-buffer", 0, "per-receiver outbound queue depth in mixed blocks (0 = default)")
-		stallBudget = flag.Duration("stall-budget", 0, "slow-consumer eviction window (0 = default, negative = never evict)")
-		writeDL     = flag.Duration("write-deadline", 0, "per-write socket deadline toward receivers (0 = default, negative = none)")
-		drainWait   = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget on SIGINT/SIGTERM")
-
-		shards      = flag.Int("shards", 0, "mixer shards links are partitioned across (0 = min(GOMAXPROCS, 8))")
-		maxLinks    = flag.Int("max-links", 0, "admission cap on concurrent links hub-wide (0 = default, negative = unlimited)")
-		maxPerShard = flag.Int("max-links-per-shard", 0, "admission cap per mixer shard (0 = default, negative = unlimited)")
-		watchdog    = flag.Duration("watchdog", 0, "wedged-shard heartbeat poll period (0 = default, negative = off)")
-		shedBudget  = flag.Duration("shed-budget", 0, "sustained-overflow window before the worst link is shed (0 = default, negative = never shed)")
+		chaosSpec = flag.String("chaos", "", "fault-injection spec, e.g. latency=5:2,reset=0.001,trunc=0.01,seed=9 (empty = no proxy)")
+		drainWait = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget on SIGINT/SIGTERM")
 	)
 	flag.Parse()
 
-	policy, err := iqstream.ParseOverflowPolicy(*overflow)
-	if err != nil {
-		return err
-	}
 	front, err := impair.NewFromSpec(*impairSpec, *rate, *seed)
 	if err != nil {
 		return err
 	}
 
 	cfg := iqstream.HubConfig{
-		BlockSize:        *block,
-		NoiseVar:         *noise,
-		Seed:             *seed,
-		Impair:           front,
-		MaxPending:       *maxPending,
-		Overflow:         policy,
-		OverflowDeadline: *overflowDL,
-		RxBuffer:         *rxBuffer,
-		StallBudget:      *stallBudget,
-		WriteDeadline:    *writeDL,
-		Shards:           *shards,
-		MaxLinks:         *maxLinks,
-		MaxLinksPerShard: *maxPerShard,
-		WatchdogInterval: *watchdog,
-		ShedBudget:       *shedBudget,
+		BlockSize: *block,
+		NoiseVar:  *noise,
+		Seed:      *seed,
+		Impair:    front,
 	}
 	if !*quiet {
 		cfg.Logf = log.Printf

@@ -18,78 +18,32 @@ import (
 	"bhss/internal/obs"
 )
 
-// OverflowPolicy selects what the hub does when a transmitter's pending
-// queue would exceed HubConfig.MaxPending samples.
-type OverflowPolicy int
-
-const (
-	// OverflowBlock applies backpressure: the hub stops reading from the
-	// transmitter's socket until the mixer drains the queue, and closes the
-	// connection if the wait exceeds HubConfig.OverflowDeadline.
-	OverflowBlock OverflowPolicy = iota
-	// OverflowDropOldest keeps reading and discards the oldest pending
-	// samples to stay within the bound: receivers see a spliced stream,
-	// exactly like a hardware ring-buffer overrun.
-	OverflowDropOldest
-)
-
-// String renders the policy in the form ParseOverflowPolicy accepts.
-func (p OverflowPolicy) String() string {
-	switch p {
-	case OverflowBlock:
-		return "block"
-	case OverflowDropOldest:
-		return "drop-oldest"
-	}
-	return fmt.Sprintf("OverflowPolicy(%d)", int(p))
-}
-
-// ParseOverflowPolicy parses the cmd-tool flag form of an overflow policy.
-func ParseOverflowPolicy(s string) (OverflowPolicy, error) {
-	switch s {
-	case "block":
-		return OverflowBlock, nil
-	case "drop-oldest":
-		return OverflowDropOldest, nil
-	}
-	return 0, fmt.Errorf("iqstream: unknown overflow policy %q (want block or drop-oldest)", s)
-}
-
 // Transport-resilience defaults (DESIGN.md §12, §17). Zero config fields
-// take these values; negative durations/counts disable the corresponding
-// bound.
+// take these values; negative ones are rejected.
 const (
 	// DefaultMaxPending bounds each transmitter's pending queue at 1 Mi
 	// samples (16 MiB of complex128).
 	DefaultMaxPending = 1 << 20
 	// DefaultRxBuffer is the per-receiver outbound queue depth in blocks.
 	DefaultRxBuffer = 64
-	// DefaultOverflowDeadline bounds an OverflowBlock backpressure wait.
+	// DefaultOverflowDeadline bounds a backpressure wait at the MaxPending
+	// bound.
 	DefaultOverflowDeadline = 10 * time.Second
 	// DefaultStallBudget is the accounting window for slow-consumer
 	// eviction: a receiver that drops more mixed blocks than it accepts
 	// across one whole window is disconnected.
 	DefaultStallBudget = 5 * time.Second
-	// DefaultWriteDeadline bounds each socket write to a receiver.
-	DefaultWriteDeadline = 10 * time.Second
 	// DefaultHandshakeTimeout bounds the handshake exchange in both
 	// directions, so a slowloris peer (or one that never reads the reply)
 	// cannot pin an accept goroutine.
 	DefaultHandshakeTimeout = 5 * time.Second
 	// DefaultMaxLinks is the per-hub admission cap on concurrent links.
 	DefaultMaxLinks = 4096
-	// DefaultMaxLinksPerShard is the admission cap per mixer shard.
-	DefaultMaxLinksPerShard = 1024
-	// DefaultWatchdogInterval is the supervisor's shard-heartbeat poll; a
-	// shard frozen on one link for two consecutive polls is restarted.
-	DefaultWatchdogInterval = 500 * time.Millisecond
-	// DefaultShedBudget is how long receiver-queue drops must grow on
-	// every supervisor poll before the worst drop-majority link is shed.
-	// It is deliberately longer than DefaultStallBudget so per-receiver
-	// eviction gets first crack and shedding stays the backstop.
-	DefaultShedBudget = 10 * time.Second
-	// maxShards bounds the mixer-shard count.
-	maxShards = 64
+	// writeDeadline bounds each socket write to a receiver so a wedged peer
+	// cannot pin its writer goroutine forever.
+	writeDeadline = 10 * time.Second
+	// maxShards caps the mixer-shard count, min(GOMAXPROCS, maxShards).
+	maxShards = 8
 )
 
 // HubConfig parameterizes the virtual RF medium.
@@ -116,14 +70,13 @@ type HubConfig struct {
 	// jammers need no locking.
 	Jam func(heard []complex128) []complex128
 	// MaxPending bounds each transmitter's pending queue in samples (a
-	// soft bound: it may be exceeded by at most one wire block). Zero
-	// means DefaultMaxPending.
+	// soft bound: it may be exceeded by at most one wire block). At the
+	// bound the hub stops reading the transmitter's socket until the mixer
+	// drains the queue. Zero means DefaultMaxPending.
 	MaxPending int
-	// Overflow selects the policy applied at the MaxPending bound.
-	Overflow OverflowPolicy
-	// OverflowDeadline bounds an OverflowBlock backpressure wait before
-	// the transmitter is disconnected. Zero means
-	// DefaultOverflowDeadline; negative disables the deadline.
+	// OverflowDeadline bounds a backpressure wait at the MaxPending bound
+	// before the transmitter is disconnected. Zero means
+	// DefaultOverflowDeadline.
 	OverflowDeadline time.Duration
 	// RxBuffer is the per-receiver outbound queue depth in mixed blocks.
 	// Zero means DefaultRxBuffer.
@@ -131,34 +84,14 @@ type HubConfig struct {
 	// StallBudget is the slow-consumer accounting window: a receiver
 	// that drops more mixed blocks than it accepts across one whole
 	// window (i.e. the consumer loses the majority of the stream) is
-	// evicted. Zero means DefaultStallBudget; negative disables
-	// eviction.
+	// evicted. Zero means DefaultStallBudget.
 	StallBudget time.Duration
-	// WriteDeadline bounds each socket write to a receiver so a wedged
-	// peer cannot pin its writer goroutine forever. Zero means
-	// DefaultWriteDeadline; negative disables the deadline.
-	WriteDeadline time.Duration
 	// HandshakeTimeout bounds both the handshake-line read and the ERR
-	// reply write. Zero means DefaultHandshakeTimeout; negative disables
-	// the bound.
+	// reply write. Zero means DefaultHandshakeTimeout.
 	HandshakeTimeout time.Duration
-	// Shards is the number of mixer goroutines links are partitioned
-	// across. Zero picks min(GOMAXPROCS, 8).
-	Shards int
 	// MaxLinks caps concurrent links hub-wide; past it handshakes are
-	// refused with "ERR hub full". Zero means DefaultMaxLinks; negative
-	// removes the cap.
+	// refused with "ERR hub full". Zero means DefaultMaxLinks.
 	MaxLinks int
-	// MaxLinksPerShard caps links per mixer shard. Zero means
-	// DefaultMaxLinksPerShard; negative removes the cap.
-	MaxLinksPerShard int
-	// WatchdogInterval is the supervisor's shard-heartbeat poll period.
-	// Zero means DefaultWatchdogInterval; negative disables the watchdog.
-	WatchdogInterval time.Duration
-	// ShedBudget is the sustained-overflow window after which the worst
-	// drop-majority link is evicted (load shedding). Zero means
-	// DefaultShedBudget; negative disables shedding.
-	ShedBudget time.Duration
 	// Metrics, when non-nil, receives hub transport counters (typically
 	// &pipeline.Hub of an obs.Pipeline).
 	Metrics *obs.HubMetrics
@@ -174,25 +107,21 @@ type HubConfig struct {
 // that block, so receivers observe a continuous stream.
 //
 // Resilience properties (DESIGN.md §12, §17): per-transmitter pending
-// queues are bounded with a configurable overflow policy; every receiver is
-// served by its own buffered writer goroutine, so one slow or wedged
-// receiver never stalls the mixer or its peers — it is evicted once it has
-// dropped the majority of a whole StallBudget window's blocks. Links are
-// partitioned across per-shard mixer goroutines and are the fault-isolation
-// unit: a panicking hook or byte-garbage peer tears down only its own link,
-// admission control refuses links past the configured caps, a supervisor
-// watchdog restarts wedged shards with link re-homing, and sustained
-// overflow sheds the worst drop-majority link instead of stalling the mix.
+// queues are bounded, with backpressure and a deadline at the bound; every
+// receiver is served by its own buffered writer goroutine, so one slow or
+// wedged receiver never stalls the mixer or its peers — it is evicted once
+// it has dropped the majority of a whole StallBudget window's blocks.
+// Links are partitioned across per-shard mixer goroutines and are the
+// fault-isolation unit: a panicking hook or byte-garbage peer tears down
+// only its own link, and admission past MaxLinks is refused.
 type Hub struct {
 	cfg HubConfig
 	ln  net.Listener
 	met *obs.HubMetrics
 
-	shards      []*shard
-	maxLinks    int // normalized: 0 = unlimited
-	maxPerShard int // normalized: 0 = unlimited
-	ships       sync.Pool
-	highWater   atomic.Int64
+	shards    []*shard
+	ships     sync.Pool
+	highWater atomic.Int64
 
 	mu       sync.Mutex
 	links    map[uint32]*link
@@ -213,32 +142,20 @@ var (
 	errOverflowDeadline = errors.New("iqstream: tx overflow deadline exceeded")
 )
 
-// normDur maps the config convention (zero = default, negative = disabled)
-// onto a plain duration (0 = disabled).
-func normDur(v, def time.Duration) time.Duration {
-	if v == 0 {
-		return def
+// orDefault applies the config convention to one count or duration field:
+// zero takes def, negative is an error.
+func orDefault[T int | time.Duration](name string, v *T, def T) error {
+	if *v < 0 {
+		return fmt.Errorf("iqstream: negative %s", name)
 	}
-	if v < 0 {
-		return 0
+	if *v == 0 {
+		*v = def
 	}
-	return v
-}
-
-// normCount maps the config convention (zero = default, negative =
-// unlimited) onto a plain count (0 = unlimited).
-func normCount(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
+	return nil
 }
 
 // NewHub starts a hub listening on addr ("127.0.0.1:0" for an ephemeral
-// port). Call Serve to run the mixer shards and supervisor.
+// port). Call Serve to run the mixer shards.
 func NewHub(addr string, cfg HubConfig) (*Hub, error) {
 	if cfg.BlockSize <= 0 {
 		cfg.BlockSize = 4096
@@ -249,41 +166,16 @@ func NewHub(addr string, cfg HubConfig) (*Hub, error) {
 	if cfg.NoiseVar < 0 {
 		return nil, fmt.Errorf("iqstream: negative noise variance")
 	}
-	if cfg.MaxPending < 0 {
-		return nil, fmt.Errorf("iqstream: negative MaxPending")
+	if err := errors.Join(
+		orDefault("MaxPending", &cfg.MaxPending, DefaultMaxPending),
+		orDefault("OverflowDeadline", &cfg.OverflowDeadline, DefaultOverflowDeadline),
+		orDefault("RxBuffer", &cfg.RxBuffer, DefaultRxBuffer),
+		orDefault("StallBudget", &cfg.StallBudget, DefaultStallBudget),
+		orDefault("HandshakeTimeout", &cfg.HandshakeTimeout, DefaultHandshakeTimeout),
+		orDefault("MaxLinks", &cfg.MaxLinks, DefaultMaxLinks),
+	); err != nil {
+		return nil, err
 	}
-	if cfg.MaxPending == 0 {
-		cfg.MaxPending = DefaultMaxPending
-	}
-	if cfg.RxBuffer < 0 {
-		return nil, fmt.Errorf("iqstream: negative RxBuffer")
-	}
-	if cfg.RxBuffer == 0 {
-		cfg.RxBuffer = DefaultRxBuffer
-	}
-	switch cfg.Overflow {
-	case OverflowBlock, OverflowDropOldest:
-	default:
-		return nil, fmt.Errorf("iqstream: unknown overflow policy %d", cfg.Overflow)
-	}
-	if cfg.Shards < 0 || cfg.Shards > maxShards {
-		return nil, fmt.Errorf("iqstream: shard count %d out of range [0, %d]", cfg.Shards, maxShards)
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-		if cfg.Shards > 8 {
-			cfg.Shards = 8
-		}
-		if cfg.Shards < 1 {
-			cfg.Shards = 1
-		}
-	}
-	cfg.OverflowDeadline = normDur(cfg.OverflowDeadline, DefaultOverflowDeadline)
-	cfg.StallBudget = normDur(cfg.StallBudget, DefaultStallBudget)
-	cfg.WriteDeadline = normDur(cfg.WriteDeadline, DefaultWriteDeadline)
-	cfg.HandshakeTimeout = normDur(cfg.HandshakeTimeout, DefaultHandshakeTimeout)
-	cfg.WatchdogInterval = normDur(cfg.WatchdogInterval, DefaultWatchdogInterval)
-	cfg.ShedBudget = normDur(cfg.ShedBudget, DefaultShedBudget)
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -296,18 +188,16 @@ func NewHub(addr string, cfg HubConfig) (*Hub, error) {
 		return nil, err
 	}
 	h := &Hub{
-		cfg:         cfg,
-		ln:          ln,
-		met:         met,
-		maxLinks:    normCount(cfg.MaxLinks, DefaultMaxLinks),
-		maxPerShard: normCount(cfg.MaxLinksPerShard, DefaultMaxLinksPerShard),
-		links:       map[uint32]*link{},
-		done:        make(chan struct{}),
+		cfg:   cfg,
+		ln:    ln,
+		met:   met,
+		links: map[uint32]*link{},
+		done:  make(chan struct{}),
 	}
 	h.ships.New = func() any { return new(shipBuf) }
-	h.shards = make([]*shard, cfg.Shards)
+	h.shards = make([]*shard, min(runtime.GOMAXPROCS(0), maxShards))
 	for i := range h.shards {
-		h.shards[i] = newShard(i)
+		h.shards[i] = &shard{wake: make(chan struct{}, 1), links: map[uint32]*link{}}
 	}
 	return h, nil
 }
@@ -416,13 +306,8 @@ func (h *Hub) kickAll() {
 	}
 }
 
-// kickLink wakes the shard currently owning lk.
-func (h *Hub) kickLink(lk *link) {
-	si := int(lk.shard.Load())
-	if si >= 0 && si < len(h.shards) {
-		h.shards[si].kick()
-	}
-}
+// kickLink wakes the shard owning lk.
+func (h *Hub) kickLink(lk *link) { h.shards[lk.shard].kick() }
 
 // noteHighWater records a pending-queue depth into the monotonic
 // high-water gauge.
@@ -439,15 +324,12 @@ func (h *Hub) noteHighWater(n int) {
 	}
 }
 
-// Serve accepts clients and runs the mixer shards and supervisor until
-// Close. It returns after the listener shuts down.
+// Serve accepts clients and runs the mixer shards until Close. It returns
+// after the listener shuts down.
 func (h *Hub) Serve() error {
 	h.serveOnce.Do(func() {
 		for _, sh := range h.shards {
-			go sh.run(h, sh.epoch.Load())
-		}
-		if h.cfg.WatchdogInterval > 0 || h.cfg.ShedBudget > 0 {
-			go h.supervise()
+			go sh.run(h)
 		}
 	})
 	for {
@@ -478,10 +360,8 @@ func (h *Hub) handle(conn net.Conn) {
 			conn.Close()
 		}
 	}()
-	if ht := h.cfg.HandshakeTimeout; ht > 0 {
-		//bhss:allow(detrand) transport deadline: wall clock bounds the handshake read and never feeds the simulation
-		_ = conn.SetReadDeadline(time.Now().Add(ht))
-	}
+	//bhss:allow(detrand) transport deadline: wall clock bounds the handshake read and never feeds the simulation
+	_ = conn.SetReadDeadline(time.Now().Add(h.cfg.HandshakeTimeout))
 	br := bufio.NewReader(conn)
 	raw, err := br.ReadSlice('\n')
 	if err != nil {
@@ -508,7 +388,7 @@ func (h *Hub) handle(conn net.Conn) {
 		// The OK reply follows registration so admission failures surface
 		// as ERR, never as an accepted-then-dropped connection.
 		if _, err := fmt.Fprintf(conn, "OK\n"); err != nil {
-			h.detachTx(lk, port, "handshake reply failed")
+			h.detachTx(lk, port)
 			conn.Close()
 			return
 		}
@@ -534,10 +414,8 @@ func (h *Hub) handle(conn net.Conn) {
 // deadline-bounded: a peer that never reads cannot pin this goroutine.
 func (h *Hub) reject(conn net.Conn, reply string) {
 	h.met.HandshakeRejects.Inc()
-	if ht := h.cfg.HandshakeTimeout; ht > 0 {
-		//bhss:allow(detrand) transport deadline: wall clock bounds the reject write and never feeds the simulation
-		_ = conn.SetWriteDeadline(time.Now().Add(ht))
-	}
+	//bhss:allow(detrand) transport deadline: wall clock bounds the reject write and never feeds the simulation
+	_ = conn.SetWriteDeadline(time.Now().Add(h.cfg.HandshakeTimeout))
 	fmt.Fprintf(conn, "%s\n", reply)
 	conn.Close()
 }
@@ -570,9 +448,6 @@ func (h *Hub) attachTx(conn net.Conn, hs handshake) (*link, int, *txQueue, error
 	lk.mu.Lock()
 	lk.txs[port] = q
 	lk.txConns[port] = conn
-	if lk.state == LinkDraining {
-		lk.state = LinkLive
-	}
 	lk.mu.Unlock()
 	return lk, port, q, nil
 }
@@ -622,26 +497,25 @@ func (h *Hub) runTx(conn net.Conn, br *bufio.Reader, lk *link, port int, q *txQu
 			break
 		}
 	}
-	h.detachTx(lk, port, reason)
+	h.detachTx(lk, port)
 	conn.Close()
 	h.kickLink(lk)
 	h.cfg.Logf("link %d %s %d disconnected (%s)", lk.id, hs.role, port, reason)
 }
 
-// detachTx marks the transmitter inactive (its queued samples keep
-// draining) and updates the link lifecycle: a link whose last active
-// transmitter leaves with samples still pending drains; a link whose last
-// peer leaves is evicted (link 0 excepted).
-func (h *Hub) detachTx(lk *link, port int, reason string) {
+// detachTx unregisters a departing transmitter. With a receiver attached
+// its queued samples keep draining (a reconnecting peer's leftover stream
+// collides with its retry, as on the air); with none they never could, so
+// the queue goes with the connection. A link whose last peer leaves is
+// evicted (link 0 excepted).
+func (h *Hub) detachTx(lk *link, port int) {
 	lk.mu.Lock()
-	if q, ok := lk.txs[port]; ok {
+	if len(lk.rxs) == 0 {
+		delete(lk.txs, port)
+	} else if q, ok := lk.txs[port]; ok {
 		q.active = false
 	}
 	delete(lk.txConns, port)
-	if lk.state == LinkLive && len(lk.txConns) == 0 && len(lk.rxs) > 0 && lk.pendingLocked() > 0 {
-		lk.state = LinkDraining
-		h.cfg.Logf("link %d draining (%s)", lk.id, reason)
-	}
 	lk.mu.Unlock()
 	h.maybeEvictEmpty(lk)
 }
@@ -669,19 +543,15 @@ func (h *Hub) detachRx(lk *link, rx *rxConn, reason string) {
 	h.maybeEvictEmpty(lk)
 }
 
-// enqueueTx appends one decoded block to the transmitter's pending queue,
-// honouring the MaxPending bound and the configured overflow policy.
+// enqueueTx appends one decoded block to the transmitter's pending queue.
+// At the MaxPending bound it applies backpressure: it stops reading the
+// socket until the mixer drains the queue, and gives up with
+// errOverflowDeadline once the wait exceeds OverflowDeadline.
 func (h *Hub) enqueueTx(lk *link, port int, q *txQueue, block []complex128) error {
 	if len(block) == 0 {
 		return nil
 	}
-	var timer *time.Timer
 	var expired <-chan time.Time
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
 	for {
 		select {
 		case <-h.done:
@@ -689,27 +559,13 @@ func (h *Hub) enqueueTx(lk *link, port int, q *txQueue, block []complex128) erro
 		default:
 		}
 		lk.mu.Lock()
-		if lk.state == LinkEvicted {
+		if lk.evicted {
 			lk.mu.Unlock()
 			return errLinkEvicted
 		}
 		// An oversized single block is admitted into an empty queue so it
 		// cannot deadlock the bound.
-		fits := len(q.pending) == 0 || len(q.pending)+len(block) <= h.cfg.MaxPending
-		if !fits && h.cfg.Overflow == OverflowDropOldest {
-			over := len(q.pending) + len(block) - h.cfg.MaxPending
-			if over > len(q.pending) {
-				over = len(q.pending)
-			}
-			q.pending = q.pending[over:]
-			h.met.TxOverflowDrops.Add(int64(over))
-			if !q.warned {
-				q.warned = true
-				h.cfg.Logf("link %d tx %d overflow: dropping oldest pending samples (queue bound %d)", lk.id, port, h.cfg.MaxPending)
-			}
-			fits = true
-		}
-		if fits {
+		if len(q.pending) == 0 || len(q.pending)+len(block) <= h.cfg.MaxPending {
 			q.pending = append(q.pending, block...)
 			n := len(q.pending)
 			lk.mu.Unlock()
@@ -719,8 +575,9 @@ func (h *Hub) enqueueTx(lk *link, port int, q *txQueue, block []complex128) erro
 		}
 		lk.mu.Unlock()
 		h.met.TxOverflowWaits.Inc()
-		if timer == nil && h.cfg.OverflowDeadline > 0 {
-			timer = time.NewTimer(h.cfg.OverflowDeadline)
+		if expired == nil {
+			timer := time.NewTimer(h.cfg.OverflowDeadline)
+			defer timer.Stop()
 			expired = timer.C
 		}
 		select {
@@ -756,10 +613,8 @@ func (h *Hub) rxWriter(lk *link, rx *rxConn) {
 		}
 	}
 	for ob := range rx.out {
-		if wd := h.cfg.WriteDeadline; wd > 0 {
-			//bhss:allow(detrand) transport deadline: wall clock bounds socket writes and never feeds the simulation
-			_ = rx.c.SetWriteDeadline(time.Now().Add(wd))
-		}
+		//bhss:allow(detrand) transport deadline: wall clock bounds socket writes and never feeds the simulation
+		_ = rx.c.SetWriteDeadline(time.Now().Add(writeDeadline))
 		if err := write(ob); err != nil {
 			bail(err)
 			return

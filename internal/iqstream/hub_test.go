@@ -26,7 +26,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // TestHubCloseStopsTxGoroutines pins the transmitter-leak fix: Close must
-// sever transmitter connections too, so serveTx goroutines blocked in
+// sever transmitter connections too, so runTx goroutines blocked in
 // ReadBlock unwind without waiting for the peer to hang up.
 func TestHubCloseStopsTxGoroutines(t *testing.T) {
 	checkGoroutines(t)
@@ -129,18 +129,13 @@ func TestHubHandshakeTable(t *testing.T) {
 }
 
 // TestHubSlowReceiverEviction proves the mixer never blocks on a wedged
-// receiver: the slow consumer is evicted once its queue has been full for
-// the stall budget, while a healthy receiver keeps streaming.
+// receiver: the receiver that never reads is evicted once it has dropped
+// the majority of a stall-budget window's blocks, and it alone — a healthy
+// receiver fed in lockstep keeps streaming before and after.
 func TestHubSlowReceiverEviction(t *testing.T) {
 	checkGoroutines(t)
 	met := &obs.HubMetrics{}
-	h := startHub(t, HubConfig{
-		BlockSize:     256,
-		RxBuffer:      1,
-		StallBudget:   30 * time.Millisecond,
-		WriteDeadline: -1, // isolate the stall-eviction path from the write deadline
-		Metrics:       met,
-	})
+	h := startHub(t, HubConfig{BlockSize: 256, StallBudget: 30 * time.Millisecond, Metrics: met})
 	addr := h.Addr().String()
 
 	// The slow receiver completes the handshake and then never reads.
@@ -160,100 +155,50 @@ func TestHubSlowReceiverEviction(t *testing.T) {
 	}
 	defer tx.Close()
 
-	// Stream until the slow receiver's socket and queue are saturated and
-	// the stall budget has elapsed. The healthy receiver drains in
-	// parallel, proving the mixer stayed live throughout.
+	// Lockstep: the next block is sent only once the healthy receiver has
+	// the last one, so its queue never holds more than the 16 mixed blocks
+	// of one send, well inside DefaultRxBuffer.
 	block := make([]complex128, 4096)
 	for i := range block {
 		block[i] = 1
 	}
-	done := make(chan struct{})
-	var fastGot int
-	go func() {
-		defer close(done)
-		for fastGot < 1<<21 {
-			blk, err := fast.Recv()
-			if err != nil {
-				return
-			}
-			fastGot += len(blk)
+	step := func() {
+		t.Helper()
+		if err := tx.Send(block); err != nil {
+			t.Fatalf("tx send: %v", err)
 		}
-	}()
+		for i, v := range recvN(t, fast, len(block)) {
+			if v != 1 {
+				t.Fatalf("healthy receiver sample %d = %v, want 1", i, v)
+			}
+		}
+	}
 	deadline := time.Now().Add(15 * time.Second)
 	for met.RxEvictions.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("no eviction after %d queue drops", met.RxQueueDrops.Load())
 		}
-		if err := tx.Send(block); err != nil {
-			t.Fatalf("tx send: %v", err)
-		}
+		step()
 	}
-	tx.Close()
-	<-done
-	if met.RxQueueDrops.Load() == 0 {
-		t.Fatal("expected queue drops before eviction")
+	step() // the healthy receiver still streams after the eviction
+	if got := met.RxEvictions.Load(); got != 1 {
+		t.Fatalf("RxEvictions = %d, want 1: the healthy receiver was evicted too", got)
 	}
-	if fastGot == 0 {
-		t.Fatal("healthy receiver starved while slow receiver stalled")
-	}
-	// The evicted socket is closed server-side.
-	if err := slow.SetRecvDeadline(time.Now().Add(2 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := slow.Recv(); err != nil {
-			break
-		}
-	}
+	// The evicted socket is closed server-side: draining it ends in EOF or
+	// a reset, never the read deadline.
+	expectHubHangup(t, slow.conn)
 }
 
-// TestHubTxOverflowDropOldest: with no receiver draining, a fast
-// transmitter hits the queue bound and the oldest samples are discarded —
-// bounded memory, bounded loss, connection kept.
-func TestHubTxOverflowDropOldest(t *testing.T) {
-	checkGoroutines(t)
-	met := &obs.HubMetrics{}
-	h := startHub(t, HubConfig{
-		BlockSize:  256,
-		MaxPending: 1024,
-		Overflow:   OverflowDropOldest,
-		Metrics:    met,
-	})
-	tx, err := DialTx(h.Addr().String(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tx.Close()
-
-	block := make([]complex128, 512)
-	for i := 0; i < 16; i++ {
-		if err := tx.Send(block); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-	}
-	waitFor(t, 5*time.Second, "overflow drops", func() bool {
-		return met.TxOverflowDrops.Load() > 0
-	})
-	// The bound is soft by at most one wire block.
-	pending := h.pendingSamples()
-	if pending > 1024+512 {
-		t.Fatalf("pending %d exceeds bound 1024 by more than one block", pending)
-	}
-	if hw := met.QueueHighWater.Load(); hw == 0 || hw > 1024+512 {
-		t.Fatalf("queue high-water %v out of (0, 1536]", hw)
-	}
-}
-
-// TestHubTxOverflowBlockDeadline: under the block policy with no receiver,
-// the transmitter is disconnected once it has been held at the bound past
-// the overflow deadline.
+// TestHubTxOverflowBlockDeadline: with no receiver, the transmitter is
+// held at the queue bound and disconnected once the wait outlasts the
+// overflow deadline; the queue never grew past the bound by more than one
+// wire block.
 func TestHubTxOverflowBlockDeadline(t *testing.T) {
 	checkGoroutines(t)
 	met := &obs.HubMetrics{}
 	h := startHub(t, HubConfig{
 		BlockSize:        256,
 		MaxPending:       512,
-		Overflow:         OverflowBlock,
 		OverflowDeadline: 50 * time.Millisecond,
 		Metrics:          met,
 	})
@@ -278,17 +223,24 @@ func TestHubTxOverflowBlockDeadline(t *testing.T) {
 	if met.TxOverflowWaits.Load() == 0 {
 		t.Fatal("expected at least one backpressure wait before the kill")
 	}
+	if hw := met.QueueHighWater.Load(); hw == 0 || hw > 512+512 {
+		t.Fatalf("queue high-water %v out of (0, 1024]: the bound is soft by at most one block", hw)
+	}
 }
 
-// TestHubTxBackpressureRecovers: the block policy is lossless when a
-// receiver is draining — every sample sent arrives despite the tiny bound.
+// TestHubTxBackpressureRecovers: backpressure is lossless when a receiver
+// is draining — every sample sent arrives despite the tiny bound. The
+// receiver queue holds the whole stream (80 mixed blocks), so a writer
+// goroutine descheduled for a while cannot cost it a block.
 func TestHubTxBackpressureRecovers(t *testing.T) {
 	checkGoroutines(t)
+	met := &obs.HubMetrics{}
+	const blocks, blockLen, mixBlock = 40, 256, 128
 	h := startHub(t, HubConfig{
-		BlockSize:        128,
-		MaxPending:       256,
-		Overflow:         OverflowBlock,
-		OverflowDeadline: 10 * time.Second,
+		BlockSize:  mixBlock,
+		MaxPending: 256,
+		RxBuffer:   blocks * blockLen / mixBlock,
+		Metrics:    met,
 	})
 	addr := h.Addr().String()
 	rx, err := DialRx(addr)
@@ -302,7 +254,6 @@ func TestHubTxBackpressureRecovers(t *testing.T) {
 	}
 	defer tx.Close()
 
-	const blocks, blockLen = 40, 256
 	go func() {
 		block := make([]complex128, blockLen)
 		for i := range block {
@@ -318,6 +269,84 @@ func TestHubTxBackpressureRecovers(t *testing.T) {
 	for i, v := range got {
 		if real(v) != 1 || imag(v) != 0 {
 			t.Fatalf("sample %d = %v, want 1", i, v)
+		}
+	}
+	if d := met.RxQueueDrops.Load(); d != 0 {
+		t.Fatalf("RxQueueDrops = %d, want 0", d)
+	}
+}
+
+// TestHubDepartedTxQueuesFreed: a transmitter that leaves link 0 while no
+// receiver is attached takes its pending queue with it. Link 0 is never
+// evicted, so a kept queue would hold its samples for the hub's lifetime,
+// one more per reconnect cycle.
+func TestHubDepartedTxQueuesFreed(t *testing.T) {
+	checkGoroutines(t)
+	met := &obs.HubMetrics{}
+	h := startHub(t, HubConfig{BlockSize: 256, MaxPending: 512, Metrics: met})
+	block := make([]complex128, 512)
+	for i := 1; i <= 8; i++ {
+		tx, err := DialTx(h.Addr().String(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Send(block); err != nil {
+			t.Fatal(err)
+		}
+		tx.Close()
+		waitFor(t, 5*time.Second, "transmitter departure", func() bool {
+			h.mu.Lock()
+			lk := h.links[0]
+			h.mu.Unlock()
+			lk.mu.Lock()
+			defer lk.mu.Unlock()
+			return met.TxAccepted.Load() == int64(i) && len(lk.txConns) == 0
+		})
+	}
+	if n := h.pendingSamples(); n > 1024 {
+		t.Fatalf("%d samples still pending after 8 departures with no receiver, want <= 1024", n)
+	}
+}
+
+// TestHubLink0ReconnectBitIdentical: with a receiver attached, a
+// transmitter that reconnects between blocks leaves link 0's stream — its
+// noise included — bit-identical to an unbroken transmitter's.
+func TestHubLink0ReconnectBitIdentical(t *testing.T) {
+	checkGoroutines(t)
+	stream := func(reconnect bool) []complex128 {
+		h := startHub(t, HubConfig{BlockSize: 256, NoiseVar: 0.5, Seed: 11})
+		rx, err := DialRx(h.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rx.Close()
+		var tx *Client
+		var got []complex128
+		block := make([]complex128, 1024)
+		for i := 0; i < 3; i++ {
+			if tx == nil || reconnect {
+				if tx != nil {
+					tx.Close()
+				}
+				if tx, err = DialTx(h.Addr().String(), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for j := range block {
+				block[j] = complex(float64(i+1), float64(j))
+			}
+			if err := tx.Send(block); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, recvN(t, rx, len(block))...)
+		}
+		tx.Close()
+		return got
+	}
+	want, got := stream(false), stream(true)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sample %d = %v after reconnects, want %v", i, got[i], want[i])
 		}
 	}
 }
@@ -388,12 +417,7 @@ func TestHubShutdownDrains(t *testing.T) {
 // hold Shutdown hostage — the context bounds it.
 func TestHubShutdownDeadline(t *testing.T) {
 	checkGoroutines(t)
-	h, err := NewHub("127.0.0.1:0", HubConfig{
-		BlockSize:     256,
-		RxBuffer:      1,
-		StallBudget:   -1, // never evict: the queue stays permanently full
-		WriteDeadline: -1,
-	})
+	h, err := NewHub("127.0.0.1:0", HubConfig{BlockSize: 256, RxBuffer: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,14 +458,10 @@ func TestHubShutdownDeadline(t *testing.T) {
 // check pins the teardown of every handler.
 func TestHubConnectionChurn(t *testing.T) {
 	checkGoroutines(t)
-	h := startHub(t, HubConfig{
-		BlockSize:  256,
-		MaxPending: 1 << 16,
-		Overflow:   OverflowDropOldest,
-		// Default StallBudget: an unthrottled transmitter makes the mixer
-		// outrun even a healthy receiver, and this test is about churn,
-		// not eviction.
-	})
+	// Default StallBudget: an unthrottled transmitter makes the mixer
+	// outrun even a healthy receiver, and this test is about churn, not
+	// eviction.
+	h := startHub(t, HubConfig{BlockSize: 256, MaxPending: 1 << 16})
 	addr := h.Addr().String()
 
 	rx, err := DialRx(addr)
@@ -572,29 +592,16 @@ func TestHubJamHook(t *testing.T) {
 	}
 }
 
-// TestOverflowPolicyStrings pins the flag round-trip.
-func TestOverflowPolicyStrings(t *testing.T) {
-	for _, p := range []OverflowPolicy{OverflowBlock, OverflowDropOldest} {
-		got, err := ParseOverflowPolicy(p.String())
-		if err != nil || got != p {
-			t.Fatalf("round trip %v: got %v, err %v", p, got, err)
-		}
-	}
-	if _, err := ParseOverflowPolicy("banana"); err == nil {
-		t.Fatal("bad policy accepted")
-	}
-	if s := OverflowPolicy(42).String(); s != "OverflowPolicy(42)" {
-		t.Fatalf("unknown policy string = %q", s)
-	}
-}
-
 // TestHubConfigResilienceValidation extends the config validation to the
-// new transport fields.
+// transport fields: a negative bound is an error, never a way to disable it.
 func TestHubConfigResilienceValidation(t *testing.T) {
 	bad := []HubConfig{
 		{MaxPending: -1},
 		{RxBuffer: -1},
-		{Overflow: OverflowPolicy(9)},
+		{MaxLinks: -1},
+		{OverflowDeadline: -time.Second},
+		{StallBudget: -time.Second},
+		{HandshakeTimeout: -time.Second},
 	}
 	for i, cfg := range bad {
 		if _, err := NewHub("127.0.0.1:0", cfg); err == nil {

@@ -1,49 +1,12 @@
 package iqstream
 
 import (
-	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"bhss/internal/impair"
 	"bhss/internal/prng"
 )
-
-// LinkState is one link's position in the registry lifecycle:
-//
-//	admitted → live → draining → evicted
-//
-// A link is admitted when its first peer's handshake is accepted, live once
-// the mixer has emitted its first block, draining while its last
-// transmitters' pending samples flush to receivers that are still attached,
-// and evicted when it leaves the registry — because its last peer left,
-// because a mix hook panicked (fault isolation), or because the supervisor
-// shed it under sustained overflow. Eviction is terminal and exactly-once:
-// an evicted link never mixes again, and a reused link ID is a fresh link.
-type LinkState int32
-
-const (
-	LinkAdmitted LinkState = iota
-	LinkLive
-	LinkDraining
-	LinkEvicted
-)
-
-// String renders the state for logs.
-func (s LinkState) String() string {
-	switch s {
-	case LinkAdmitted:
-		return "admitted"
-	case LinkLive:
-		return "live"
-	case LinkDraining:
-		return "draining"
-	case LinkEvicted:
-		return "evicted"
-	}
-	return fmt.Sprintf("LinkState(%d)", int32(s))
-}
 
 // link is one RF session: an independent medium mixing its own transmitters
 // with its own noise process for its own receivers. Lock order is always
@@ -52,12 +15,15 @@ func (s LinkState) String() string {
 // never touches its neighbors.
 type link struct {
 	id uint32
-	// shard is the index of the mixer shard currently owning this link;
-	// the supervisor re-homes links by updating it (watchdog restarts).
-	shard atomic.Int32
+	// shard is the index of the mixer shard that owns this link, fixed at
+	// admission.
+	shard int
 
-	mu      sync.Mutex
-	state   LinkState
+	mu sync.Mutex
+	// evicted is set once, when the link leaves the registry — its last
+	// peer left, a mix hook panicked, or the hub closed. An evicted link
+	// never mixes again, and a reused link ID is a fresh link.
+	evicted bool
 	txs     map[int]*txQueue
 	txConns map[int]net.Conn
 	rxs     map[int]*rxConn
@@ -70,10 +36,6 @@ type link struct {
 	// (they model the legacy shared front end and hub-side adversary).
 	impair *impair.Chain
 	jam    func(heard []complex128) []complex128
-	// Load-shed window accounting: fan-out results since the supervisor
-	// armed its overflow window. The shed victim is the link with the worst
-	// drop-majority margin (drops − accepts).
-	shedOK, shedDrops int64
 }
 
 // pendingLocked totals undelivered pending samples; callers hold lk.mu.
@@ -97,7 +59,6 @@ type txQueue struct {
 	tag     string // contribution tag for EXCL filtering ("" = untagged)
 	pending []complex128
 	active  bool
-	warned  bool
 	// space (capacity 1) is signalled by the mixer whenever it drains
 	// samples from this queue; blocked enqueues wait on it.
 	space chan struct{}
@@ -142,21 +103,18 @@ func linkNoiseSeed(seed uint64, id uint32) uint64 {
 
 // admitLocked finds or creates the link for an accepted handshake, placing
 // new links on the least-loaded shard. Callers hold h.mu. It fails with
-// errHubFull when the per-hub or per-shard admission caps are exhausted.
+// errHubFull when MaxLinks links are already admitted.
 func (h *Hub) admitLocked(id uint32) (*link, error) {
 	if lk, ok := h.links[id]; ok {
 		return lk, nil
 	}
-	if h.maxLinks > 0 && len(h.links) >= h.maxLinks {
+	if len(h.links) >= h.cfg.MaxLinks {
 		return nil, errHubFull
 	}
 	si := h.leastLoadedShardLocked()
-	if si < 0 {
-		return nil, errHubFull
-	}
 	lk := &link{
 		id:      id,
-		state:   LinkAdmitted,
+		shard:   si,
 		txs:     map[int]*txQueue{},
 		txConns: map[int]net.Conn{},
 		rxs:     map[int]*rxConn{},
@@ -166,7 +124,6 @@ func (h *Hub) admitLocked(id uint32) (*link, error) {
 		lk.impair = h.cfg.Impair
 		lk.jam = h.cfg.Jam
 	}
-	lk.shard.Store(int32(si))
 	h.links[id] = lk
 	sh := h.shards[si]
 	sh.mu.Lock()
@@ -178,19 +135,15 @@ func (h *Hub) admitLocked(id uint32) (*link, error) {
 	return lk, nil
 }
 
-// leastLoadedShardLocked picks the shard with the fewest links that still
-// has per-shard admission headroom, or -1 when every shard is full. Callers
-// hold h.mu.
+// leastLoadedShardLocked picks the shard with the fewest links (the lowest
+// index on a tie). Callers hold h.mu.
 func (h *Hub) leastLoadedShardLocked() int {
-	best, bestLoad := -1, 0
+	best, bestLoad := 0, -1
 	for i, sh := range h.shards {
 		sh.mu.Lock()
 		n := len(sh.links)
 		sh.mu.Unlock()
-		if h.maxPerShard > 0 && n >= h.maxPerShard {
-			continue
-		}
-		if best < 0 || n < bestLoad {
+		if bestLoad < 0 || n < bestLoad {
 			best, bestLoad = i, n
 		}
 	}
@@ -229,19 +182,16 @@ func (h *Hub) evict(lk *link, reason string, onlyIfEmpty bool) {
 	delete(h.links, lk.id)
 	h.met.LinksEvicted.Inc()
 	h.met.ActiveLinks.Store(float64(len(h.links)))
-	si := int(lk.shard.Load())
-	if si >= 0 && si < len(h.shards) {
-		sh := h.shards[si]
-		sh.mu.Lock()
-		if sh.links[lk.id] == lk {
-			delete(sh.links, lk.id)
-		}
-		sh.mu.Unlock()
+	sh := h.shards[lk.shard]
+	sh.mu.Lock()
+	if sh.links[lk.id] == lk {
+		delete(sh.links, lk.id)
 	}
+	sh.mu.Unlock()
 	h.mu.Unlock()
 
 	lk.mu.Lock()
-	lk.state = LinkEvicted
+	lk.evicted = true
 	for _, c := range lk.txConns {
 		c.Close()
 	}

@@ -80,7 +80,7 @@ func TestHubMultiLinkIsolation(t *testing.T) {
 func TestHubLinkAdmissionControl(t *testing.T) {
 	checkGoroutines(t)
 	met := &obs.HubMetrics{}
-	h := startHub(t, HubConfig{BlockSize: 64, MaxLinks: 2, Shards: 1, Metrics: met})
+	h := startHub(t, HubConfig{BlockSize: 64, MaxLinks: 2, Metrics: met})
 	addr := h.Addr().String()
 
 	a, err := DialRxLink(addr, LinkOpts{Link: 1})
@@ -119,23 +119,6 @@ func TestHubLinkAdmissionControl(t *testing.T) {
 		t.Fatalf("link slot not reusable after eviction: %v", err)
 	}
 	defer c.Close()
-}
-
-// TestHubPerShardCap pins the per-shard admission bound: with one shard the
-// shard cap alone refuses the overflow link.
-func TestHubPerShardCap(t *testing.T) {
-	checkGoroutines(t)
-	h := startHub(t, HubConfig{BlockSize: 64, Shards: 1, MaxLinksPerShard: 1})
-	addr := h.Addr().String()
-	a, err := DialRxLink(addr, LinkOpts{Link: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if _, err := DialRxLink(addr, LinkOpts{Link: 2}); err == nil ||
-		!strings.Contains(err.Error(), "ERR hub full") {
-		t.Fatalf("second link past shard cap: err = %v, want ERR hub full", err)
-	}
 }
 
 // TestHubLinkEvictionExactlyOnce is the eviction property test: concurrent
@@ -220,11 +203,11 @@ func TestHubEvictionSparesLateAttach(t *testing.T) {
 	registered := h.links[9]
 	h.mu.Unlock()
 	lk.mu.Lock()
-	txs, state := len(lk.txConns), lk.state
+	txs, evicted := len(lk.txConns), lk.evicted
 	lk.mu.Unlock()
-	if registered != lk || txs != 1 || state == LinkEvicted {
-		t.Fatalf("after the late eviction: link 9 registered as %p (want %p), %d tx conns, state %v",
-			registered, lk, txs, state)
+	if registered != lk || txs != 1 || evicted {
+		t.Fatalf("after the late eviction: link 9 registered as %p (want %p), %d tx conns, evicted %v",
+			registered, lk, txs, evicted)
 	}
 	if got := met.LinksEvicted.Load(); got != 0 {
 		t.Fatalf("LinksEvicted = %d, want 0", got)
@@ -373,200 +356,6 @@ func TestHubPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestHubWatchdogRestartsWedgedShard: a mix hook that never returns wedges
-// its shard; the supervisor detects the frozen heartbeat, evicts the pinned
-// link, re-homes the survivors and restarts the shard — traffic on a link
-// that shared the wedged shard resumes.
-func TestHubWatchdogRestartsWedgedShard(t *testing.T) {
-	checkGoroutines(t)
-	met := &obs.HubMetrics{}
-	release := make(chan struct{})
-	t.Cleanup(func() { close(release) }) // unwedge the stuck goroutine before the leak check
-	h := startHub(t, HubConfig{
-		BlockSize:        64,
-		Shards:           2,
-		WatchdogInterval: 20 * time.Millisecond,
-		Metrics:          met,
-		Jam: func(heard []complex128) []complex128 { // carried by link 0 only
-			<-release
-			return nil
-		},
-	})
-	addr := h.Addr().String()
-
-	// Admission is least-loaded, so link 0 lands on shard 0, link 1 on
-	// shard 1 and link 2 back on shard 0 — wedging link 0 pins the shard
-	// that also carries link 2.
-	rx0, err := DialRx(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rx0.Close()
-	rx1, err := DialRxLink(addr, LinkOpts{Link: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rx1.Close()
-	rx2, err := DialRxLink(addr, LinkOpts{Link: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rx2.Close()
-	tx2, err := DialTxLink(addr, 0, LinkOpts{Link: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tx2.Close()
-	tx0, err := DialTx(addr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tx0.Close()
-
-	// Wedge shard 0 inside link 0's hook.
-	if err := tx0.Send(make([]complex128, 64)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 10*time.Second, "watchdog restart", func() bool {
-		return met.ShardRestarts.Load() >= 1
-	})
-	waitFor(t, 10*time.Second, "wedged link eviction", func() bool {
-		return met.LinksEvicted.Load() >= 1
-	})
-
-	// Link 2, re-homed off the wedged shard, must flow end to end again.
-	block := make([]complex128, 64)
-	for i := range block {
-		block[i] = 9
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if err := tx2.Send(block); err != nil {
-			t.Fatalf("tx2 send after restart: %v", err)
-		}
-		if err := rx2.SetRecvDeadline(time.Now().Add(time.Second)); err != nil {
-			t.Fatal(err)
-		}
-		blk, err := rx2.Recv()
-		if err == nil {
-			for i, v := range blk {
-				if v != 9 {
-					t.Fatalf("re-homed link sample %d = %v, want 9", i, v)
-				}
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("re-homed link never resumed: %v", err)
-		}
-	}
-}
-
-// TestHubLoadShed: under sustained receiver-queue overflow with per-receiver
-// eviction disabled, the supervisor sheds the worst drop-majority link; the
-// healthy link keeps flowing throughout.
-func TestHubLoadShed(t *testing.T) {
-	checkGoroutines(t)
-	met := &obs.HubMetrics{}
-	h := startHub(t, HubConfig{
-		BlockSize:        256,
-		RxBuffer:         1,
-		StallBudget:      -1, // isolate shedding from per-receiver eviction
-		WriteDeadline:    -1,
-		WatchdogInterval: -1,
-		ShedBudget:       150 * time.Millisecond,
-		Overflow:         OverflowDropOldest,
-		Metrics:          met,
-	})
-	addr := h.Addr().String()
-
-	// Link 1: a receiver that never reads plus a flooding transmitter — its
-	// receiver-queue drops grow on every supervisor poll.
-	stuckRx, err := DialRxLink(addr, LinkOpts{Link: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stuckRx.Close()
-	floodTx, err := DialTxLink(addr, 0, LinkOpts{Link: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer floodTx.Close()
-	// Link 2: a healthy pair.
-	okRx, err := DialRxLink(addr, LinkOpts{Link: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer okRx.Close()
-	okTx, err := DialTxLink(addr, 0, LinkOpts{Link: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer okTx.Close()
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // flood the stuck link
-		defer wg.Done()
-		block := make([]complex128, 512)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := floodTx.Send(block); err != nil {
-				return // disconnected by the shed — expected
-			}
-		}
-	}()
-	healthyErr := make(chan error, 1)
-	go func() { // keep the healthy link flowing, reads and all
-		defer wg.Done()
-		block := make([]complex128, 256)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := okTx.Send(block); err != nil {
-				healthyErr <- err
-				return
-			}
-			if err := okRx.SetRecvDeadline(time.Now().Add(5 * time.Second)); err != nil {
-				healthyErr <- err
-				return
-			}
-			if _, err := okRx.Recv(); err != nil {
-				healthyErr <- err
-				return
-			}
-		}
-	}()
-
-	waitFor(t, 15*time.Second, "load shed", func() bool {
-		return met.LinksShed.Load() >= 1
-	})
-	close(stop)
-	wg.Wait()
-	select {
-	case err := <-healthyErr:
-		t.Fatalf("healthy link died during load shed: %v", err)
-	default:
-	}
-	// The shed victim's receiver was disconnected with its link.
-	if err := stuckRx.SetRecvDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := stuckRx.Recv(); err != nil {
-			break
-		}
-	}
-}
-
 // TestHubHandshakeDeadlines is the slowloris regression: a peer that
 // trickles or never finishes its handshake line is cut off by the read
 // deadline, and an endless unterminated line is rejected at the buffer
@@ -632,7 +421,7 @@ func expectHubHangup(t *testing.T, conn net.Conn) {
 			continue
 		}
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			t.Fatal("hub kept the connection open past the handshake deadline")
+			t.Fatal("hub kept the connection open: read timed out")
 		}
 		return // EOF or reset: the hub hung up
 	}

@@ -6,36 +6,18 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bhss/internal/obs"
 )
 
 // shard is one mixer goroutine's worth of links. Links are partitioned
 // across shards at admission (least-loaded placement), so mixing throughput
-// scales with cores while each link's stream stays single-writer. The
-// atomic heartbeats let the supervisor watchdog tell a busy shard (beat
-// advancing) from a wedged one (beat frozen mid-link, cur pinned on the
-// culprit) without stopping the world.
+// scales with cores while each link's stream stays single-writer.
 type shard struct {
-	idx  int
 	wake chan struct{}
 
 	mu    sync.Mutex
 	links map[uint32]*link
-
-	beat atomic.Int64 // per-link mix passes completed (heartbeat)
-	cur  atomic.Int64 // link ID currently being mixed (-1 = idle)
-	// epoch is bumped by the supervisor when it restarts the shard; the
-	// old run goroutine notices the stale epoch and exits, and only the
-	// goroutine started with the current epoch keeps mixing.
-	epoch atomic.Int64
-}
-
-func newShard(idx int) *shard {
-	sh := &shard{idx: idx, wake: make(chan struct{}, 1), links: map[uint32]*link{}}
-	sh.cur.Store(-1)
-	return sh
 }
 
 func (sh *shard) kick() {
@@ -60,9 +42,8 @@ func (sh *shard) snapshot(dst []*link) []*link {
 
 // run is the shard mixer loop: whenever kicked, it sweeps its links round-
 // robin, mixing one block per link per pass, until a full pass finds no
-// work. It exits on hub close or when the supervisor has bumped the
-// shard's epoch (restart with re-homing).
-func (sh *shard) run(h *Hub, epoch int64) {
+// work. It exits on hub close.
+func (sh *shard) run(h *Hub) {
 	sc := h.newMixScratch()
 	var snap []*link
 	for {
@@ -71,25 +52,13 @@ func (sh *shard) run(h *Hub, epoch int64) {
 			return
 		case <-sh.wake:
 		}
-		for {
-			if sh.epoch.Load() != epoch {
-				return
-			}
+		for worked := true; worked; {
+			worked = false
 			snap = sh.snapshot(snap)
-			worked := false
 			for _, lk := range snap {
-				if sh.epoch.Load() != epoch {
-					return
-				}
-				sh.cur.Store(int64(lk.id))
 				if h.mixLink(lk, sc) {
 					worked = true
 				}
-				sh.cur.Store(-1)
-				sh.beat.Add(1)
-			}
-			if !worked {
-				break
 			}
 		}
 	}
@@ -179,7 +148,7 @@ func (h *Hub) mixLink(lk *link, sc *mixScratch) (worked bool) {
 	}
 	block := sc.block
 	// The hub-side adversary and impair chain run outside all locks: their
-	// state is owned by the link's current shard goroutine (links never mix
+	// state is owned by the link's shard goroutine (links never mix
 	// concurrently with themselves), and they only touch scratch.
 	if lk.jam != nil {
 		j := lk.jam(block)
@@ -234,7 +203,7 @@ func (h *Hub) mixLink(lk *link, sc *mixScratch) (worked bool) {
 func (h *Hub) mixPending(lk *link, sc *mixScratch) bool {
 	lk.mu.Lock()
 	defer lk.mu.Unlock()
-	if lk.state == LinkEvicted {
+	if lk.evicted {
 		return false
 	}
 	havePending := false
@@ -252,9 +221,6 @@ func (h *Hub) mixPending(lk *link, sc *mixScratch) bool {
 			}
 		}
 		return false
-	}
-	if lk.state == LinkAdmitted {
-		lk.state = LinkLive
 	}
 	// Collect the tags receivers want excluded that some transmitter on
 	// this link actually carries; each gets a zeroed contribution buffer.
@@ -363,10 +329,9 @@ func (h *Hub) deliverLink(lk *link, main *shipBuf, tags []tagContrib) {
 	now := obs.Now()
 	lk.mu.Lock()
 	defer lk.mu.Unlock()
-	if lk.state == LinkEvicted {
+	if lk.evicted {
 		return
 	}
-	var okTotal, dropTotal int64
 	for _, rx := range lk.rxs {
 		buf := main
 		if rx.excl != "" {
@@ -394,16 +359,8 @@ func (h *Hub) deliverLink(lk *link, main *shipBuf, tags []tagContrib) {
 				dropped++
 			}
 		}
-		//bhss:allow(detrand) integer addition commutes: the shed tallies are identical in any map order
-		okTotal += ok
-		//bhss:allow(detrand) integer addition commutes: the shed tallies are identical in any map order
-		dropTotal += dropped
 		if dropped > 0 {
 			h.met.RxQueueDrops.Add(dropped)
-		}
-		budget := h.cfg.StallBudget
-		if budget <= 0 {
-			continue
 		}
 		if rx.epochStart == 0 {
 			if dropped == 0 {
@@ -413,191 +370,16 @@ func (h *Hub) deliverLink(lk *link, main *shipBuf, tags []tagContrib) {
 		}
 		rx.epochOK += ok
 		rx.epochDrops += dropped
-		if now-rx.epochStart < int64(budget) {
+		if now-rx.epochStart < int64(h.cfg.StallBudget) {
 			continue
 		}
 		if rx.epochDrops > rx.epochOK {
 			h.met.RxEvictions.Inc()
 			h.removeRxLocked(lk, rx, fmt.Sprintf(
 				"evicted: dropped %d of %d blocks over stall budget %v",
-				rx.epochDrops, rx.epochDrops+rx.epochOK, budget))
+				rx.epochDrops, rx.epochDrops+rx.epochOK, h.cfg.StallBudget))
 			continue
 		}
 		rx.epochStart, rx.epochOK, rx.epochDrops = 0, 0, 0
 	}
-	lk.shedOK += okTotal
-	lk.shedDrops += dropTotal
-}
-
-// supervise is the hub's watchdog/load-shed goroutine.
-//
-// Watchdog: a shard whose heartbeat is frozen while pinned on one link for
-// two consecutive polls is wedged — a mix hook that never returns — so the
-// supervisor bumps the shard's epoch (the old goroutine exits at its next
-// epoch check, or leaks harmlessly if truly stuck inside a hook), evicts
-// the pinned link, re-homes the shard's surviving links onto the other
-// shards, and starts a fresh mixer goroutine.
-//
-// Load shedding: when receiver-queue drops grow on every poll for a whole
-// ShedBudget window — sustained overflow that per-receiver eviction is not
-// absorbing — the supervisor evicts the link with the worst drop-majority
-// margin instead of letting the backlog stall the mix for everyone.
-func (h *Hub) supervise() {
-	poll := h.cfg.WatchdogInterval
-	if poll <= 0 || (h.cfg.ShedBudget > 0 && h.cfg.ShedBudget/2 < poll) {
-		poll = h.cfg.ShedBudget / 2
-	}
-	if poll < 5*time.Millisecond {
-		poll = 5 * time.Millisecond
-	}
-	type shardSeen struct {
-		beat, cur int64
-		stale     int
-	}
-	seen := make([]shardSeen, len(h.shards))
-	for i := range seen {
-		seen[i].cur = -1
-	}
-	var shedArmed int64
-	lastDrops := h.met.RxQueueDrops.Load()
-	//bhss:allow(detrand) supervision cadence: wall clock schedules health checks and never feeds the simulation
-	tick := time.NewTicker(poll)
-	defer tick.Stop()
-	for {
-		select {
-		case <-h.done:
-			return
-		case <-tick.C:
-		}
-		if h.cfg.WatchdogInterval > 0 {
-			for i, sh := range h.shards {
-				beat, cur := sh.beat.Load(), sh.cur.Load()
-				st := &seen[i]
-				if cur >= 0 && cur == st.cur && beat == st.beat {
-					st.stale++
-				} else {
-					st.stale = 0
-				}
-				st.beat, st.cur = beat, cur
-				if st.stale >= 2 {
-					st.stale = 0
-					h.restartShard(i, cur)
-				}
-			}
-		}
-		if h.cfg.ShedBudget > 0 {
-			drops := h.met.RxQueueDrops.Load()
-			switch {
-			case drops == lastDrops:
-				shedArmed = 0 // a drop-free poll disarms the window
-			case shedArmed == 0:
-				shedArmed = obs.Now()
-				h.resetShedWindows()
-			case obs.Now()-shedArmed >= int64(h.cfg.ShedBudget):
-				h.shedWorst()
-				shedArmed = 0
-			}
-			lastDrops = drops
-		}
-	}
-}
-
-// restartShard replaces a wedged shard's mixer goroutine, evicting the link
-// it was pinned on and re-homing the survivors across the remaining shards
-// (falling back to the restarted shard itself when it is the only one or
-// the others are at their per-shard cap).
-func (h *Hub) restartShard(si int, wedgedID int64) {
-	sh := h.shards[si]
-	sh.epoch.Add(1)
-	h.met.ShardRestarts.Inc()
-	h.cfg.Logf("shard %d wedged on link %d: restarting", si, wedgedID)
-
-	var wedged *link
-	h.mu.Lock()
-	if lk, ok := h.links[uint32(wedgedID)]; ok && int(lk.shard.Load()) == si {
-		wedged = lk
-	}
-	survivors := make([]*link, 0)
-	sh.mu.Lock()
-	for _, lk := range sh.links {
-		if lk != wedged {
-			survivors = append(survivors, lk)
-		}
-	}
-	sh.links = map[uint32]*link{}
-	sh.mu.Unlock()
-	for _, lk := range survivors {
-		ti := -1
-		if len(h.shards) > 1 {
-			best := -1
-			for i, cand := range h.shards {
-				if i == si {
-					continue
-				}
-				cand.mu.Lock()
-				n := len(cand.links)
-				cand.mu.Unlock()
-				if h.maxPerShard > 0 && n >= h.maxPerShard {
-					continue
-				}
-				if ti < 0 || n < best {
-					ti, best = i, n
-				}
-			}
-		}
-		if ti < 0 {
-			ti = si
-		}
-		target := h.shards[ti]
-		target.mu.Lock()
-		target.links[lk.id] = lk
-		target.mu.Unlock()
-		lk.shard.Store(int32(ti))
-	}
-	stopped := h.closed
-	h.mu.Unlock()
-
-	if wedged != nil {
-		h.evictLink(wedged, "wedged the shard mixer (watchdog)")
-	}
-	if !stopped {
-		go sh.run(h, sh.epoch.Load())
-	}
-	h.kickAll()
-}
-
-// resetShedWindows zeroes every link's shed accounting at the start of an
-// overflow window.
-func (h *Hub) resetShedWindows() {
-	for _, lk := range h.linksSnapshot() {
-		lk.mu.Lock()
-		lk.shedOK, lk.shedDrops = 0, 0
-		lk.mu.Unlock()
-	}
-}
-
-// shedWorst evicts the link with the worst drop-majority margin across the
-// just-elapsed overflow window (no-op when no link has a drop majority —
-// overflow spread thinly is per-receiver eviction's problem, not shedding's).
-func (h *Hub) shedWorst() {
-	var worst *link
-	var worstMargin int64
-	for _, lk := range h.linksSnapshot() {
-		lk.mu.Lock()
-		margin := lk.shedDrops - lk.shedOK
-		drops := lk.shedDrops
-		lk.mu.Unlock()
-		if drops == 0 || margin <= 0 {
-			continue
-		}
-		if worst == nil || margin > worstMargin {
-			worst, worstMargin = lk, margin
-		}
-	}
-	if worst == nil {
-		return
-	}
-	h.met.LinksShed.Inc()
-	h.evictLink(worst, fmt.Sprintf(
-		"load shed: drop-majority margin %d over sustained overflow", worstMargin))
 }

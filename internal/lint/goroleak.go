@@ -41,7 +41,7 @@ var GoroLeak = &Analyzer{
 }
 
 // goroleakDepth bounds the call-graph walk from a `go` statement. The
-// codebase's deepest real chain (go h.handle → serveTx → enqueueTx) is three
+// codebase's deepest real chain (go h.handle → runTx → enqueueTx) is three
 // levels; anything deeper is out of the goroutine's own control.
 const goroleakDepth = 5
 

@@ -74,37 +74,32 @@ type ImpairMetrics struct {
 
 // HubMetrics counts the virtual-air hub's transport work
 // (internal/iqstream.Hub): connection lifecycle, queue pressure and the
-// resilience-layer decisions (overflow drops, backpressure waits,
-// slow-receiver evictions).
+// resilience-layer decisions (backpressure waits, slow-receiver
+// evictions).
 type HubMetrics struct {
 	// TxAccepted and RxAccepted count completed handshakes by role;
 	// HandshakeRejects counts connections refused with an ERR reply.
 	TxAccepted, RxAccepted, HandshakeRejects Counter
 	// MixedBlocks and MixedSamples total the mixer's output.
 	MixedBlocks, MixedSamples Counter
-	// TxOverflowDrops counts pending samples discarded by the drop-oldest
-	// overflow policy; TxOverflowWaits counts backpressure stalls under the
-	// block policy; TxOverflowKills counts transmitters disconnected when
-	// the block policy's deadline expired.
-	TxOverflowDrops, TxOverflowWaits, TxOverflowKills Counter
+	// TxOverflowWaits counts backpressure stalls at a transmitter's
+	// pending-queue bound; TxOverflowKills counts transmitters disconnected
+	// when a stall outlasted the overflow deadline.
+	TxOverflowWaits, TxOverflowKills Counter
 	// RxQueueDrops counts mixed blocks not delivered to a receiver whose
 	// outbound queue was full; RxEvictions counts receivers disconnected
 	// after a full stall budget.
 	RxQueueDrops, RxEvictions Counter
 	// LinksAdmitted and LinksEvicted count link-registry lifecycle
-	// transitions; LinksShed is the subset of evictions decided by the
-	// load-shedding supervisor under sustained overflow.
-	LinksAdmitted, LinksEvicted, LinksShed Counter
+	// transitions.
+	LinksAdmitted, LinksEvicted Counter
 	// LinkRejectsFull counts handshakes refused with "ERR hub full" by the
-	// admission-control caps.
+	// admission cap.
 	LinkRejectsFull Counter
 	// RecoveredPanics counts panics contained by the per-link fault
 	// isolation (a crashing mix hook or handler tears down only its own
 	// session).
 	RecoveredPanics Counter
-	// ShardRestarts counts wedged mixer shards the supervisor watchdog
-	// detected via frozen heartbeats and restarted with link re-homing.
-	ShardRestarts Counter
 	// QueueHighWater is the largest per-transmitter pending queue depth
 	// observed, in samples.
 	QueueHighWater Gauge
@@ -321,17 +316,14 @@ func (p *Pipeline) snapshot(withSpans bool) Snapshot {
 	c("hub.handshake_rejects", &p.Hub.HandshakeRejects)
 	c("hub.mixed_blocks", &p.Hub.MixedBlocks)
 	c("hub.mixed_samples", &p.Hub.MixedSamples)
-	c("hub.tx_overflow_drops", &p.Hub.TxOverflowDrops)
 	c("hub.tx_overflow_waits", &p.Hub.TxOverflowWaits)
 	c("hub.tx_overflow_kills", &p.Hub.TxOverflowKills)
 	c("hub.rx_queue_drops", &p.Hub.RxQueueDrops)
 	c("hub.rx_evictions", &p.Hub.RxEvictions)
 	c("hub.links_admitted", &p.Hub.LinksAdmitted)
 	c("hub.links_evicted", &p.Hub.LinksEvicted)
-	c("hub.links_shed", &p.Hub.LinksShed)
 	c("hub.link_rejects_full", &p.Hub.LinkRejectsFull)
 	c("hub.recovered_panics", &p.Hub.RecoveredPanics)
-	c("hub.shard_restarts", &p.Hub.ShardRestarts)
 	c("net.dial_attempts", &p.Net.DialAttempts)
 	c("net.dial_failures", &p.Net.DialFailures)
 	c("net.reconnects", &p.Net.Reconnects)

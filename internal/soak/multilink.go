@@ -31,8 +31,6 @@ type MultiLinkConfig struct {
 	// SimSeconds is the simulated traffic per link, in seconds at
 	// LinkRate (0 = DefaultSimSeconds).
 	SimSeconds float64
-	// Shards overrides the hub's mixer-shard count (0 = hub default).
-	Shards int
 	// Metrics, when non-nil, receives the run's hub counters.
 	Metrics *obs.Pipeline
 	// Logf receives progress events; nil silences them.
@@ -84,7 +82,6 @@ func MultiLink(cfg MultiLinkConfig) (MultiLinkReport, error) {
 	hub, err := iqstream.NewHub("127.0.0.1:0", iqstream.HubConfig{
 		BlockSize: defaultMultiBlock,
 		Seed:      cfg.Seed,
-		Shards:    cfg.Shards,
 		Metrics:   hubMet,
 	})
 	if err != nil {

@@ -23,13 +23,11 @@ import (
 // the DSP's 20 MS/s front-end rate, so "30 seconds of simulated traffic"
 // is 3M samples — seconds of wall clock, not minutes.
 const (
-	DefaultLinkRate   = 100e3
-	DefaultSimSeconds = 30.0
-	DefaultTimeout    = 120 * time.Second
-	DefaultPayload    = "bandwidth hopping spread spectrum soak frame"
-	defaultHubBlock   = 4096
-	defaultRxBuffer   = 64 // blocks: a shallow in-flight cushion, so a link
-	// reset wipes at most a few bursts of undelivered queue
+	DefaultLinkRate      = 100e3
+	DefaultSimSeconds    = 30.0
+	DefaultTimeout       = 120 * time.Second
+	DefaultPayload       = "bandwidth hopping spread spectrum soak frame"
+	defaultHubBlock      = 4096
 	defaultTxPacing      = 20 * time.Millisecond
 	defaultDrainGrace    = 2 * time.Second
 	defaultWatchdogCheck = 50 * time.Millisecond
@@ -116,7 +114,6 @@ func Run(cfg Config) (Report, error) {
 	// The stack: hub ← chaos proxy ← reconnecting clients.
 	hub, err := iqstream.NewHub("127.0.0.1:0", iqstream.HubConfig{
 		BlockSize: defaultHubBlock,
-		RxBuffer:  defaultRxBuffer,
 		// Keep the per-transmitter queue shallow (backpressure instead
 		// of depth): after a reconnect the old port's leftover queue
 		// transmits on top of the retry stream — a real collision — and
