@@ -24,9 +24,6 @@ func TestAWGNVariance(t *testing.T) {
 	if p := dsp.Power(x); math.Abs(p-2.5)/2.5 > 0.03 {
 		t.Fatalf("noise power %v, want 2.5", p)
 	}
-	if a.Variance() != 2.5 {
-		t.Fatal("Variance accessor wrong")
-	}
 }
 
 func TestAWGNZeroVarianceIsNoop(t *testing.T) {
@@ -98,82 +95,10 @@ func TestAttenuateAndGain(t *testing.T) {
 	if math.Abs(real(x[0])-0.1) > 1e-12 {
 		t.Fatalf("attenuated amplitude %v, want 0.1", x[0])
 	}
-	Gain(x, 20)
+	Attenuate(x, -20) // negative attenuation is gain
 	if math.Abs(real(x[0])-1) > 1e-12 {
 		t.Fatalf("gain did not undo attenuation: %v", x[0])
 	}
-}
-
-func TestImpairmentsDelayAndCFO(t *testing.T) {
-	im := Impairments{CFO: 0.25, Phase: 0, Delay: 2}
-	x := []complex128{1, 1, 1, 1, 1, 1}
-	y := im.Apply(x)
-	if y[0] != 0 || y[1] != 0 {
-		t.Fatalf("delay not applied: %v", y[:2])
-	}
-	// After the delay, samples rotate by 2π*0.25 per sample.
-	r3 := y[3] / y[2]
-	if cmplx.Abs(r3-cmplx.Exp(complex(0, math.Pi/2))) > 1e-9 {
-		t.Fatalf("CFO rotation per sample = %v, want e^{jπ/2}", r3)
-	}
-	// Original slice untouched.
-	if x[0] != 1 {
-		t.Fatal("Apply must not mutate its input")
-	}
-}
-
-func TestImpairmentsIdentity(t *testing.T) {
-	x := []complex128{1 + 2i, 3, -1i}
-	y := Impairments{}.Apply(x)
-	for i := range x {
-		if y[i] != x[i] {
-			t.Fatal("zero impairments must be identity")
-		}
-	}
-}
-
-func TestCombine(t *testing.T) {
-	a := []complex128{1, 2, 3}
-	b := []complex128{10, 20}
-	got := Combine(a, b)
-	want := []complex128{11, 22, 3}
-	if len(got) != 3 {
-		t.Fatalf("combined length %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("combine = %v", got)
-		}
-	}
-	if len(Combine()) != 0 {
-		t.Fatal("combining nothing should be empty")
-	}
-}
-
-func TestLinkTransmit(t *testing.T) {
-	l := Link{AttenuationDB: 6.0206} // ~ amplitude / 2
-	x := constSignal(8, 2)
-	y := l.Transmit(x)
-	if math.Abs(real(y[0])-1) > 1e-3 {
-		t.Fatalf("6 dB attenuated amplitude %v, want ~1", y[0])
-	}
-}
-
-func TestNoiseVarForSNR(t *testing.T) {
-	v := NoiseVarForSNR(1, 20)
-	if math.Abs(v-0.01) > 1e-12 {
-		t.Fatalf("noise var %v, want 0.01", v)
-	}
-	// End-to-end: signal power 4 at 3 dB SNR -> noise ~2.
-	if v := NoiseVarForSNR(4, 3.0102999566); math.Abs(v-2) > 1e-6 {
-		t.Fatalf("noise var %v, want 2", v)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative power should panic")
-		}
-	}()
-	NoiseVarForSNR(-1, 0)
 }
 
 func TestEndToEndSNR(t *testing.T) {
@@ -184,7 +109,7 @@ func TestEndToEndSNR(t *testing.T) {
 		x[i] = cmplx.Exp(complex(0, 0.3*float64(i)))
 	}
 	p := dsp.Power(x)
-	noise := NewAWGN(NoiseVarForSNR(p, 10), 3)
+	noise := NewAWGN(p/10, 3) // 10 dB below the signal
 	y := append([]complex128(nil), x...)
 	noise.Add(y)
 	diff := make([]complex128, len(x))
@@ -194,29 +119,6 @@ func TestEndToEndSNR(t *testing.T) {
 	snr := 10 * math.Log10(dsp.Power(x)/dsp.Power(diff))
 	if math.Abs(snr-10) > 0.3 {
 		t.Fatalf("realized SNR %v dB, want 10", snr)
-	}
-}
-
-func TestResampleIdentityAtUnitRate(t *testing.T) {
-	x := []complex128{1, 2, 3, 4}
-	y := Impairments{ClockSkewPPM: 0}.Apply(x)
-	for i := range x {
-		if y[i] != x[i] {
-			t.Fatal("zero skew must be identity")
-		}
-	}
-}
-
-func TestResampleStretches(t *testing.T) {
-	// A huge artificial skew for visibility: 1e5 ppm = 10% stretch.
-	x := make([]complex128, 100)
-	for i := range x {
-		x[i] = complex(float64(i), 0)
-	}
-	y := Impairments{ClockSkewPPM: 1e5}.Apply(x)
-	// Sample i of the output reads position i/1.1 of the input.
-	if math.Abs(real(y[11])-10) > 0.01 {
-		t.Fatalf("y[11] = %v, want ~10", y[11])
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"bhss/internal/channel"
 	"bhss/internal/dsp"
 	"bhss/internal/hop"
+	"bhss/internal/impair"
 	"bhss/internal/jammer"
 	"bhss/internal/spectral"
 )
@@ -207,8 +208,8 @@ func TestWidebandJammerLowPassFilter(t *testing.T) {
 		}
 		// Free-running oscillators: the carrier loop must track this
 		// offset, which it can only do once the jamming is suppressed.
-		im := channel.Impairments{CFO: 9e-5, Phase: 0.8}
-		air := im.Apply(burst.Samples)
+		air := append([]complex128(nil), burst.Samples...)
+		dsp.Mix(air, 9e-5, 0.8)
 		// Signal 9, jammer 50: filtered SINR ~6 dB (loop tracks),
 		// unfiltered ~-7.5 dB (loop gain collapses).
 		dsp.Scale(air, 3)
@@ -216,7 +217,8 @@ func TestWidebandJammerLowPassFilter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rxSamples := channel.Combine(air, jam.Emit(len(air)))
+		rxSamples := air
+		dsp.AddTo(rxSamples, jam.Emit(len(air)))
 		channel.NewAWGN(0.01, 5).Add(rxSamples)
 		got, stats, err := rx.DecodeBurst(rxSamples)
 		return err == nil && bytes.Equal(got, payload), stats
@@ -255,7 +257,8 @@ func TestNarrowbandJammerExcisionFilter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rxSamples := channel.Combine(burst.Samples, jam.Emit(len(burst.Samples)))
+		rxSamples := append([]complex128(nil), burst.Samples...)
+		dsp.AddTo(rxSamples, jam.Emit(len(burst.Samples)))
 		channel.NewAWGN(0.01, 6).Add(rxSamples)
 		got, stats, err := rx.DecodeBurst(rxSamples)
 		return err == nil && bytes.Equal(got, payload), stats
@@ -293,7 +296,8 @@ func TestMatchedJammerDefeatsFixedBandwidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rxSamples := channel.Combine(burst.Samples, jam.Emit(len(burst.Samples)))
+	rxSamples := append([]complex128(nil), burst.Samples...)
+	dsp.AddTo(rxSamples, jam.Emit(len(burst.Samples)))
 	channel.NewAWGN(0.01, 7).Add(rxSamples)
 	_, stats, err := rx.DecodeBurst(rxSamples)
 	if err == nil {
@@ -326,7 +330,8 @@ func TestHoppingEscapesMatchedJammer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rxSamples := channel.Combine(burst.Samples, jam.Emit(len(burst.Samples)))
+		rxSamples := append([]complex128(nil), burst.Samples...)
+		dsp.AddTo(rxSamples, jam.Emit(len(burst.Samples)))
 		noise.Add(rxSamples)
 		if got, _, err := rx.DecodeBurst(rxSamples); err == nil && bytes.Equal(got, payload) {
 			ok++
@@ -487,8 +492,14 @@ func TestRealisticClockSkewHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	im := channel.Impairments{ClockSkewPPM: 2.5}
-	got, stats, err := rx.DecodeBurst(im.Apply(burst.Samples))
+	clock, err := impair.NewFromSpec("ppm=2.5", cfg.SampleRate, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The streaming resampler holds back its look-ahead; trailing silence
+	// flushes it, and the receiver gets the burst's own length back.
+	air := append(append([]complex128(nil), burst.Samples...), 0, 0, 0, 0)
+	got, stats, err := rx.DecodeBurst(clock.Process(air)[:len(burst.Samples)])
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("decode under realistic skew: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bhss/internal/channel"
+	"bhss/internal/dsp"
 	"bhss/internal/hop"
 	"bhss/internal/jammer"
 )
@@ -94,7 +95,8 @@ func TestNoDetectionGapAcrossSignalLevels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rxS := channel.Combine(air, jam.Emit(len(air)))
+		rxS := air
+		dsp.AddTo(rxS, jam.Emit(len(air)))
 		channel.NewAWGN(0.01, 3).Add(rxS)
 		got, _, err := rx.DecodeBurst(rxS)
 		ok := err == nil && string(got) == string(payload)

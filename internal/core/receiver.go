@@ -381,10 +381,9 @@ func (r *Receiver) estimateHop(seg []complex128, sps int) (FilterDecision, hopFi
 		}
 	}
 	r.scratch.norm = normBins
-	// Quickselect returns the same floor(q·n) order statistic the previous
-	// SortFloats + QuantileSorted pair produced, in O(n) instead of
-	// O(n log n); the peak is a single scan. The scratch is receiver-owned,
-	// so the partial reordering is harmless.
+	// Quickselect returns the floor(q·n) order statistic a full sort would
+	// index, in O(n) instead of O(n log n); the peak is a single scan. The
+	// scratch is receiver-owned, so the partial reordering is harmless.
 	refN := dsp.QuantileSelect(normBins, signalQuantile)
 	report.PeakToMedian = ratioOrInf(dsp.MaxFloats(normBins), refN)
 

@@ -20,7 +20,6 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	var dst []complex128
 	alloctest.AssertZero(t, "OverlapSave.ApplyFull", func() { dst = o.ApplyFull(dst[:0], sig) })
 	alloctest.AssertZero(t, "OverlapSave.ApplySame", func() { dst = o.ApplySame(dst[:0], sig) })
-	alloctest.AssertZero(t, "OverlapSave.Process", func() { dst = o.Process(dst[:0], sig) })
 
 	a := randSignal(2048, 4)
 	b := randSignal(2048, 5)

@@ -40,29 +40,3 @@ func BenchmarkOverlapSaveApplyFull(b *testing.B) {
 		dst = o.ApplyFull(dst[:0], x)
 	}
 }
-
-func BenchmarkOverlapSaveProcess(b *testing.B) {
-	h := randSignal(129, 1)
-	x := randSignal(4096, 2)
-	o := NewOverlapSave(h)
-	var dst []complex128
-	b.ReportAllocs()
-	b.SetBytes(int64(16 * len(x)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = o.Process(dst[:0], x)
-	}
-}
-
-// BenchmarkConvolveFFTBaseline is the one-shot path OverlapSave replaced in
-// the hot loops, kept for speedup comparisons.
-func BenchmarkConvolveFFTBaseline(b *testing.B) {
-	h := randSignal(129, 1)
-	x := randSignal(16384, 2)
-	b.ReportAllocs()
-	b.SetBytes(int64(16 * len(x)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ConvolveFFT(x, h)
-	}
-}

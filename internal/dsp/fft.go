@@ -50,19 +50,10 @@ func NextPow2(n int) int {
 	return p
 }
 
-// FFTShift reorders a spectrum so that the zero-frequency bin sits at the
-// center, returning a new slice. For odd lengths the extra bin goes to the
-// front half, matching the numpy convention.
-func FFTShift(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	half := (n + 1) / 2
-	copy(out, x[half:])
-	copy(out[n-half:], x[:half])
-	return out
-}
-
-// FFTShiftFloat is FFTShift for real-valued spectra (e.g. PSD estimates).
+// FFTShiftFloat reorders a real-valued spectrum (e.g. a PSD estimate) so
+// that the zero-frequency bin sits at the center, returning a new slice.
+// For odd lengths the extra bin goes to the front half, matching the numpy
+// convention.
 func FFTShiftFloat(x []float64) []float64 {
 	n := len(x)
 	out := make([]float64, n)
@@ -73,7 +64,7 @@ func FFTShiftFloat(x []float64) []float64 {
 }
 
 // BinFrequencies returns the normalized frequency (cycles/sample, in
-// [-0.5, 0.5)) of each bin of an n-point FFT after FFTShift ordering.
+// [-0.5, 0.5)) of each bin of an n-point FFT after FFTShiftFloat ordering.
 func BinFrequencies(n int) []float64 {
 	out := make([]float64, n)
 	half := (n + 1) / 2

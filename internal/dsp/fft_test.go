@@ -152,17 +152,17 @@ func TestNextPow2(t *testing.T) {
 }
 
 func TestFFTShift(t *testing.T) {
-	x := []complex128{0, 1, 2, 3}
-	got := FFTShift(x)
-	want := []complex128{2, 3, 0, 1}
+	x := []float64{0, 1, 2, 3}
+	got := FFTShiftFloat(x)
+	want := []float64{2, 3, 0, 1}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("even shift: got %v want %v", got, want)
 		}
 	}
-	x5 := []complex128{0, 1, 2, 3, 4}
-	got5 := FFTShift(x5)
-	want5 := []complex128{3, 4, 0, 1, 2}
+	x5 := []float64{0, 1, 2, 3, 4}
+	got5 := FFTShiftFloat(x5)
+	want5 := []float64{3, 4, 0, 1, 2}
 	for i := range want5 {
 		if got5[i] != want5[i] {
 			t.Fatalf("odd shift: got %v want %v", got5, want5)

@@ -9,9 +9,8 @@ import (
 )
 
 // FIR is a finite impulse response filter with complex taps. Filtering is
-// available in three forms: streaming (Process, with state carried across
-// calls), one-shot direct convolution (Apply) and one-shot FFT overlap-save
-// convolution (ApplyFast) for long signals.
+// available in two forms: streaming (Process, with state carried across
+// calls) and one-shot FFT overlap-save convolution through Convolver.
 type FIR struct {
 	taps []complex128
 	// rtaps holds the real taps of a NewFIRReal filter, which Process runs
@@ -90,23 +89,6 @@ func (f *FIR) Process(x []complex128) []complex128 {
 	return out
 }
 
-// Apply convolves x with the taps and returns the "same" central part of the
-// convolution: output has len(x) samples and is aligned so that a symmetric
-// (linear-phase) filter introduces no net shift. It does not touch streaming
-// state.
-func (f *FIR) Apply(x []complex128) []complex128 {
-	full := convolveDirect(x, f.taps)
-	return sameSlice(full, len(x), len(f.taps))
-}
-
-// ApplyFast is Apply using FFT overlap-save convolution; results agree with
-// Apply to floating-point accuracy. Prefer it when len(x)*len(taps) is large.
-// The first call builds the filter's frequency-domain transform; subsequent
-// calls reuse it, allocating only the result slice.
-func (f *FIR) ApplyFast(x []complex128) []complex128 {
-	return f.Convolver().ApplySame(nil, x)
-}
-
 // Convolver returns the filter's overlap-save convolver, building it (and
 // the taps' frequency-domain transform) on first use. Callers that filter
 // into reusable buffers should go through it directly: its Apply*/Process
@@ -120,18 +102,10 @@ func (f *FIR) Convolver() *OverlapSave {
 	return f.ols
 }
 
-// sameSlice extracts the length-n "same" part from a full convolution with a
-// k-tap kernel (group delay (k-1)/2 removed).
-func sameSlice(full []complex128, n, k int) []complex128 {
-	start := (k - 1) / 2
-	out := make([]complex128, n)
-	copy(out, full[start:start+n])
-	return out
-}
-
-// convolveDirect returns the full linear convolution of x and h
-// (length len(x)+len(h)-1).
-func convolveDirect(x, h []complex128) []complex128 {
+// Convolve returns the full linear convolution of x and h (length
+// len(x)+len(h)-1) by the direct method: the reference the overlap-save
+// convolver is checked against.
+func Convolve(x, h []complex128) []complex128 {
 	if len(x) == 0 || len(h) == 0 {
 		return nil
 	}
@@ -147,34 +121,6 @@ func convolveDirect(x, h []complex128) []complex128 {
 	return out
 }
 
-// Convolve returns the full linear convolution of x and h using the direct
-// method. See ConvolveFFT for the fast path.
-func Convolve(x, h []complex128) []complex128 {
-	return convolveDirect(x, h)
-}
-
-// ConvolveFFT returns the full linear convolution of x and h via a single
-// zero-padded FFT. For very long x relative to h this is still near-optimal
-// and much simpler than block processing.
-func ConvolveFFT(x, h []complex128) []complex128 {
-	if len(x) == 0 || len(h) == 0 {
-		return nil
-	}
-	n := len(x) + len(h) - 1
-	m := NextPow2(n)
-	a := make([]complex128, m)
-	b := make([]complex128, m)
-	copy(a, x)
-	copy(b, h)
-	FFT(a)
-	FFT(b)
-	for i := range a {
-		a[i] *= b[i]
-	}
-	IFFT(a)
-	return a[:n]
-}
-
 // FrequencyResponse evaluates the filter's DFT H(k) at nfft equally spaced
 // frequencies (un-shifted bin ordering), per eq. (2) of the paper.
 func (f *FIR) FrequencyResponse(nfft int) []complex128 {
@@ -188,17 +134,6 @@ func (f *FIR) FrequencyResponse(nfft int) []complex128 {
 		}
 	}
 	return FFT(h)
-}
-
-// GainAt returns |H(e^{j2πf})|^2 at normalized frequency f (cycles/sample)
-// evaluated exactly from the taps.
-func (f *FIR) GainAt(freq float64) float64 {
-	var acc complex128
-	for n, t := range f.taps {
-		ang := -2 * math.Pi * freq * float64(n)
-		acc += t * cmplx.Exp(complex(0, ang))
-	}
-	return real(acc)*real(acc) + imag(acc)*imag(acc)
 }
 
 // LowPassFIR designs a linear-phase windowed-sinc low-pass filter with the
@@ -314,10 +249,10 @@ func WhiteningFIR(psd []float64, floor float64) (*FIR, error) {
 // conj(h[c-d])), which keeps the frequency response real — zero phase up to
 // an integer delay. The zero-phase impulse response from the inverse DFT is
 // rotated so its peak sits at the integer center c = (L-1)/2 with L = K-1
-// (odd) taps — the alignment Apply/ApplyFast compensate exactly. (A direct
-// e^{-jπ(K-1)k/K} phase term as written in eq. (3) puts the delay at the
-// half-sample (K-1)/2, which an integer-aligned convolution cannot undo
-// without distortion.)
+// (odd) taps — the alignment OverlapSave.ApplySame compensates exactly.
+// (A direct e^{-jπ(K-1)k/K} phase term as written in eq. (3) puts the delay
+// at the half-sample (K-1)/2, which an integer-aligned convolution cannot
+// undo without distortion.)
 func linearPhaseFromMagnitude(mag []float64) (*FIR, error) {
 	k := len(mag)
 	if k < 3 {
@@ -341,21 +276,13 @@ func linearPhaseFromMagnitude(mag []float64) (*FIR, error) {
 	return NewFIR(taps), nil
 }
 
-// SmoothPSD returns a circularly smoothed copy of a PSD using a moving
-// average of the given width (forced odd, >= 1). Averaged-periodogram
-// estimates from short captures scatter heavily per bin; smoothing before
-// threshold tests and filter design prevents the whitening filter from
-// amplifying estimation noise.
-func SmoothPSD(psd []float64, width int) []float64 {
-	out := make([]float64, len(psd))
-	SmoothPSDInto(out, psd, width)
-	return out
-}
-
-// SmoothPSDInto is SmoothPSD writing into dst, which must have the same
-// length as psd and must not alias it. The circular moving average is
-// computed with a running window sum, so the cost is O(n + width) rather
-// than O(n*width).
+// SmoothPSDInto writes into dst a circularly smoothed copy of a PSD: a
+// moving average of the given width (forced odd, >= 1). dst must have the
+// same length as psd and must not alias it. Averaged-periodogram estimates
+// from short captures scatter heavily per bin; smoothing before threshold
+// tests and filter design keeps the excision filter from cutting
+// estimation noise. The circular moving average is computed with a running
+// window sum, so the cost is O(n + width) rather than O(n*width).
 //
 //bhss:hotpath
 func SmoothPSDInto(dst, psd []float64, width int) {
@@ -376,9 +303,8 @@ func SmoothPSDInto(dst, psd []float64, width int) {
 	half := width / 2
 	var sum float64
 	for d := -half; d <= half; d++ {
-		// Wrap-around window seed: the indices fold mod n, so the reads are
-		// not contiguous and SumFloats does not apply; this runs once per
-		// call over `width` bins, not per bin.
+		// Wrap-around window seed: the indices fold mod n; this runs once
+		// per call over `width` bins, not per bin.
 		sum += psd[((d%n)+n)%n]
 	}
 	inv := 1 / float64(width)
@@ -403,59 +329,26 @@ func SmoothPSDInto(dst, psd []float64, width int) {
 	}
 }
 
-// NotchFIR designs a robust excision filter from a PSD estimate: bins whose
-// power exceeds threshold times the reference level are attenuated down to
-// the reference (|H| = sqrt(ref/psd)); all other bins pass with unit gain.
-// Like the eq. (3) whitening filter it suppresses exactly the spectrum the
-// jammer occupies, but unlike raw reciprocal whitening it leaves the rest
-// untouched, which keeps estimation noise from distorting the desired
-// signal.
-//
-// ref anchors "normal" power — pass the median of the bins the *signal*
-// occupies. A non-positive ref falls back to the global PSD median, which
-// is only correct when the signal fills most of the band: for a narrow
-// signal the global median is the noise floor and the notch would flatten
-// the whole signal band into it. threshold must be > 1.
-//
-// Like WhiteningFIR this designs from live per-hop estimates, so bad input
-// returns an error instead of panicking the streaming path.
-func NotchFIR(psd []float64, threshold, ref float64) (*FIR, error) {
-	k := len(psd)
-	if k == 0 {
-		return nil, fmt.Errorf("dsp: notch filter needs a non-empty PSD")
-	}
-	if threshold <= 1 {
-		return nil, fmt.Errorf("dsp: notch threshold %v must be > 1", threshold)
-	}
-	if ref <= 0 {
-		ref = MedianFloats(psd)
-	}
-	if ref <= 0 {
-		ref = 1e-12
-	}
-	// Jammed bins are pushed a factor notchDepth below the reference:
-	// flooring them exactly at the signal level would leave a residual
-	// strong enough to steer the receiver's carrier loop when the jammer
-	// sits at the band center.
-	mag := make([]float64, k)
-	for i, p := range psd {
-		mag[i] = 1
-		if p > threshold*ref {
-			mag[i] = math.Sqrt(ref / (notchDepth * p))
-		}
-	}
-	return linearPhaseFromMagnitude(mag)
-}
-
-// notchDepth is how far below the target level notched bins are pushed.
+// notchDepth is how far below the target level notched bins are pushed:
+// flooring them exactly at the signal level would leave a residual strong
+// enough to steer the receiver's carrier loop when the jammer sits at the
+// band center.
 const notchDepth = 16
 
-// ShapedNotchFIR generalizes NotchFIR to a frequency-dependent target: bin
-// i is acceptable up to threshold*target[i] and notched down to
-// target[i]/notchDepth beyond that. Receivers that know their own pulse
-// spectrum pass target[i] = ref * |G(f_i)|² so the signal's legitimate
-// spectral peak is never mistaken for interference while a jammer hiding
-// under it still gets cut. len(target) must equal len(psd).
+// ShapedNotchFIR designs the receiver's excision filter from a PSD
+// estimate and a frequency-dependent target level: bin i is acceptable up
+// to threshold*target[i] and notched down to target[i]/notchDepth beyond
+// that (|H| = sqrt(target/(notchDepth·psd))); all other bins pass with
+// unit gain. Like the eq. (3) whitening filter it suppresses exactly the
+// spectrum the jammer occupies, but unlike raw reciprocal whitening it
+// leaves the rest untouched, which keeps estimation noise from distorting
+// the desired signal. Receivers that know their own pulse spectrum pass
+// target[i] = ref * |G(f_i)|² so the signal's legitimate spectral peak is
+// never mistaken for interference while a jammer hiding under it still
+// gets cut. len(target) must equal len(psd), and threshold must be > 1.
+//
+// The design runs per hop on live estimates, so bad input returns an error
+// instead of panicking the streaming path.
 func ShapedNotchFIR(psd, target []float64, threshold float64) (*FIR, error) {
 	k := len(psd)
 	if k == 0 {

@@ -11,7 +11,7 @@ func TestSmoothPSDFlatInvariant(t *testing.T) {
 	for i := range psd {
 		psd[i] = 2.5
 	}
-	out := SmoothPSD(psd, 5)
+	out := smoothPSD(psd, 5)
 	for i, v := range out {
 		if math.Abs(v-2.5) > 1e-12 {
 			t.Fatalf("bin %d: %v, want 2.5", i, v)
@@ -22,7 +22,7 @@ func TestSmoothPSDFlatInvariant(t *testing.T) {
 func TestSmoothPSDSpreadsPeak(t *testing.T) {
 	psd := make([]float64, 32)
 	psd[10] = 32
-	out := SmoothPSD(psd, 5)
+	out := smoothPSD(psd, 5)
 	// Total preserved, peak reduced by the width.
 	var sum float64
 	for _, v := range out {
@@ -42,7 +42,7 @@ func TestSmoothPSDSpreadsPeak(t *testing.T) {
 func TestSmoothPSDCircular(t *testing.T) {
 	psd := make([]float64, 16)
 	psd[0] = 16
-	out := SmoothPSD(psd, 3)
+	out := smoothPSD(psd, 3)
 	// Wraps: bins 15, 0, 1 share the peak.
 	if out[15] != out[1] || out[15] == 0 {
 		t.Fatalf("circular smoothing broken: %v vs %v", out[15], out[1])
@@ -50,19 +50,19 @@ func TestSmoothPSDCircular(t *testing.T) {
 }
 
 func TestSmoothPSDDegenerate(t *testing.T) {
-	if len(SmoothPSD(nil, 5)) != 0 {
+	if len(smoothPSD(nil, 5)) != 0 {
 		t.Fatal("empty input should yield empty output")
 	}
 	psd := []float64{1, 2, 3}
-	out := SmoothPSD(psd, 0) // forced to width 1 = identity
+	out := smoothPSD(psd, 0) // forced to width 1 = identity
 	for i := range psd {
 		if out[i] != psd[i] {
 			t.Fatal("width<1 should behave as identity")
 		}
 	}
 	// Even widths round up to odd.
-	outEven := SmoothPSD(psd, 2)
-	outOdd := SmoothPSD(psd, 3)
+	outEven := smoothPSD(psd, 2)
+	outOdd := smoothPSD(psd, 3)
 	for i := range psd {
 		if outEven[i] != outOdd[i] {
 			t.Fatal("even width should round up")
@@ -79,7 +79,7 @@ func TestNotchFIRCutsOnlyJammedBins(t *testing.T) {
 	for i := 30; i <= 36; i++ {
 		psd[i] = 400
 	}
-	f, err := NotchFIR(psd, 4, 1)
+	f, err := ShapedNotchFIR(psd, flat(k, 1), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,27 +96,8 @@ func TestNotchFIRCutsOnlyJammedBins(t *testing.T) {
 	}
 }
 
-func TestNotchFIRGlobalMedianFallback(t *testing.T) {
-	psd := make([]float64, 64)
-	for i := range psd {
-		psd[i] = 2
-	}
-	psd[5] = 100
-	// ref <= 0 falls back to the global median (2).
-	f, err := NotchFIR(psd, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := f.FrequencyResponse(64)
-	if g := cmplx.Abs(resp[5]); g > 0.35 {
-		t.Fatalf("fallback notch gain %v", g)
-	}
-}
-
 func TestNotchFIRRejectsBadInput(t *testing.T) {
 	for i, fn := range []func() (*FIR, error){
-		func() (*FIR, error) { return NotchFIR(nil, 4, 1) },
-		func() (*FIR, error) { return NotchFIR([]float64{1, 1, 1, 1}, 1, 1) },
 		func() (*FIR, error) { return ShapedNotchFIR(nil, nil, 4) },
 		func() (*FIR, error) { return ShapedNotchFIR([]float64{1, 2}, []float64{1}, 4) },
 		func() (*FIR, error) { return ShapedNotchFIR([]float64{1, 1, 1}, []float64{1, 1, 1}, 0.5) },
@@ -170,7 +151,7 @@ func TestShapedNotchFIRZeroTargetBins(t *testing.T) {
 func TestLinearPhaseFromMagnitudeGroupDelay(t *testing.T) {
 	// An asymmetric (one-sided) notch: taps must be complex but the
 	// filter must remain exactly linear-phase, i.e. an impulse passes
-	// with only the (L-1)/2 delay that Apply compensates.
+	// with only the (L-1)/2 delay that ApplySame compensates.
 	const k = 128
 	mag := make([]float64, k)
 	for i := range mag {
@@ -189,7 +170,7 @@ func TestLinearPhaseFromMagnitudeGroupDelay(t *testing.T) {
 	// Apply to an impulse: the output should re-center the impulse.
 	x := make([]complex128, 64)
 	x[32] = 1
-	y := f.Apply(x)
+	y := f.Convolver().ApplySame(nil, x)
 	if peak := ArgMaxAbs(y); peak != 32 {
 		t.Fatalf("impulse moved to %d, want 32", peak)
 	}
@@ -200,7 +181,7 @@ func TestLinearPhaseFromMagnitudeGroupDelay(t *testing.T) {
 	for i := range tone {
 		tone[i] = cmplx.Exp(complex(0, 2*math.Pi*0.35*float64(i)))
 	}
-	out := f.Apply(tone)
+	out := f.Convolver().ApplySame(nil, tone)
 	mid := n / 2
 	ratio := out[mid] / tone[mid]
 	if cmplx.Abs(ratio-1) > 0.1 {
@@ -236,13 +217,14 @@ func TestNotchFIREndToEndSuppressesNarrowJam(t *testing.T) {
 			psd[i] += real(v)*real(v) + imag(v)*imag(v)
 		}
 	}
-	f, err := NotchFIR(SmoothPSD(psd, 3), 6, 0)
+	smoothed := smoothPSD(psd, 3)
+	f, err := ShapedNotchFIR(smoothed, flat(k, MedianFloats(smoothed)), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := f.ApplyFast(mixed)
+	out := f.Convolver().ApplySame(nil, mixed)
 	resid := make([]complex128, n)
-	fSig := f.ApplyFast(sig)
+	fSig := f.Convolver().ApplySame(nil, sig)
 	for i := range resid {
 		resid[i] = out[i] - fSig[i]
 	}
@@ -254,4 +236,20 @@ func TestNotchFIREndToEndSuppressesNarrowJam(t *testing.T) {
 	if p := Power(fSig[k : n-k]); p < 0.8 {
 		t.Fatalf("signal power after notch %v", p)
 	}
+}
+
+// smoothPSD returns SmoothPSDInto's smoothing of psd in a new slice.
+func smoothPSD(psd []float64, width int) []float64 {
+	out := make([]float64, len(psd))
+	SmoothPSDInto(out, psd, width)
+	return out
+}
+
+// flat returns an n-bin notch target at a constant level.
+func flat(n int, level float64) []float64 {
+	t := make([]float64, n)
+	for i := range t {
+		t[i] = level
+	}
+	return t
 }

@@ -14,21 +14,17 @@ import (
 // provided output buffer — no allocation.
 //
 // A single OverlapSave is not safe for concurrent use (it owns block
-// scratch); build one per goroutine or guard it externally. The one-shot
-// Apply* methods do not disturb the streaming state carried by Process.
+// scratch); build one per goroutine or guard it externally.
 type OverlapSave struct {
-	k      int          // tap count
-	fftLen int          // FFT block size N
-	step   int          // fresh input samples consumed per block: N-k+1
-	hFT    []complex128 // FFT of the taps with 1/N folded in, length N
-	plan   *FFTPlan
+	k    int          // tap count
+	step int          // fresh input samples consumed per block: N-k+1
+	hFT  []complex128 // FFT of the taps with 1/N folded in, length N
+	plan *FFTPlan
 
 	//bhss:scratch
 	block []complex128 // per-block scratch, length N
 	//bhss:scratch
 	full []complex128 // one-shot scratch for ApplySame
-	//bhss:scratch
-	hist []complex128 // streaming delay line, k-1 samples
 }
 
 // NewOverlapSave returns a convolver for the given taps with an
@@ -60,13 +56,11 @@ func NewOverlapSaveSize(taps []complex128, fftLen int) (*OverlapSave, error) {
 		return nil, fmt.Errorf("dsp: overlap-save FFT size %d must be a power of two >= 2*%d taps", fftLen, k)
 	}
 	o := &OverlapSave{
-		k:      k,
-		fftLen: fftLen,
-		step:   fftLen - k + 1,
-		hFT:    make([]complex128, fftLen),
-		plan:   PlanFFT(fftLen),
-		block:  make([]complex128, fftLen),
-		hist:   make([]complex128, k-1),
+		k:     k,
+		step:  fftLen - k + 1,
+		hFT:   make([]complex128, fftLen),
+		plan:  PlanFFT(fftLen),
+		block: make([]complex128, fftLen),
 	}
 	copy(o.hFT, taps)
 	o.plan.Forward(o.hFT)
@@ -79,10 +73,6 @@ func NewOverlapSaveSize(taps []complex128, fftLen int) (*OverlapSave, error) {
 	return o, nil
 }
 
-// Len returns the tap count, BlockSize the FFT block length.
-func (o *OverlapSave) Len() int       { return o.k }
-func (o *OverlapSave) BlockSize() int { return o.fftLen }
-
 // convolveBlock runs one overlap-save block over o.block in place: forward
 // FFT, multiply by the pre-transformed taps, inverse FFT. Outputs
 // o.block[k-1:] are valid linear-convolution samples.
@@ -93,7 +83,7 @@ func (o *OverlapSave) convolveBlock() {
 }
 
 // ApplyFull appends the full linear convolution of x with the taps
-// (len(x)+k-1 samples, matching Convolve/ConvolveFFT) to dst and returns the
+// (len(x)+k-1 samples, matching Convolve) to dst and returns the
 // extended slice. Passing a dst with sufficient capacity makes the call
 // allocation-free.
 //
@@ -129,8 +119,8 @@ func (o *OverlapSave) ApplyFull(dst, x []complex128) []complex128 {
 }
 
 // ApplySame appends the length-len(x) "same" part of the convolution to dst
-// (group delay (k-1)/2 removed, matching FIR.Apply) and returns the extended
-// slice.
+// (group delay (k-1)/2 removed, so a linear-phase filter introduces no net
+// shift) and returns the extended slice.
 //
 //bhss:hotpath
 func (o *OverlapSave) ApplySame(dst, x []complex128) []complex128 {
@@ -140,48 +130,6 @@ func (o *OverlapSave) ApplySame(dst, x []complex128) []complex128 {
 	o.full = o.ApplyFull(o.full[:0], x)
 	start := (o.k - 1) / 2
 	return append(dst, o.full[start:start+len(x)]...)
-}
-
-// Process streams x through the filter, appending len(x) output samples to
-// dst: out[i] = sum_t taps[t]*x[i-t] with history carried across calls,
-// exactly like FIR.Process but at FFT speed. Reset clears the history.
-//
-//bhss:hotpath
-func (o *OverlapSave) Process(dst, x []complex128) []complex128 {
-	//bhss:allow(hotpath) amortized growth: growComplex reuses dst's storage once warm
-	dst = growComplex(dst, len(x))
-	out := dst[len(dst)-len(x):]
-	pos := 0
-	for pos < len(x) {
-		n := len(x) - pos
-		if n > o.step {
-			n = o.step
-		}
-		copy(o.block, o.hist)
-		copy(o.block[o.k-1:], x[pos:pos+n])
-		for i := o.k - 1 + n; i < o.fftLen; i++ {
-			o.block[i] = 0
-		}
-		// Carry the last k-1 *input* samples into the next block before
-		// o.block is overwritten by the transform.
-		if n >= o.k-1 {
-			copy(o.hist, x[pos+n-(o.k-1):pos+n])
-		} else {
-			copy(o.hist, o.hist[n:])
-			copy(o.hist[len(o.hist)-n:], x[pos:pos+n])
-		}
-		o.convolveBlock()
-		copy(out[pos:pos+n], o.block[o.k-1:o.k-1+n])
-		pos += n
-	}
-	return dst
-}
-
-// Reset clears the streaming delay line used by Process.
-func (o *OverlapSave) Reset() {
-	for i := range o.hist {
-		o.hist[i] = 0
-	}
 }
 
 // growComplex extends s by n elements (reallocating only when capacity is

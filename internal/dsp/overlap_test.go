@@ -4,13 +4,13 @@ import (
 	"testing"
 )
 
-func TestOverlapSaveFullMatchesConvolveFFT(t *testing.T) {
+func TestOverlapSaveFullMatchesConvolve(t *testing.T) {
 	for _, tc := range []struct{ nx, nh int }{
 		{1, 1}, {16, 4}, {100, 31}, {1000, 129}, {257, 64},
 	} {
 		x := randSignal(tc.nx, uint64(tc.nx)+1)
 		h := randSignal(tc.nh, uint64(tc.nh)+2)
-		want := ConvolveFFT(x, h)
+		want := Convolve(x, h)
 		got := NewOverlapSave(h).ApplyFull(nil, x)
 		if len(got) != len(want) {
 			t.Fatalf("nx=%d nh=%d: len %d want %d", tc.nx, tc.nh, len(got), len(want))
@@ -35,32 +35,6 @@ func TestOverlapSaveSameMatchesFullCenter(t *testing.T) {
 	for k := range same {
 		if !cEq(same[k], full[start+k], 1e-9*float64(len(x))) {
 			t.Fatalf("sample %d: got %v want %v", k, same[k], full[start+k])
-		}
-	}
-}
-
-func TestOverlapSaveProcessStreamsAcrossBlocks(t *testing.T) {
-	x := randSignal(1000, 9)
-	h := randSignal(41, 10)
-	full := NewOverlapSave(h).ApplyFull(nil, x)
-	o := NewOverlapSave(h)
-	var got []complex128
-	// Uneven chunk sizes, including chunks smaller and larger than the
-	// convolver's internal step.
-	for _, chunk := range []int{1, 7, 250, 13, 500, 229} {
-		got = o.Process(got, x[len(got):len(got)+chunk])
-	}
-	for k := range got {
-		if !cEq(got[k], full[k], 1e-9*float64(len(x))) {
-			t.Fatalf("sample %d: got %v want %v", k, got[k], full[k])
-		}
-	}
-	// Reset must restart the stream identically.
-	o.Reset()
-	again := o.Process(nil, x[:100])
-	for k := range again {
-		if !cEq(again[k], full[k], 1e-9*float64(len(x))) {
-			t.Fatalf("after Reset, sample %d: got %v want %v", k, again[k], full[k])
 		}
 	}
 }

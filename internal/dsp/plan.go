@@ -95,9 +95,6 @@ func NewFFTPlan(n int) (*FFTPlan, error) {
 	return p, nil
 }
 
-// Size returns the transform length the plan was built for.
-func (p *FFTPlan) Size() int { return p.n }
-
 // Forward computes the in-place forward DFT (e^{-j2πnk/N} convention, no
 // normalization). len(x) must equal the plan size.
 //

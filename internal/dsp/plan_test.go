@@ -12,8 +12,8 @@ func TestFFTPlanMatchesNaiveDFT(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if p.Size() != n {
-			t.Fatalf("n=%d: Size() = %d", n, p.Size())
+		if p.n != n {
+			t.Fatalf("n=%d: plan size %d", n, p.n)
 		}
 		x := randSignal(n, uint64(n)+7)
 		want := dftNaive(x)

@@ -42,7 +42,6 @@ func bind(Mode) {
 	demodulate = demodulateAsm
 	dotConj = dotConjAsm
 	corrReal = corrRealAsm
-	sumFloats = sumFloatsAsm
 	allFinite = allFiniteAsm
 	pow4Into = pow4IntoAsm
 	span2 = span2Asm
@@ -85,8 +84,6 @@ func dotConjAsm(a, b []complex128) complex128 {
 }
 
 func corrRealAsm(a, b []complex128) float64 { return corrRealAVX2(&a[0], &b[0], len(a)) }
-
-func sumFloatsAsm(x []float64) float64 { return sumFloatsAVX2(&x[0], len(x)) }
 
 func allFiniteAsm(x []complex128) bool { return allFiniteAVX2(&x[0], len(x)) }
 
@@ -157,9 +154,6 @@ func dotConjAVX2(a, b *complex128, n int) (re, im float64)
 
 //go:noescape
 func corrRealAVX2(a, b *complex128, n int) float64
-
-//go:noescape
-func sumFloatsAVX2(x *float64, n int) float64
 
 //go:noescape
 func allFiniteAVX2(x *complex128, n int) bool

@@ -156,23 +156,6 @@ func corrRealGeneric(a, b []complex128) float64 {
 	return (eRB + oRB) + (eIB + oIB)
 }
 
-func sumFloatsGeneric(x []float64) float64 {
-	var s0, s1, s2, s3 float64
-	n := len(x)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += x[i]
-		s1 += x[i+1]
-		s2 += x[i+2]
-		s3 += x[i+3]
-	}
-	t := (s0 + s2) + (s1 + s3)
-	for ; i < n; i++ {
-		t += x[i]
-	}
-	return t
-}
-
 func allFiniteGeneric(x []complex128) bool {
 	for _, v := range x {
 		if real(v)-real(v) != 0 || imag(v)-imag(v) != 0 {

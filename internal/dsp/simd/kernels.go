@@ -15,7 +15,6 @@ var (
 	demodulate func(out, x []complex128, g []float64, energy float64) = demodulateGeneric
 	dotConj    func(a, b []complex128) complex128                     = dotConjGeneric
 	corrReal   func(a, b []complex128) float64                        = corrRealGeneric
-	sumFloats  func(x []float64) float64                              = sumFloatsGeneric
 	allFinite  func(x []complex128) bool                              = allFiniteGeneric
 	pow4Into   func(dst, src []complex128)                            = pow4IntoGeneric
 	span2      func(x []complex128)                                   = span2Generic
@@ -177,16 +176,6 @@ func CorrReal(a, b []complex128) float64 {
 		return 0
 	}
 	return corrReal(a[:n], b[:n])
-}
-
-// SumFloats returns the sum of x in the canonical four-lane accumulation
-// order: lanes s0..s3 over x[4i+lane], combined as (s0+s2)+(s1+s3), with
-// the tail added sequentially afterwards.
-func SumFloats(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return sumFloats(x)
 }
 
 // AllFinite reports whether every component of x is finite (no NaN, no

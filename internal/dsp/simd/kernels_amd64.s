@@ -508,40 +508,6 @@ crcombine:
 	VZEROUPPER
 	RET
 
-// func sumFloatsAVX2(x *float64, n int) float64
-// Lanes s0..s3; total = (s0+s2)+(s1+s3); tail added sequentially.
-TEXT ·sumFloatsAVX2(SB), NOSPLIT, $0-24
-	MOVQ   x+0(FP), SI
-	MOVQ   n+8(FP), CX
-	VXORPD Y0, Y0, Y0
-	MOVQ   CX, DX
-	SHRQ   $2, DX
-	JZ     sftail
-
-sfloop:
-	VADDPD (SI), Y0, Y0
-	ADDQ   $32, SI
-	DECQ   DX
-	JNZ    sfloop
-
-sftail:
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD       X1, X0, X2  // [s0+s2 s1+s3]
-	VHADDPD      X2, X2, X2
-	ANDQ         $3, CX
-	JZ           sfdone
-
-sftloop:
-	VADDSD (SI), X2, X2
-	ADDQ   $8, SI
-	DECQ   CX
-	JNZ    sftloop
-
-sfdone:
-	VMOVSD X2, ret+16(FP)
-	VZEROUPPER
-	RET
-
 // func allFiniteAVX2(x *complex128, n int) bool
 // x·0 is NaN iff x is ±Inf or NaN; OR the unordered-compare masks.
 TEXT ·allFiniteAVX2(SB), NOSPLIT, $0-17

@@ -347,17 +347,6 @@ func TestCorrRealParity(t *testing.T) {
 	}
 }
 
-func TestSumFloatsParity(t *testing.T) {
-	rng := lcg(10)
-	for _, n := range parityLens {
-		x := rng.floatSlice(n)
-		sameScalar(t, "SumFloats", n, SumFloats(x), sumFloatsGeneric(x))
-	}
-	if SumFloats(nil) != 0 {
-		t.Fatal("SumFloats(nil) != 0")
-	}
-}
-
 func TestAllFiniteParity(t *testing.T) {
 	rng := lcg(11)
 	for _, n := range parityLens {

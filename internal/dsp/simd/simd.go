@@ -24,13 +24,12 @@
 //     separate multiply and add instructions (never FMA, which amd64 Go
 //     also never emits) and VADDSUBPD for the complex cross terms, so each
 //     lane rounds exactly like the scalar expression.
-//   - Reduction kernels (Demodulate, DotConj, CorrReal, SumFloats) define
-//     a canonical blocked accumulation order — two complex lanes (even/odd
-//     elements) or four float lanes, combined pairwise at the end, with
-//     the odd tail folded into the even lanes before the combine. The
-//     pure-Go fallback implements the identical order, so both paths
-//     round identically even though the order differs from a naive
-//     sequential sum.
+//   - Reduction kernels (Demodulate, DotConj, CorrReal) define a canonical
+//     blocked accumulation order — two complex lanes (even/odd elements),
+//     combined pairwise at the end, with the odd tail folded into the even
+//     lanes before the combine. The pure-Go fallback implements the
+//     identical order, so both paths round identically even though the
+//     order differs from a naive sequential sum.
 //   - Sliding-window kernels (FIRReal) vectorize across outputs, never
 //     across taps: each lane is one output that starts from +0 and adds
 //     its taps in ascending order, so every output keeps the scalar

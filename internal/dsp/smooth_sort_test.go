@@ -8,7 +8,7 @@ import (
 	"bhss/internal/prng"
 )
 
-// smoothPSDNaive is the O(n*width) circular moving average SmoothPSD
+// smoothPSDNaive is the O(n*width) circular moving average SmoothPSDInto
 // replaced; it remains here as the reference for the running-sum version.
 func smoothPSDNaive(psd []float64, width int) []float64 {
 	if width < 1 {
@@ -41,7 +41,7 @@ func TestSmoothPSDMatchesNaive(t *testing.T) {
 		// round-up-to-odd rule.
 		for _, width := range []int{0, 1, 2, 3, 4, 5, 9, 31, 2*n + 3} {
 			want := smoothPSDNaive(psd, width)
-			got := SmoothPSD(psd, width)
+			got := smoothPSD(psd, width)
 			for i := range want {
 				if math.Abs(got[i]-want[i]) > 1e-9*math.Max(1, math.Abs(want[i])) {
 					t.Fatalf("n=%d width=%d bin %d: got %g want %g", n, width, i, got[i], want[i])
@@ -79,19 +79,20 @@ func TestSortFloatsMatchesStdlib(t *testing.T) {
 	}
 }
 
-func TestQuantileSortedConvention(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+func TestQuantileSelectConvention(t *testing.T) {
+	shuffled := []float64{7, 3, 10, 1, 6, 9, 2, 8, 5, 4}
 	for _, tc := range []struct {
 		q    float64
 		want float64
 	}{
 		{0, 1}, {0.35, 4}, {0.5, 6}, {0.99, 10}, {1, 10}, {1.5, 10}, {-1, 1},
 	} {
-		if got := QuantileSorted(sorted, tc.q); got != tc.want {
+		a := append([]float64(nil), shuffled...)
+		if got := QuantileSelect(a, tc.q); got != tc.want {
 			t.Fatalf("q=%g: got %g want %g", tc.q, got, tc.want)
 		}
 	}
-	if got := QuantileSorted(nil, 0.5); got != 0 {
+	if got := QuantileSelect(nil, 0.5); got != 0 {
 		t.Fatalf("empty: got %g want 0", got)
 	}
 }

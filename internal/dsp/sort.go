@@ -1,9 +1,8 @@
 package dsp
 
 // SortFloats sorts a in place in ascending order using an in-place heap
-// sort: O(n log n), no allocation, no dependency on package sort. It is the
-// shared sorting primitive for the order statistics (medians, quantiles)
-// the receiver's control logic computes on PSD estimates.
+// sort: O(n log n), no allocation, no dependency on package sort. It backs
+// MedianFloats.
 //
 //bhss:hotpath
 func SortFloats(a []float64) {
@@ -50,28 +49,10 @@ func MedianFloats(xs []float64) float64 {
 	return 0.5 * (cp[n/2-1] + cp[n/2])
 }
 
-// QuantileSorted returns the q-quantile of an ascending-sorted slice using
-// the same index convention the receiver's control logic has always used
-// (floor(q*n), clamped).
-func QuantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(sorted)))
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx]
-}
-
-// QuantileSelect returns the q-quantile of a using QuantileSorted's index
-// convention (floor(q*n), clamped), computed by in-place quickselect:
+// QuantileSelect returns the q-quantile of a, the element at sorted index
+// floor(q*n) (clamped to the slice), computed by in-place quickselect:
 // O(n) expected instead of a full sort, at the price of partially
-// reordering a. Hot paths that own their scratch and need a single order
-// statistic should prefer it over SortFloats + QuantileSorted.
+// reordering a.
 //
 //bhss:hotpath
 func QuantileSelect(a []float64, q float64) float64 {

@@ -1,9 +1,9 @@
 // Package dsp implements the digital signal processing substrate the BHSS
 // system is built on: complex vector arithmetic, FFTs, spectral windows,
-// FIR filter design (including the paper's PSD-reciprocal excision filter,
-// eq. (3)), direct and overlap-save convolution, frequency mixing and
-// fractional delay. Everything is written against the standard library only;
-// the blocks mirror what the paper's GNU Radio flowgraph instantiated.
+// FIR filter design (the low-pass and excision filters of the paper's
+// eqs. (3)–(4)), overlap-save convolution and frequency mixing. Everything
+// is written against the standard library only; the blocks mirror what the
+// paper's GNU Radio flowgraph instantiated.
 package dsp
 
 import (
@@ -45,27 +45,6 @@ func Energy(x []complex128) float64 {
 	return e
 }
 
-// Normalize scales x in place to unit average power and returns the applied
-// gain. A zero-power signal is left untouched with gain 1.
-func Normalize(x []complex128) float64 {
-	p := Power(x)
-	if p == 0 {
-		return 1
-	}
-	g := 1 / math.Sqrt(p)
-	Scale(x, g)
-	return g
-}
-
-// Conj returns a new slice holding the complex conjugate of x.
-func Conj(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	for i, v := range x {
-		out[i] = complex(real(v), -imag(v))
-	}
-	return out
-}
-
 // DotConj returns sum(a[i] * conj(b[i])) over the common prefix, the complex
 // correlation inner product used by despreaders and preamble detectors.
 //
@@ -97,18 +76,6 @@ func Mix(x []complex128, freq, phase float64) float64 {
 	return phase + 2*math.Pi*freq*float64(len(x))
 }
 
-// MaxAbs returns the largest magnitude in x.
-func MaxAbs(x []complex128) float64 {
-	var m float64
-	for _, v := range x {
-		a := math.Hypot(real(v), imag(v))
-		if a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // ArgMaxAbs returns the index of the sample with the largest magnitude, or
 // -1 for an empty slice.
 func ArgMaxAbs(x []complex128) int {
@@ -122,68 +89,6 @@ func ArgMaxAbs(x []complex128) int {
 		}
 	}
 	return idx
-}
-
-// Decimate returns every factor-th sample of x starting at offset. It is the
-// receiver's rate reduction after low-pass filtering. factor must be >= 1.
-func Decimate(x []complex128, factor, offset int) []complex128 {
-	if factor < 1 {
-		//bhss:allow(panicpolicy) factor is fixed at link configuration, not derived from sample data
-		panic("dsp: decimation factor must be >= 1")
-	}
-	if offset < 0 {
-		offset = 0
-	}
-	if offset >= len(x) {
-		return nil
-	}
-	out := make([]complex128, 0, (len(x)-offset+factor-1)/factor)
-	for i := offset; i < len(x); i += factor {
-		out = append(out, x[i])
-	}
-	return out
-}
-
-// Upsample inserts factor-1 zeros after every sample of x (zero stuffing),
-// the transmitter-side dual of Decimate.
-func Upsample(x []complex128, factor int) []complex128 {
-	if factor < 1 {
-		//bhss:allow(panicpolicy) factor is fixed at link configuration, not derived from sample data
-		panic("dsp: upsample factor must be >= 1")
-	}
-	out := make([]complex128, len(x)*factor)
-	for i, v := range x {
-		out[i*factor] = v
-	}
-	return out
-}
-
-// FractionalDelay delays x by a (possibly fractional) number of samples
-// using linear interpolation, returning a slice of the same length. Samples
-// shifted in from before the signal are zero. It models small propagation
-// and sampling-clock offsets between free-running SDRs.
-func FractionalDelay(x []complex128, delay float64) []complex128 {
-	if delay < 0 {
-		//bhss:allow(panicpolicy) delay is fixed impairment configuration, not derived from sample data
-		panic("dsp: negative delay")
-	}
-	out := make([]complex128, len(x))
-	whole := int(delay)
-	frac := delay - float64(whole)
-	for i := range out {
-		j := i - whole
-		switch {
-		case j < 0:
-			out[i] = 0
-		case frac == 0:
-			out[i] = x[j]
-		case j == 0:
-			out[i] = x[0] * complex(1-frac, 0)
-		default:
-			out[i] = x[j]*complex(1-frac, 0) + x[j-1]*complex(frac, 0)
-		}
-	}
-	return out
 }
 
 // Sinc returns sin(pi x)/(pi x) with Sinc(0) = 1.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/cmplx"
 	"testing"
-	"testing/quick"
 )
 
 func TestPowerAndEnergy(t *testing.T) {
@@ -26,17 +25,9 @@ func TestScaleAndNormalize(t *testing.T) {
 	if x[0] != 6 || x[1] != 8i {
 		t.Fatalf("scale: %v", x)
 	}
-	g := Normalize(x)
+	Scale(x, 1/math.Sqrt(Power(x)))
 	if math.Abs(Power(x)-1) > 1e-12 {
 		t.Fatalf("normalized power = %v", Power(x))
-	}
-	if g <= 0 {
-		t.Fatalf("gain = %v", g)
-	}
-	// Zero signal untouched.
-	z := []complex128{0, 0}
-	if Normalize(z) != 1 {
-		t.Fatal("zero-power normalize should return gain 1")
 	}
 }
 
@@ -124,94 +115,6 @@ func TestMixUnitMagnitudeLongRun(t *testing.T) {
 	}
 }
 
-func TestDecimateUpsample(t *testing.T) {
-	x := []complex128{0, 1, 2, 3, 4, 5, 6, 7}
-	d := Decimate(x, 2, 1)
-	want := []complex128{1, 3, 5, 7}
-	if len(d) != len(want) {
-		t.Fatalf("decimate len %d, want %d", len(d), len(want))
-	}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("decimate = %v", d)
-		}
-	}
-	u := Upsample([]complex128{1, 2}, 3)
-	wantU := []complex128{1, 0, 0, 2, 0, 0}
-	for i := range wantU {
-		if u[i] != wantU[i] {
-			t.Fatalf("upsample = %v", u)
-		}
-	}
-}
-
-func TestDecimateEdgeCases(t *testing.T) {
-	if got := Decimate([]complex128{1, 2}, 1, 5); got != nil {
-		t.Fatalf("offset beyond end should be nil, got %v", got)
-	}
-	if got := Decimate([]complex128{1, 2, 3}, 2, -1); len(got) != 2 {
-		t.Fatalf("negative offset should clamp to 0, got %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("factor 0 should panic")
-		}
-	}()
-	Decimate([]complex128{1}, 0, 0)
-}
-
-func TestQuickDecimateUpsampleInverse(t *testing.T) {
-	f := func(seed uint64, fRaw uint8) bool {
-		factor := int(fRaw%7) + 1
-		x := randSignal(50, seed)
-		round := Decimate(Upsample(x, factor), factor, 0)
-		if len(round) != len(x) {
-			return false
-		}
-		for i := range x {
-			if round[i] != x[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFractionalDelayWholeSample(t *testing.T) {
-	x := []complex128{1, 2, 3, 4}
-	y := FractionalDelay(x, 2)
-	want := []complex128{0, 0, 1, 2}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("delay 2: %v", y)
-		}
-	}
-}
-
-func TestFractionalDelayInterpolates(t *testing.T) {
-	x := []complex128{0, 2, 4, 6}
-	y := FractionalDelay(x, 0.5)
-	// y[i] = 0.5*x[i] + 0.5*x[i-1]
-	want := []complex128{0, 1, 3, 5}
-	for i := range want {
-		if !cEq(y[i], want[i], 1e-12) {
-			t.Fatalf("half-sample delay: %v", y)
-		}
-	}
-}
-
-func TestFractionalDelayPanicsNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative delay should panic")
-		}
-	}()
-	FractionalDelay([]complex128{1}, -1)
-}
-
 func TestSinc(t *testing.T) {
 	if Sinc(0) != 1 {
 		t.Fatal("Sinc(0) must be 1")
@@ -226,15 +129,8 @@ func TestSinc(t *testing.T) {
 	}
 }
 
-func TestConjAndMaxAbs(t *testing.T) {
+func TestArgMaxAbs(t *testing.T) {
 	x := []complex128{1 + 2i, -3i}
-	c := Conj(x)
-	if c[0] != 1-2i || c[1] != 3i {
-		t.Fatalf("conj = %v", c)
-	}
-	if m := MaxAbs(x); math.Abs(m-3) > 1e-12 {
-		t.Fatalf("MaxAbs = %v", m)
-	}
 	if ArgMaxAbs(nil) != -1 {
 		t.Fatal("ArgMaxAbs(empty) should be -1")
 	}

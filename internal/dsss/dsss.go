@@ -21,10 +21,6 @@ import (
 // symbol: 32 binary chips pair into 16.
 const ComplexChipsPerSymbol = pn.ChipsPerSymbol / 2
 
-// ProcessingGainDB is the despreading gain of the 16-ary scheme in dB
-// (spreading factor 8 ~ 9 dB).
-const ProcessingGainDB = 9.03
-
 // The chip table is a pure function of the 802.15.4 base sequence, so every
 // spreader and despreader in the process shares one read-only complex-row
 // copy instead of rebuilding it per instance (construction used to dominate
@@ -94,12 +90,6 @@ func NewDespreader(seed uint64) *Despreader {
 	return &Despreader{rows: sharedRows(), scr: pn.NewScrambler(seed)}
 }
 
-// SkipSymbols advances the scrambler past n symbols without despreading,
-// used when a receiver drops a corrupted region but must stay synchronous.
-func (d *Despreader) SkipSymbols(n int) {
-	d.scr.Skip(n * ComplexChipsPerSymbol)
-}
-
 // Despread consumes len(chips)/16 symbols worth of chip estimates and
 // returns the hard symbol decisions together with the per-symbol correlation
 // metric (the winning correlator's real output, normalized so a noise-free
@@ -132,11 +122,3 @@ func (d *Despreader) Despread(chips []complex128) ([]int, []float64, error) {
 }
 
 const negInf = -1e308
-
-// ExpectedChips returns the scrambled chip sequence a transmitter with the
-// given seed would emit for the symbol stream, without disturbing any live
-// spreader state. Receivers use it to build acquisition templates for the
-// known preamble.
-func ExpectedChips(seed uint64, symbols []int) ([]complex128, error) {
-	return NewSpreader(seed).Spread(symbols)
-}

@@ -127,22 +127,6 @@ func TestDespreadWrongSeedFails(t *testing.T) {
 	}
 }
 
-func TestSkipSymbolsKeepsSync(t *testing.T) {
-	symbols := []int{4, 9, 2, 14, 0, 7}
-	chips, _ := NewSpreader(55).Spread(symbols)
-	de := NewDespreader(55)
-	de.SkipSymbols(2)
-	got, _, err := de.Despread(chips[2*ComplexChipsPerSymbol:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range symbols[2:] {
-		if got[i] != want {
-			t.Fatalf("after skip, symbol %d: got %d want %d", i, got[i], want)
-		}
-	}
-}
-
 func TestStreamingSpreadMatchesOneShot(t *testing.T) {
 	symbols := []int{3, 1, 4, 1, 5, 9, 2, 6}
 	whole, _ := NewSpreader(8).Spread(symbols)
@@ -153,20 +137,6 @@ func TestStreamingSpreadMatchesOneShot(t *testing.T) {
 	for i := range whole {
 		if whole[i] != part[i] {
 			t.Fatalf("streaming spread diverges at chip %d", i)
-		}
-	}
-}
-
-func TestExpectedChipsMatchesSpreader(t *testing.T) {
-	symbols := []int{0, 0, 0, 0, 10, 7}
-	want, _ := NewSpreader(123).Spread(symbols)
-	got, err := ExpectedChips(123, symbols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ExpectedChips diverges at %d", i)
 		}
 	}
 }

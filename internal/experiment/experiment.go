@@ -210,8 +210,7 @@ func (t Trial) PacketLossDetail(snrDB float64, pointSeed uint64) (plr, meanLock 
 			}
 		}
 		if t.RandomPhase || t.CFO > 0 {
-			// Phase/CFO-only impairments rotate in place on the private
-			// copy (channel.Impairments.Apply would copy again).
+			// Phase/CFO-only impairments rotate in place on the private copy.
 			phase := 0.0
 			if t.RandomPhase {
 				phase = 2 * math.Pi * src.Float64()

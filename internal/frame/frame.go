@@ -142,41 +142,3 @@ func Decode(symbols []int) ([]byte, error) {
 	copy(out, payload)
 	return out, nil
 }
-
-// SymbolErrors counts position-wise symbol mismatches between two streams
-// over their common prefix, a diagnostic used by the experiment harness.
-func SymbolErrors(a, b []int) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	errs := 0
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			errs++
-		}
-	}
-	return errs
-}
-
-// BitErrors counts bit-level differences between two payloads over the
-// common prefix plus 8 bits per length difference.
-func BitErrors(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	errs := 0
-	for i := 0; i < n; i++ {
-		x := a[i] ^ b[i]
-		for x != 0 {
-			errs++
-			x &= x - 1
-		}
-	}
-	diff := len(a) - len(b)
-	if diff < 0 {
-		diff = -diff
-	}
-	return errs + 8*diff
-}

@@ -154,27 +154,6 @@ func TestQuickEncodeDecode(t *testing.T) {
 	}
 }
 
-func TestSymbolErrors(t *testing.T) {
-	if n := SymbolErrors([]int{1, 2, 3}, []int{1, 0, 3}); n != 1 {
-		t.Fatalf("SymbolErrors = %d, want 1", n)
-	}
-	if n := SymbolErrors([]int{1, 2}, []int{1}); n != 0 {
-		t.Fatalf("prefix-only comparison: %d, want 0", n)
-	}
-}
-
-func TestBitErrors(t *testing.T) {
-	if n := BitErrors([]byte{0xFF}, []byte{0x0F}); n != 4 {
-		t.Fatalf("BitErrors = %d, want 4", n)
-	}
-	if n := BitErrors([]byte{1, 2, 3}, []byte{1}); n != 16 {
-		t.Fatalf("length difference should cost 8 bits/byte: %d", n)
-	}
-	if n := BitErrors(nil, nil); n != 0 {
-		t.Fatalf("BitErrors(nil,nil) = %d", n)
-	}
-}
-
 func TestPreambleSymbolsAreZero(t *testing.T) {
 	syms, _ := Encode([]byte("z"))
 	for i := 0; i < PreambleBytes*SymbolsPerByte; i++ {

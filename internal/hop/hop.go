@@ -220,14 +220,6 @@ func (s *Schedule) Next() int {
 	return s.src.Choose(s.dist.Probs)
 }
 
-// Bandwidth returns the bandwidth value for an index from Next.
-func (s *Schedule) Bandwidth(idx int) float64 {
-	return s.dist.Bandwidths[idx]
-}
-
-// Distribution returns the schedule's underlying distribution.
-func (s *Schedule) Distribution() Distribution { return s.dist }
-
 // PlanHops returns the per-hop bandwidth indices needed to cover
 // totalSymbols symbols.
 func (s *Schedule) PlanHops(totalSymbols int) []int {

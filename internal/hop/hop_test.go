@@ -171,9 +171,6 @@ func TestPlanHops(t *testing.T) {
 		if idx < 0 || idx >= len(d.Bandwidths) {
 			t.Fatalf("hop index %d out of range", idx)
 		}
-		if s.Bandwidth(idx) != d.Bandwidths[idx] {
-			t.Fatal("Bandwidth accessor mismatch")
-		}
 	}
 	if s.PlanHops(0) != nil {
 		t.Fatal("zero symbols should plan no hops")

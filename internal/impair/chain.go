@@ -34,33 +34,12 @@ func (c *Chain) SetObserver(m *obs.ImpairMetrics) {
 	c.met = m
 }
 
-// Stages returns the chain's stages in processing order (shared slice; do
-// not mutate).
-func (c *Chain) Stages() []Stage {
-	if c == nil {
-		return nil
-	}
-	return c.stages
-}
-
 // Len returns the number of stages (0 for a nil chain).
 func (c *Chain) Len() int {
 	if c == nil {
 		return 0
 	}
 	return len(c.stages)
-}
-
-// Reset restores every stage to its freshly-constructed state, so the same
-// chain can replay the same impairment sequence on another stream.
-func (c *Chain) Reset() {
-	if c == nil {
-		return
-	}
-	for _, st := range c.stages {
-		st.Reset()
-	}
-	c.lastDropped = 0
 }
 
 // ProcessAppend pushes one block through every stage, appends the impaired

@@ -13,11 +13,12 @@ package impair
 // ppm means the receiver's clock runs fast, so the signal appears
 // stretched: the stage emits slightly more samples than it consumes.
 type clockStage struct {
-	step0            float64 // initial input step per output sample (1/(1+ppm·1e-6))
 	drift            float64 // step increment per output sample (clock drift)
 	minStep, maxStep float64
 
-	step float64 // current step
+	// step is the current input step per output sample, 1/(1+ppm·1e-6) at
+	// construction.
+	step float64
 	// pos is the absolute fractional read position in input-stream units
 	// and base the absolute input index of work[0]. Keeping both absolute
 	// (instead of renormalizing pos when carrying samples) makes the
@@ -32,8 +33,8 @@ type clockStage struct {
 // newClock returns a resampler for the given static offset (ppm) and drift
 // rate (ppm per second at fsHz samples per second).
 func newClock(ppm, driftPPMPerSec, fsHz float64) *clockStage {
-	s := &clockStage{
-		step0: 1 / (1 + ppm*1e-6),
+	return &clockStage{
+		step: 1 / (1 + ppm*1e-6),
 		// d(ppm)/dt = drift  =>  per output sample the rate changes by
 		// drift·1e-6/fs; fold it into the step directly (first-order).
 		drift: -driftPPMPerSec * 1e-6 / fsHz,
@@ -41,23 +42,16 @@ func newClock(ppm, driftPPMPerSec, fsHz float64) *clockStage {
 		// run the resampler to a standstill or a runaway.
 		minStep: 1 / (1 + 1000e-6),
 		maxStep: 1 / (1 - 1000e-6),
+		// The cubic interpolator reads work[i-1 .. i+2] around i =
+		// floor(pos). Seed the history with one zero sample (the silence
+		// before the stream) and start at pos = 1: the first output lands
+		// on the first real input sample.
+		work: []complex128{0},
+		pos:  1,
 	}
-	s.Reset()
-	return s
 }
 
 func (s *clockStage) Kind() Kind { return KindClock }
-
-func (s *clockStage) Reset() {
-	s.step = s.step0
-	// The cubic interpolator reads work[i-1 .. i+2] around i = floor(pos).
-	// Seed the history with one zero sample (the silence before the
-	// stream) and start at pos = 1: the first output lands on the first
-	// real input sample.
-	s.work = append(s.work[:0], 0)
-	s.pos = 1
-	s.base = 0
-}
 
 // lagrange4 interpolates x(-1..2) at fractional offset mu in [0,1) between
 // x0 and x1 with the 4-point, 3rd-order Lagrange polynomial.

@@ -40,8 +40,6 @@ type Stage interface {
 	// State persists across calls; processing a stream in blocks of any
 	// size yields the same samples as processing it at once.
 	ProcessAppend(dst, src []complex128) []complex128
-	// Reset restores the freshly-constructed (seeded) state.
-	Reset()
 }
 
 // Kind enumerates the impairment stages in their fixed chain order: the
@@ -83,23 +81,18 @@ func (k Kind) String() string {
 // oscillator state persisted across blocks.
 type cfoStage struct {
 	step   complex128 // e^{j2πf}
-	init   complex128 // e^{jφ0}
-	osc    complex128 // current oscillator value
+	osc    complex128 // current oscillator value, e^{jφ0} at construction
 	renorm int
 }
 
 func newCFO(cyclesPerSample, phase float64) *cfoStage {
-	s := &cfoStage{
+	return &cfoStage{
 		step: complex(math.Cos(2*math.Pi*cyclesPerSample), math.Sin(2*math.Pi*cyclesPerSample)),
-		init: complex(math.Cos(phase), math.Sin(phase)),
+		osc:  complex(math.Cos(phase), math.Sin(phase)),
 	}
-	s.Reset()
-	return s
 }
 
 func (s *cfoStage) Kind() Kind { return KindCFO }
-
-func (s *cfoStage) Reset() { s.osc = s.init; s.renorm = 0 }
 
 //bhss:hotpath
 func (s *cfoStage) ProcessAppend(dst, src []complex128) []complex128 {
@@ -124,18 +117,15 @@ func (s *cfoStage) ProcessAppend(dst, src []complex128) []complex128 {
 // radians; see SpecConfig.PhaseNoiseDBc for the dBc/Hz mapping.
 type phaseNoiseStage struct {
 	sigma float64
-	seed  uint64
 	src   *prng.Source
 	phase float64
 }
 
 func newPhaseNoise(sigma float64, seed uint64) *phaseNoiseStage {
-	return &phaseNoiseStage{sigma: sigma, seed: seed, src: prng.New(seed)}
+	return &phaseNoiseStage{sigma: sigma, src: prng.New(seed)}
 }
 
 func (s *phaseNoiseStage) Kind() Kind { return KindPhaseNoise }
-
-func (s *phaseNoiseStage) Reset() { s.src.Reseed(s.seed); s.phase = 0 }
 
 //bhss:hotpath
 func (s *phaseNoiseStage) ProcessAppend(dst, src []complex128) []complex128 {
@@ -173,8 +163,6 @@ func newIQImbalance(gainDB, phaseRad float64) *iqImbalanceStage {
 
 func (s *iqImbalanceStage) Kind() Kind { return KindIQImbalance }
 
-func (s *iqImbalanceStage) Reset() {}
-
 //bhss:hotpath
 func (s *iqImbalanceStage) ProcessAppend(dst, src []complex128) []complex128 {
 	for _, v := range src {
@@ -194,8 +182,6 @@ func newDCOffset(re, im float64) *dcOffsetStage {
 }
 
 func (s *dcOffsetStage) Kind() Kind { return KindDCOffset }
-
-func (s *dcOffsetStage) Reset() {}
 
 //bhss:hotpath
 func (s *dcOffsetStage) ProcessAppend(dst, src []complex128) []complex128 {
@@ -218,8 +204,6 @@ func newQuantizer(bits int, clip float64) *quantizerStage {
 }
 
 func (s *quantizerStage) Kind() Kind { return KindQuantizer }
-
-func (s *quantizerStage) Reset() {}
 
 func (s *quantizerStage) quant(v float64) float64 {
 	if math.IsNaN(v) {
@@ -259,12 +243,6 @@ func newMultipath(taps []complex128) *multipathStage {
 
 func (s *multipathStage) Kind() Kind { return KindMultipath }
 
-func (s *multipathStage) Reset() {
-	for i := range s.hist {
-		s.hist[i] = 0
-	}
-}
-
 //bhss:hotpath
 func (s *multipathStage) ProcessAppend(dst, src []complex128) []complex128 {
 	h := len(s.hist)
@@ -303,19 +281,16 @@ func (s *multipathStage) ProcessAppend(dst, src []complex128) []complex128 {
 type dropoutStage struct {
 	prob    float64 // per-sample probability of starting a dropout
 	meanLen float64 // mean dropout length in samples
-	seed    uint64
 	src     *prng.Source
 	left    int   // samples remaining in the current dropout
-	dropped int64 // total samples zeroed since construction/Reset
+	dropped int64 // total samples zeroed since construction
 }
 
 func newDropout(prob, meanLen float64, seed uint64) *dropoutStage {
-	return &dropoutStage{prob: prob, meanLen: meanLen, seed: seed, src: prng.New(seed)}
+	return &dropoutStage{prob: prob, meanLen: meanLen, src: prng.New(seed)}
 }
 
 func (s *dropoutStage) Kind() Kind { return KindDropout }
-
-func (s *dropoutStage) Reset() { s.src.Reseed(s.seed); s.left = 0; s.dropped = 0 }
 
 //bhss:hotpath
 func (s *dropoutStage) ProcessAppend(dst, src []complex128) []complex128 {

@@ -2,7 +2,6 @@ package impair_test
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -12,8 +11,9 @@ import (
 )
 
 // mildSpecs are impairment levels a real receiver is expected to ride
-// through: CFO well inside the Costas pull-in range, clock offsets the
-// Gardner loop absorbs within a burst, quantization above the noise floor.
+// through: CFO well inside the Costas pull-in range, clock offsets that
+// drift far less than a chip over a burst (the receiver keeps ideal chip
+// timing, DESIGN.md §2), quantization above the noise floor.
 var mildSpecs = []string{
 	"cfo=100",
 	"ppm=2",
@@ -174,26 +174,4 @@ func testBurst(t *testing.T, n int) []complex128 {
 		sig[i] = complex(src.NormFloat64(), src.NormFloat64())
 	}
 	return sig
-}
-
-// TestPropertyRepeatedProcessAfterReset: Reset must replay the exact
-// same realization — the contract experiment points rely on for
-// reproducible per-point impairments.
-func TestPropertyRepeatedProcessAfterReset(t *testing.T) {
-	chain, err := impair.NewFromSpec("phnoise=-75,drop=0.002:50,ppm=30", 20, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig := testBurst(t, 4096)
-	first := append([]complex128(nil), chain.ProcessAppend(nil, sig)...)
-	chain.Reset()
-	second := chain.ProcessAppend(nil, sig)
-	if len(first) != len(second) {
-		t.Fatalf("lengths differ after Reset: %d vs %d", len(first), len(second))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatal(fmt.Sprintf("replay diverges at sample %d", i))
-		}
-	}
 }

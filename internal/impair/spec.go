@@ -199,15 +199,6 @@ func (c *SpecConfig) getMpath() (string, bool) {
 	return b.String(), len(c.Mpath) > 0
 }
 
-// Enabled reports whether any stage would be built.
-func (c SpecConfig) Enabled() bool {
-	return c.CFOHz != 0 || c.PhaseRad != 0 || c.HasPhaseNoise ||
-		c.PPM != 0 || c.DriftPPMPerS != 0 ||
-		c.IQGainDB != 0 || c.IQPhaseDeg != 0 ||
-		c.DCOffsetI != 0 || c.DCOffsetQ != 0 ||
-		c.QuantBits != 0 || len(c.Mpath) > 0 || c.DropProb != 0
-}
-
 // Chain builds the seeded stage chain for a front end running at
 // sampleRateMHz (the repo's convention: 20 = 20 MS/s). The spec's seed=
 // key, when present, overrides the seed argument. Stage order is fixed:

@@ -61,13 +61,6 @@ func TestParseSpecValues(t *testing.T) {
 	if !c.HasSeed || c.Seed != 7 {
 		t.Errorf("seed wrong: %+v", c)
 	}
-	if !c.Enabled() {
-		t.Error("Enabled() = false for a fully-populated spec")
-	}
-	var zero SpecConfig
-	if zero.Enabled() {
-		t.Error("Enabled() = true for the zero config")
-	}
 }
 
 // TestParseSpecErrors: malformed and out-of-range specs must error (never
@@ -120,7 +113,7 @@ func TestSpecChainStageOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Kind{KindMultipath, KindCFO, KindPhaseNoise, KindClock, KindIQImbalance, KindDCOffset, KindQuantizer, KindDropout}
-	stages := c.Stages()
+	stages := c.stages
 	if len(stages) != len(want) {
 		t.Fatalf("chain has %d stages, want %d", len(stages), len(want))
 	}

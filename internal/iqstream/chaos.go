@@ -101,13 +101,6 @@ func (c *ChaosConfig) grammar() spec.Grammar {
 	}}
 }
 
-// Enabled reports whether the proxy would inject any fault.
-func (c ChaosConfig) Enabled() bool {
-	return c.LatencyMS != 0 || c.LatencyJitterMS != 0 ||
-		c.StallProb != 0 || c.ResetProb != 0 || c.ResetEvery != 0 ||
-		c.TruncProb != 0 || c.ShortWriteProb != 0 || c.DropProb != 0
-}
-
 // ChaosProxy is a fault-injecting TCP proxy placed between hub clients and
 // the hub itself: the software analogue of a flaky coax run. Every
 // accepted connection is paired with an upstream connection; bytes pumped

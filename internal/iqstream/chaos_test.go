@@ -88,25 +88,6 @@ func TestParseChaosSpecTable(t *testing.T) {
 	}
 }
 
-// TestChaosConfigEnabled pins that seed alone does not arm the proxy.
-func TestChaosConfigEnabled(t *testing.T) {
-	if (ChaosConfig{}).Enabled() {
-		t.Fatal("zero config enabled")
-	}
-	if (ChaosConfig{Seed: 1, HasSeed: true}).Enabled() {
-		t.Fatal("seed-only config enabled")
-	}
-	for _, spec := range []string{"latency=1", "stall=0.1:5", "reset=0.1", "resetevery=9", "trunc=0.1", "short=0.1", "drop=0.1"} {
-		c, err := ParseChaosSpec(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !c.Enabled() {
-			t.Fatalf("%q not enabled", spec)
-		}
-	}
-}
-
 // echoServer accepts connections and echoes bytes back until closed.
 func echoServer(t *testing.T) net.Addr {
 	t.Helper()

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"math"
 	"net"
 	"runtime"
@@ -677,17 +676,6 @@ func dial(addr, handshake string) (*Client, error) {
 	return &Client{conn: conn, w: NewWriter(conn), r: NewReader(br)}, nil
 }
 
-// DialTx connects as a transmitter on the legacy link 0 with the given
-// port gain in dB.
-func DialTx(addr string, gainDB float64) (*Client, error) {
-	return DialTxLink(addr, gainDB, LinkOpts{})
-}
-
-// DialRx connects as a receiver on the legacy link 0.
-func DialRx(addr string) (*Client, error) {
-	return DialRxLink(addr, LinkOpts{})
-}
-
 // DialTxLink connects as a transmitter (or jammer, per opts) on one link.
 func DialTxLink(addr string, gainDB float64, o LinkOpts) (*Client, error) {
 	return dial(addr, txHandshakeLine(gainDB, o))
@@ -718,6 +706,3 @@ func (c *Client) SetRecvDeadline(t time.Time) error {
 
 // Close disconnects from the hub.
 func (c *Client) Close() error { return c.conn.Close() }
-
-// Logf is a convenience logger for cmd binaries.
-func Logf(format string, args ...any) { log.Printf(format, args...) }

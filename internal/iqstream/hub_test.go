@@ -38,13 +38,13 @@ func TestHubCloseStopsTxGoroutines(t *testing.T) {
 
 	var clients []*Client
 	for i := 0; i < 3; i++ {
-		tx, err := DialTx(h.Addr().String(), 0)
+		tx, err := DialTxLink(h.Addr().String(), 0, LinkOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		clients = append(clients, tx)
 	}
-	rx, err := DialRx(h.Addr().String())
+	rx, err := DialRxLink(h.Addr().String(), LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,17 +139,17 @@ func TestHubSlowReceiverEviction(t *testing.T) {
 	addr := h.Addr().String()
 
 	// The slow receiver completes the handshake and then never reads.
-	slow, err := DialRx(addr)
+	slow, err := DialRxLink(addr, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer slow.Close()
-	fast, err := DialRx(addr)
+	fast, err := DialRxLink(addr, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fast.Close()
-	tx, err := DialTx(addr, 0)
+	tx, err := DialTxLink(addr, 0, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestHubTxOverflowBlockDeadline(t *testing.T) {
 		OverflowDeadline: 50 * time.Millisecond,
 		Metrics:          met,
 	})
-	tx, err := DialTx(h.Addr().String(), 0)
+	tx, err := DialTxLink(h.Addr().String(), 0, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,12 +243,12 @@ func TestHubTxBackpressureRecovers(t *testing.T) {
 		Metrics:    met,
 	})
 	addr := h.Addr().String()
-	rx, err := DialRx(addr)
+	rx, err := DialRxLink(addr, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rx.Close()
-	tx, err := DialTx(addr, 0)
+	tx, err := DialTxLink(addr, 0, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestHubDepartedTxQueuesFreed(t *testing.T) {
 	h := startHub(t, HubConfig{BlockSize: 256, MaxPending: 512, Metrics: met})
 	block := make([]complex128, 512)
 	for i := 1; i <= 8; i++ {
-		tx, err := DialTx(h.Addr().String(), 0)
+		tx, err := DialTxLink(h.Addr().String(), 0, LinkOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +315,7 @@ func TestHubLink0ReconnectBitIdentical(t *testing.T) {
 	checkGoroutines(t)
 	stream := func(reconnect bool) []complex128 {
 		h := startHub(t, HubConfig{BlockSize: 256, NoiseVar: 0.5, Seed: 11})
-		rx, err := DialRx(h.Addr().String())
+		rx, err := DialRxLink(h.Addr().String(), LinkOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +328,7 @@ func TestHubLink0ReconnectBitIdentical(t *testing.T) {
 				if tx != nil {
 					tx.Close()
 				}
-				if tx, err = DialTx(h.Addr().String(), 0); err != nil {
+				if tx, err = DialTxLink(h.Addr().String(), 0, LinkOpts{}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -363,7 +363,7 @@ func TestHubShutdownDrains(t *testing.T) {
 	t.Cleanup(func() { h.Close() })
 	addr := h.Addr().String()
 
-	tx, err := DialTx(addr, 0)
+	tx, err := DialTxLink(addr, 0, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestHubShutdownDrains(t *testing.T) {
 	waitFor(t, 5*time.Second, "tx queue fill", func() bool {
 		return h.pendingSamples() == total
 	})
-	rx, err := DialRx(addr)
+	rx, err := DialRxLink(addr, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,12 +425,12 @@ func TestHubShutdownDeadline(t *testing.T) {
 	t.Cleanup(func() { h.Close() })
 	addr := h.Addr().String()
 
-	rx, err := DialRx(addr) // never reads
+	rx, err := DialRxLink(addr, LinkOpts{}) // never reads
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rx.Close()
-	tx, err := DialTx(addr, 0)
+	tx, err := DialTxLink(addr, 0, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,12 +464,12 @@ func TestHubConnectionChurn(t *testing.T) {
 	h := startHub(t, HubConfig{BlockSize: 256, MaxPending: 1 << 16})
 	addr := h.Addr().String()
 
-	rx, err := DialRx(addr)
+	rx, err := DialRxLink(addr, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rx.Close()
-	tx, err := DialTx(addr, 0)
+	tx, err := DialTxLink(addr, 0, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,14 +506,14 @@ func TestHubConnectionChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				if c%2 == 0 {
-					cl, err := DialTx(addr, -10)
+					cl, err := DialTxLink(addr, -10, LinkOpts{})
 					if err != nil {
 						continue // hub teardown race at test end is fine
 					}
 					_ = cl.Send(make([]complex128, 512))
 					cl.Close()
 				} else {
-					cl, err := DialRx(addr)
+					cl, err := DialRxLink(addr, LinkOpts{})
 					if err != nil {
 						continue
 					}
@@ -556,12 +556,12 @@ func TestHubJamHook(t *testing.T) {
 		},
 	})
 	addr := h.Addr().String()
-	rx, err := DialRx(addr)
+	rx, err := DialRxLink(addr, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rx.Close()
-	tx, err := DialTx(addr, 0)
+	tx, err := DialTxLink(addr, 0, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,17 +106,17 @@ func TestHubMixesTwoTransmitters(t *testing.T) {
 	h := startHub(t, HubConfig{BlockSize: 256})
 	addr := h.Addr().String()
 
-	rx, err := DialRx(addr)
+	rx, err := DialRxLink(addr, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rx.Close()
-	tx1, err := DialTx(addr, 0)
+	tx1, err := DialTxLink(addr, 0, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tx1.Close()
-	tx2, err := DialTx(addr, -20) // amplitude 0.1
+	tx2, err := DialTxLink(addr, -20, LinkOpts{}) // amplitude 0.1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,12 +159,12 @@ func TestHubMixesTwoTransmitters(t *testing.T) {
 func TestHubAddsNoise(t *testing.T) {
 	h := startHub(t, HubConfig{BlockSize: 1024, NoiseVar: 0.25, Seed: 7})
 	addr := h.Addr().String()
-	rx, err := DialRx(addr)
+	rx, err := DialRxLink(addr, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rx.Close()
-	tx, err := DialTx(addr, 0)
+	tx, err := DialTxLink(addr, 0, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +203,12 @@ func TestBHSSBurstThroughHub(t *testing.T) {
 	h := startHub(t, HubConfig{BlockSize: 2048, NoiseVar: 0.001, Seed: 3})
 	addr := h.Addr().String()
 
-	rx, err := DialRx(addr)
+	rx, err := DialRxLink(addr, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rx.Close()
-	tx, err := DialTx(addr, 0)
+	tx, err := DialTxLink(addr, 0, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

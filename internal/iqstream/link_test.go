@@ -224,7 +224,7 @@ func TestHubExcludeSelf(t *testing.T) {
 	h := startHub(t, HubConfig{BlockSize: 64})
 	addr := h.Addr().String()
 
-	plain, err := DialRx(addr)
+	plain, err := DialRxLink(addr, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestHubExcludeSelf(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sense.Close()
-	victim, err := DialTx(addr, 0)
+	victim, err := DialTxLink(addr, 0, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,12 +312,12 @@ func TestHubPanicIsolation(t *testing.T) {
 	}
 	defer tx1.Close()
 
-	rx0, err := DialRx(addr)
+	rx0, err := DialRxLink(addr, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rx0.Close()
-	tx0, err := DialTx(addr, 0)
+	tx0, err := DialTxLink(addr, 0, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

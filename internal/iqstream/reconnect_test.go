@@ -113,7 +113,7 @@ func TestReconnectingSendRecovers(t *testing.T) {
 	h := startHub(t, HubConfig{BlockSize: 256})
 	addr := h.Addr().String()
 
-	rx, err := DialRx(addr)
+	rx, err := DialRxLink(addr, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestReconnectingRecvStreamGap(t *testing.T) {
 	}
 	defer rx.Close()
 
-	tx, err := DialTx(addr, 0)
+	tx, err := DialTxLink(addr, 0, LinkOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

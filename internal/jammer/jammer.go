@@ -36,7 +36,6 @@ type Source interface {
 // Bandlimited is the paper's canonical jammer: white Gaussian noise
 // band-limited to a configurable bandwidth at a configured total power.
 type Bandlimited struct {
-	bw    float64
 	power float64
 	seed0 uint64
 	src   *prng.Source
@@ -76,7 +75,7 @@ func NewBandlimited(bw, power float64, seed uint64) (*Bandlimited, error) {
 	if power < 0 {
 		return nil, fmt.Errorf("jammer: negative power %v", power)
 	}
-	b := &Bandlimited{bw: bw, power: power, seed0: seed, src: prng.New(seed), fir: filterTapsForBW(bw)}
+	b := &Bandlimited{power: power, seed0: seed, src: prng.New(seed), fir: filterTapsForBW(bw)}
 	b.calibrate()
 	b.warmDue = b.fir != nil
 	return b, nil
@@ -121,9 +120,6 @@ func (b *Bandlimited) calibrate() {
 	}
 	b.scale = math.Sqrt(b.power / gain)
 }
-
-// Bandwidth returns the jammer's two-sided bandwidth.
-func (b *Bandlimited) Bandwidth() float64 { return b.bw }
 
 // Power returns the jammer's average power.
 func (b *Bandlimited) Power() float64 { return b.power }

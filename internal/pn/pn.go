@@ -1,7 +1,7 @@
 // Package pn generates the pseudo-noise sequences used by the DSSS spreading
-// layer: LFSR m-sequences, Gold codes and the 16-ary 32-chip quasi-orthogonal
-// symbol table modeled on IEEE 802.15.4 (the paper's prototype "relies on a
-// 16-ary DSSS modulation similar to the one used in IEEE 802.15.4", §6.1).
+// layer: the 16-ary 32-chip quasi-orthogonal symbol table modeled on IEEE
+// 802.15.4 (the paper's prototype "relies on a 16-ary DSSS modulation
+// similar to the one used in IEEE 802.15.4", §6.1).
 //
 // It also provides the chip scrambler that makes the transmitted chip stream
 // unpredictable to the jammer: a ±1 overlay drawn from the pre-shared random
@@ -14,161 +14,6 @@ import (
 	"bhss/internal/prng"
 )
 
-// primitivePolys maps LFSR degree d to a primitive feedback polynomial.
-// Bit j of the mask is the coefficient of x^j for j < d (the leading x^d
-// term is implicit), so the Fibonacci recurrence is
-// a[n+d] = XOR of a[n+j] over the set bits. These are standard primitive
-// polynomials over GF(2) (Stahnke's table).
-var primitivePolys = map[int]uint32{
-	2:  0b11,               // x^2 + x + 1
-	3:  0b011,              // x^3 + x + 1
-	4:  0b0011,             // x^4 + x + 1
-	5:  0b00101,            // x^5 + x^2 + 1
-	6:  0b000011,           // x^6 + x + 1
-	7:  0b0000011,          // x^7 + x + 1
-	8:  0b01110001,         // x^8 + x^6 + x^5 + x^4 + 1
-	9:  0b000010001,        // x^9 + x^4 + 1
-	10: 0b0000001001,       // x^10 + x^3 + 1
-	11: 0b00000000101,      // x^11 + x^2 + 1
-	12: 0b000001010011,     // x^12 + x^6 + x^4 + x + 1
-	13: 0b0000000011011,    // x^13 + x^4 + x^3 + x + 1
-	14: 0b00000000101011,   // x^14 + x^5 + x^3 + x + 1
-	15: 0b000000000000011,  // x^15 + x + 1
-	16: 0b0000000000101101, // x^16 + x^5 + x^3 + x^2 + 1
-}
-
-// LFSR is a Fibonacci linear-feedback shift register over GF(2).
-type LFSR struct {
-	state  uint32
-	taps   uint32
-	degree int
-}
-
-// NewLFSR returns an LFSR of the given degree (2..16) using a standard
-// primitive polynomial, seeded with the given nonzero initial state (only
-// the low degree bits are used; a zero state is mapped to 1).
-func NewLFSR(degree int, seed uint32) (*LFSR, error) {
-	taps, ok := primitivePolys[degree]
-	if !ok {
-		return nil, fmt.Errorf("pn: no primitive polynomial for degree %d", degree)
-	}
-	mask := uint32(1)<<degree - 1
-	state := seed & mask
-	if state == 0 {
-		state = 1
-	}
-	return &LFSR{state: state, taps: taps, degree: degree}, nil
-}
-
-// Next advances the register one step and returns the output bit (0 or 1).
-func (l *LFSR) Next() int {
-	out := l.state & 1
-	// Feedback = parity of tapped bits.
-	fb := l.state & l.taps
-	fb ^= fb >> 16
-	fb ^= fb >> 8
-	fb ^= fb >> 4
-	fb ^= fb >> 2
-	fb ^= fb >> 1
-	l.state >>= 1
-	l.state |= (fb & 1) << (l.degree - 1)
-	return int(out)
-}
-
-// Period returns the sequence period 2^degree - 1 of the m-sequence.
-func (l *LFSR) Period() int { return 1<<l.degree - 1 }
-
-// MSequence returns one full period of a maximal-length sequence of the
-// given degree as ±1 chips.
-func MSequence(degree int, seed uint32) ([]int8, error) {
-	l, err := NewLFSR(degree, seed)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int8, l.Period())
-	for i := range out {
-		if l.Next() == 1 {
-			out[i] = 1
-		} else {
-			out[i] = -1
-		}
-	}
-	return out, nil
-}
-
-// goldPairs lists preferred m-sequence pairs (as tap masks) whose products
-// form Gold code families with three-valued cross-correlation.
-var goldPairs = map[int][2]uint32{
-	5: {0b00101, 0b11101},     // x^5+x^2+1 and x^5+x^4+x^3+x^2+1
-	7: {0b0001001, 0b0001111}, // x^7+x^3+1 and x^7+x^3+x^2+x+1
-}
-
-// GoldCode returns the idx-th Gold code of the family of the given degree
-// (supported degrees: 5 and 7) as ±1 chips of length 2^degree-1.
-// idx ranges over [0, 2^degree]: 0 and 1 select the two base m-sequences,
-// larger values select shifted products.
-func GoldCode(degree, idx int) ([]int8, error) {
-	pair, ok := goldPairs[degree]
-	if !ok {
-		return nil, fmt.Errorf("pn: no Gold pair for degree %d", degree)
-	}
-	n := 1<<degree - 1
-	if idx < 0 || idx > n+1 {
-		return nil, fmt.Errorf("pn: Gold index %d out of [0, %d]", idx, n+1)
-	}
-	seqA := lfsrRaw(degree, pair[0])
-	seqB := lfsrRaw(degree, pair[1])
-	bits := make([]int8, n)
-	switch idx {
-	case 0:
-		copy(bits, toChips(seqA))
-	case 1:
-		copy(bits, toChips(seqB))
-	default:
-		shift := idx - 2
-		for i := 0; i < n; i++ {
-			b := seqA[i] ^ seqB[(i+shift)%n]
-			if b == 1 {
-				bits[i] = 1
-			} else {
-				bits[i] = -1
-			}
-		}
-	}
-	return bits, nil
-}
-
-// lfsrRaw produces one period of raw bits for the given degree/taps.
-func lfsrRaw(degree int, taps uint32) []int {
-	n := 1<<degree - 1
-	state := uint32(1)
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(state & 1)
-		fb := state & taps
-		fb ^= fb >> 16
-		fb ^= fb >> 8
-		fb ^= fb >> 4
-		fb ^= fb >> 2
-		fb ^= fb >> 1
-		state >>= 1
-		state |= (fb & 1) << (degree - 1)
-	}
-	return out
-}
-
-func toChips(bits []int) []int8 {
-	out := make([]int8, len(bits))
-	for i, b := range bits {
-		if b == 1 {
-			out[i] = 1
-		} else {
-			out[i] = -1
-		}
-	}
-	return out
-}
-
 // SymbolBits is the number of data bits carried per DSSS symbol (4, as in
 // IEEE 802.15.4: one symbol = one hex digit).
 const SymbolBits = 4
@@ -178,10 +23,6 @@ const ChipsPerSymbol = 32
 
 // NumSymbols is the alphabet size of the 16-ary modulation.
 const NumSymbols = 1 << SymbolBits
-
-// SpreadingFactor is chips per bit: 32 chips / 4 bits = 8, the paper's
-// processing gain of 9 dB.
-const SpreadingFactor = ChipsPerSymbol / SymbolBits
 
 // base802154 is the chip sequence of symbol 0 in the IEEE 802.15.4 2.4 GHz
 // O-QPSK PHY (bit order c0..c31).
@@ -269,71 +110,9 @@ func NewScrambler(seed uint64) *Scrambler {
 	return &Scrambler{src: prng.New(seed)}
 }
 
-// Next returns the next ±1 scrambling value.
-func (s *Scrambler) Next() float64 { return s.src.ChipBit() }
-
-// Skip advances the scrambler past n values without producing output,
-// keeping a receiver chip-synchronous across regions it does not despread.
-func (s *Scrambler) Skip(n int) {
-	for i := 0; i < n; i++ {
-		s.src.ChipBit()
-	}
-}
-
-// Block fills out with the next len(out) scrambling values.
-func (s *Scrambler) Block(out []float64) {
-	for i := range out {
-		out[i] = s.src.ChipBit()
-	}
-}
-
 // Apply multiplies the chips in place by the next scrambling values.
 func (s *Scrambler) Apply(chips []complex128) {
 	for i := range chips {
 		chips[i] *= complex(s.src.ChipBit(), 0)
 	}
-}
-
-// Autocorrelation returns the periodic autocorrelation of a ±1 chip
-// sequence at every lag, normalized by the length (peak = 1 at lag 0).
-func Autocorrelation(seq []int8) []float64 {
-	n := len(seq)
-	out := make([]float64, n)
-	for lag := 0; lag < n; lag++ {
-		var acc int
-		for i := 0; i < n; i++ {
-			acc += int(seq[i]) * int(seq[(i+lag)%n])
-		}
-		out[lag] = float64(acc) / float64(n)
-	}
-	return out
-}
-
-// CrossCorrelation returns the periodic cross-correlation of two equal-length
-// ±1 sequences at every lag, normalized by the length.
-//
-//bhss:planphase code-design analysis helper, not a streaming path
-func CrossCorrelation(a, b []int8) []float64 {
-	n := len(a)
-	if len(b) != n {
-		panic("pn: cross-correlation requires equal lengths")
-	}
-	out := make([]float64, n)
-	for lag := 0; lag < n; lag++ {
-		var acc int
-		for i := 0; i < n; i++ {
-			acc += int(a[i]) * int(b[(i+lag)%n])
-		}
-		out[lag] = float64(acc) / float64(n)
-	}
-	return out
-}
-
-// Balance returns the sum of a ±1 sequence; m-sequences have balance ±1.
-func Balance(seq []int8) int {
-	var s int
-	for _, c := range seq {
-		s += int(c)
-	}
-	return s
 }

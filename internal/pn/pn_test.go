@@ -8,160 +8,6 @@ import (
 	"bhss/internal/dsp"
 )
 
-func TestMSequencePeriodAllDegrees(t *testing.T) {
-	// A maximal-length sequence visits every nonzero state exactly once:
-	// the LFSR state must return to its start only after 2^n - 1 steps.
-	for degree := 2; degree <= 16; degree++ {
-		l, err := NewLFSR(degree, 1)
-		if err != nil {
-			t.Fatalf("degree %d: %v", degree, err)
-		}
-		start := l.state
-		period := 0
-		for {
-			l.Next()
-			period++
-			if l.state == start {
-				break
-			}
-			if period > l.Period()+1 {
-				break
-			}
-		}
-		if period != l.Period() {
-			t.Fatalf("degree %d: period %d, want %d (polynomial not primitive?)",
-				degree, period, l.Period())
-		}
-	}
-}
-
-func TestMSequenceBalance(t *testing.T) {
-	for degree := 3; degree <= 12; degree++ {
-		seq, err := MSequence(degree, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// m-sequences have one more 1 than 0 (or vice versa depending on
-		// the ±1 mapping): |balance| must be exactly 1.
-		if b := Balance(seq); b != 1 && b != -1 {
-			t.Fatalf("degree %d balance = %d, want ±1", degree, b)
-		}
-	}
-}
-
-func TestMSequenceAutocorrelation(t *testing.T) {
-	seq, err := MSequence(7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ac := Autocorrelation(seq)
-	n := float64(len(seq))
-	if ac[0] != 1 {
-		t.Fatalf("lag-0 autocorrelation = %v, want 1", ac[0])
-	}
-	for lag := 1; lag < len(ac); lag++ {
-		if math.Abs(ac[lag]-(-1/n)) > 1e-12 {
-			t.Fatalf("lag %d autocorrelation = %v, want %v", lag, ac[lag], -1/n)
-		}
-	}
-}
-
-func TestMSequenceSeedIndependentOfPeriod(t *testing.T) {
-	// Different seeds give cyclic shifts of the same sequence; the set of
-	// values in the autocorrelation is seed-invariant.
-	a, _ := MSequence(6, 1)
-	b, _ := MSequence(6, 13)
-	acA := Autocorrelation(a)
-	acB := Autocorrelation(b)
-	for i := range acA {
-		if math.Abs(acA[i]-acB[i]) > 1e-12 {
-			t.Fatalf("autocorrelation differs at lag %d", i)
-		}
-	}
-}
-
-func TestNewLFSRRejectsUnknownDegree(t *testing.T) {
-	if _, err := NewLFSR(1, 1); err == nil {
-		t.Fatal("degree 1 should be rejected")
-	}
-	if _, err := NewLFSR(17, 1); err == nil {
-		t.Fatal("degree 17 should be rejected")
-	}
-	if _, err := MSequence(99, 1); err == nil {
-		t.Fatal("MSequence with bad degree should error")
-	}
-}
-
-func TestZeroSeedMapsToOne(t *testing.T) {
-	l, err := NewLFSR(5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.state == 0 {
-		t.Fatal("zero state would lock the LFSR")
-	}
-}
-
-func TestGoldCodeCrossCorrelationBound(t *testing.T) {
-	// Gold codes from a preferred pair have cross-correlation bounded by
-	// 2^((n+1)/2) + 1 for odd n.
-	for _, degree := range []int{5, 7} {
-		n := 1<<degree - 1
-		bound := float64(int(1)<<((degree+1)/2)+1) / float64(n)
-		a, err := GoldCode(degree, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := GoldCode(degree, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cc := CrossCorrelation(a, b)
-		for lag, v := range cc {
-			if math.Abs(v) > bound+1e-12 {
-				t.Fatalf("degree %d lag %d: |cc| = %v exceeds Gold bound %v",
-					degree, lag, math.Abs(v), bound)
-			}
-		}
-	}
-}
-
-func TestGoldCodeBaseSequences(t *testing.T) {
-	a, err := GoldCode(5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GoldCode(5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != 31 || len(b) != 31 {
-		t.Fatalf("lengths %d, %d, want 31", len(a), len(b))
-	}
-	same := true
-	for i := range a {
-		if a[i] != b[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("the two base m-sequences must differ")
-	}
-}
-
-func TestGoldCodeErrors(t *testing.T) {
-	if _, err := GoldCode(6, 0); err == nil {
-		t.Fatal("degree without preferred pair should error")
-	}
-	if _, err := GoldCode(5, -1); err == nil {
-		t.Fatal("negative index should error")
-	}
-	if _, err := GoldCode(5, 33); err == nil {
-		t.Fatal("index beyond family should error")
-	}
-}
-
 func TestChipTableRowsDistinct(t *testing.T) {
 	tb := NewChipTable()
 	for a := 0; a < NumSymbols; a++ {
@@ -257,13 +103,15 @@ func TestComplexChipsUnitPower(t *testing.T) {
 func TestScramblerDeterministicAndBalanced(t *testing.T) {
 	a := NewScrambler(123)
 	b := NewScrambler(123)
+	va, vb := ones(10000), ones(10000)
+	a.Apply(va)
+	b.Apply(vb)
 	var sum float64
-	for i := 0; i < 10000; i++ {
-		va, vb := a.Next(), b.Next()
-		if va != vb {
+	for i := range va {
+		if va[i] != vb[i] {
 			t.Fatalf("scramblers with same seed diverged at %d", i)
 		}
-		sum += va
+		sum += real(va[i])
 	}
 	if math.Abs(sum)/10000 > 0.05 {
 		t.Fatalf("scrambler bias %v", sum/10000)
@@ -285,33 +133,12 @@ func TestScramblerApplyIsInvolution(t *testing.T) {
 	}
 }
 
-func TestScramblerBlockMatchesNext(t *testing.T) {
-	a := NewScrambler(5)
-	b := NewScrambler(5)
-	blk := make([]float64, 100)
-	a.Block(blk)
-	for i := range blk {
-		if blk[i] != b.Next() {
-			t.Fatalf("Block and Next diverge at %d", i)
-		}
-	}
-}
-
-func TestCrossCorrelationPanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch should panic")
-		}
-	}()
-	CrossCorrelation([]int8{1}, []int8{1, 1})
-}
-
 func TestQuickScramblerValuesAreSigns(t *testing.T) {
 	f := func(seed uint64) bool {
-		s := NewScrambler(seed)
-		for i := 0; i < 64; i++ {
-			v := s.Next()
-			if v != 1 && v != -1 {
+		v := ones(64)
+		NewScrambler(seed).Apply(v)
+		for _, c := range v {
+			if (real(c) != 1 && real(c) != -1) || imag(c) != 0 {
 				return false
 			}
 		}
@@ -320,4 +147,14 @@ func TestQuickScramblerValuesAreSigns(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ones returns n unit chips, which Scrambler.Apply turns into the
+// scrambling values themselves.
+func ones(n int) []complex128 {
+	v := make([]complex128, n)
+	for i := range v {
+		v[i] = 1
+	}
+	return v
 }

@@ -76,13 +76,6 @@ func (s *Source) Uint64() uint64 {
 	return result
 }
 
-// Split derives an independent child generator. The child stream is a pure
-// function of the parent state at the time of the call, so transmitter and
-// receiver that Split in the same order obtain identical children.
-func (s *Source) Split() *Source {
-	return New(s.Uint64())
-}
-
 // Intn returns a uniformly distributed integer in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {
@@ -198,17 +191,6 @@ func (s *Source) ChipBit() float64 {
 		return 1
 	}
 	return -1
-}
-
-// Perm fills dst with a uniformly random permutation of 0..len(dst)-1.
-func (s *Source) Perm(dst []int) {
-	for i := range dst {
-		dst[i] = i
-	}
-	for i := len(dst) - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		dst[i], dst[j] = dst[j], dst[i]
-	}
 }
 
 // Choose returns an index in [0, len(weights)) drawn according to the given

@@ -43,24 +43,6 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent1 := New(99)
-	parent2 := New(99)
-	c1 := parent1.Split()
-	c2 := parent2.Split()
-	for i := 0; i < 100; i++ {
-		if c1.Uint64() != c2.Uint64() {
-			t.Fatalf("children of identical parents diverged at %d", i)
-		}
-	}
-	// Child differs from parent continuation.
-	p := New(99)
-	c := p.Split()
-	if p.Uint64() == c.Uint64() {
-		t.Fatal("child stream should not mirror parent stream")
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	s := New(3)
 	for i := 0; i < 100000; i++ {
@@ -248,19 +230,6 @@ func TestChipBitBalance(t *testing.T) {
 	}
 	if math.Abs(sum)/n > 0.01 {
 		t.Fatalf("chip bias %v too large", sum/n)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(12)
-	p := make([]int, 40)
-	s.Perm(p)
-	seen := make([]bool, len(p))
-	for _, v := range p {
-		if v < 0 || v >= len(p) || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
 	}
 }
 

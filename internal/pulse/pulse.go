@@ -150,16 +150,12 @@ func ModulateAppend(dst []complex128, chips []complex128, g []float64) []complex
 	return dst
 }
 
-// Demodulate recovers chip estimates from samples by matched filtering with
-// the single-chip pulse g and sampling once per chip, starting at the given
-// sample offset. It is the inverse of Modulate: Demodulate(Modulate(c, g),
-// g, 0) == c (up to floating point). Partial chips at the tail are dropped.
-func Demodulate(samples []complex128, g []float64, offset int) []complex128 {
-	return DemodulateAppend(nil, samples, g, offset)
-}
-
-// DemodulateAppend is Demodulate appending into dst, for receivers that
-// accumulate the chips of consecutive hops into one reused buffer.
+// DemodulateAppend recovers chip estimates from samples by matched
+// filtering with the single-chip pulse g and sampling once per chip,
+// starting at the given sample offset, and appends them to dst, so a
+// receiver accumulates the chips of consecutive hops in one reused buffer.
+// It is the inverse of Modulate: DemodulateAppend(nil, Modulate(c, g), g, 0)
+// == c (up to floating point). Partial chips at the tail are dropped.
 //
 //bhss:hotpath
 func DemodulateAppend(dst []complex128, samples []complex128, g []float64, offset int) []complex128 {
@@ -196,16 +192,4 @@ func growSamples(s []complex128, n int) []complex128 {
 	out := make([]complex128, len(s)+n, 2*(len(s)+n))
 	copy(out, s)
 	return out
-}
-
-// OccupiedBandwidth returns the approximate two-sided occupied bandwidth of
-// a pulse-shaped chip stream in normalized frequency: the chip rate 1/sps
-// (main lobe width of the chip spectrum).
-//
-//bhss:planphase bandwidth bookkeeping on plan-time config
-func OccupiedBandwidth(sps int) float64 {
-	if sps < 1 {
-		panic("pulse: sps must be >= 1")
-	}
-	return 1 / float64(sps)
 }

@@ -58,8 +58,7 @@ func TestTapsPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { Taps(HalfSine, 0) },
 		func() { Taps(Shape(42), 4) },
-		func() { OccupiedBandwidth(0) },
-		func() { Demodulate(nil, nil, 0) },
+		func() { DemodulateAppend(nil, nil, nil, 0) },
 	} {
 		func() {
 			defer func() {
@@ -91,7 +90,7 @@ func TestModulateDemodulateRoundTrip(t *testing.T) {
 			if len(samples) != 50*sps {
 				t.Fatalf("%v sps=%d: %d samples, want %d", shape, sps, len(samples), 50*sps)
 			}
-			back := Demodulate(samples, g, 0)
+			back := DemodulateAppend(nil, samples, g, 0)
 			if len(back) != len(chips) {
 				t.Fatalf("round trip length %d, want %d", len(back), len(chips))
 			}
@@ -122,21 +121,21 @@ func TestDemodulateOffsetAndTail(t *testing.T) {
 	samples := Modulate(chips, g)
 	// Prepend garbage; demodulate with matching offset.
 	shifted := append(make([]complex128, 3), samples...)
-	back := Demodulate(shifted, g, 3)
+	back := DemodulateAppend(nil, shifted, g, 3)
 	for i := range chips {
 		if d := back[i] - chips[i]; math.Hypot(real(d), imag(d)) > 1e-10 {
 			t.Fatalf("offset demod chip %d mismatch", i)
 		}
 	}
 	// Too-short input returns nil.
-	if Demodulate(samples[:3], g, 0) != nil {
+	if DemodulateAppend(nil, samples[:3], g, 0) != nil {
 		t.Fatal("sub-chip input should demodulate to nil")
 	}
-	if Demodulate(samples, g, len(samples)) != nil {
+	if DemodulateAppend(nil, samples, g, len(samples)) != nil {
 		t.Fatal("offset at end should demodulate to nil")
 	}
 	// Negative offset clamps to zero.
-	if got := Demodulate(samples, g, -5); len(got) != len(chips) {
+	if got := DemodulateAppend(nil, samples, g, -5); len(got) != len(chips) {
 		t.Fatalf("negative offset demod len %d", len(got))
 	}
 }
@@ -163,12 +162,6 @@ func TestBandwidthScalesInverselyWithPulseDuration(t *testing.T) {
 	}
 	if r2 < 2.5 || r2 > 6 {
 		t.Fatalf("bw(sps=8)/bw(sps=32) = %v, want ~4", r2)
-	}
-}
-
-func TestOccupiedBandwidthHelper(t *testing.T) {
-	if OccupiedBandwidth(2) != 0.5 || OccupiedBandwidth(128) != 1.0/128 {
-		t.Fatal("OccupiedBandwidth should be 1/sps")
 	}
 }
 
@@ -208,7 +201,7 @@ func TestQuickRoundTripArbitraryChips(t *testing.T) {
 		sps := 1 << (spsRaw % 6) // 1..32
 		g := Taps(HalfSine, sps)
 		chips := randomChips(17, seed)
-		back := Demodulate(Modulate(chips, g), g, 0)
+		back := DemodulateAppend(nil, Modulate(chips, g), g, 0)
 		for i := range chips {
 			if d := back[i] - chips[i]; math.Hypot(real(d), imag(d)) > 1e-9 {
 				return false
@@ -235,6 +228,6 @@ func BenchmarkDemodulateSps8(b *testing.B) {
 	samples := Modulate(randomChips(4096, 1), g)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Demodulate(samples, g, 0)
+		DemodulateAppend(nil, samples, g, 0)
 	}
 }

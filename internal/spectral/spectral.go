@@ -1,7 +1,8 @@
 // Package spectral implements power spectral density estimation and the
-// derived measurements the BHSS receiver's control logic relies on:
-// Bartlett's and Welch's averaged-periodogram methods (both cited by the
-// paper, §4.2), occupied-bandwidth estimation and spectral flatness.
+// derived measurements the BHSS receiver's control logic relies on: the
+// averaged-periodogram estimator behind Bartlett's and Welch's methods (both
+// cited by the paper, §4.2; the receiver runs Welch's), band power and
+// occupied-bandwidth estimation.
 //
 // All PSDs are returned in *un-shifted* FFT bin order (bin 0 = DC) so they
 // can be fed directly to dsp.WhiteningFIR, whose eq. (3) design expects that
@@ -10,7 +11,6 @@ package spectral
 
 import (
 	"fmt"
-	"math"
 
 	"bhss/internal/dsp"
 	"bhss/internal/dsp/simd"
@@ -29,12 +29,6 @@ type Estimator struct {
 	Window dsp.Window
 	// Beta is the Kaiser window parameter (ignored for other windows).
 	Beta float64
-}
-
-// Bartlett returns an estimator using Bartlett's method: non-overlapping
-// rectangular segments of the given length.
-func Bartlett(segmentLength int) Estimator {
-	return Estimator{SegmentLength: segmentLength, Window: dsp.Rectangular}
 }
 
 // Welch returns an estimator using Welch's method with 50% overlap and a
@@ -110,9 +104,6 @@ func (e Estimator) Reusable() (*Reusable, error) {
 	}
 	return r, nil
 }
-
-// SegmentLength returns the configured FFT size K.
-func (r *Reusable) SegmentLength() int { return r.est.SegmentLength }
 
 // PSDInto estimates the PSD of x into dst (len(dst) must be SegmentLength),
 // with the same scaling as Estimator.PSD. Steady-state calls allocate
@@ -209,50 +200,6 @@ func OccupiedBandwidth(psd []float64, fraction float64) float64 {
 		}
 	}
 	return float64(hi-lo+1) / float64(k)
-}
-
-// Flatness returns the spectral flatness (Wiener entropy): the ratio of the
-// geometric to the arithmetic mean of the PSD, in (0, 1]. White signals give
-// values near 1; a tone gives values near 0. The receiver uses it to decide
-// whether the captured spectrum is dominated by a narrow-band jammer.
-func Flatness(psd []float64) float64 {
-	n := len(psd)
-	if n == 0 {
-		return 0
-	}
-	var logSum, sum float64
-	for _, p := range psd {
-		if p <= 0 {
-			p = 1e-300
-		}
-		logSum += math.Log(p)
-		sum += p
-	}
-	am := sum / float64(n)
-	if am == 0 {
-		return 0
-	}
-	gm := math.Exp(logSum / float64(n))
-	return gm / am
-}
-
-// PeakToMedian returns the ratio between the strongest PSD bin and the
-// median bin, a robust narrow-band interference indicator.
-func PeakToMedian(psd []float64) float64 {
-	if len(psd) == 0 {
-		return 0
-	}
-	var peak float64
-	for _, p := range psd {
-		if p > peak {
-			peak = p
-		}
-	}
-	med := dsp.MedianFloats(psd)
-	if med == 0 {
-		return math.Inf(1)
-	}
-	return peak / med
 }
 
 // BandPower integrates the PSD over the two-sided band [-bw/2, +bw/2]

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/cmplx"
 	"testing"
-	"testing/quick"
 
 	"bhss/internal/dsp"
 	"bhss/internal/prng"
@@ -31,7 +30,7 @@ func tone(n int, freq, amp float64) []complex128 {
 func TestWhiteNoisePSDIsFlatAtPower(t *testing.T) {
 	const power = 3.0
 	x := whiteNoise(1<<15, power, 1)
-	for _, est := range []Estimator{Bartlett(256), Welch(256)} {
+	for _, est := range []Estimator{{SegmentLength: 256, Window: dsp.Rectangular}, Welch(256)} {
 		psd, err := est.PSD(x)
 		if err != nil {
 			t.Fatal(err)
@@ -141,7 +140,7 @@ func TestOccupiedBandwidthBandLimited(t *testing.T) {
 	// Low-pass filtered noise of cutoff 0.1 -> two-sided bandwidth ~0.2.
 	x := whiteNoise(1<<15, 1, 4)
 	f := dsp.LowPassFIR(0.1, 129, dsp.Blackman, 0)
-	y := f.ApplyFast(x)
+	y := f.Convolver().ApplySame(nil, x)
 	psd, err := Welch(256).PSD(y)
 	if err != nil {
 		t.Fatal(err)
@@ -164,47 +163,6 @@ func TestOccupiedBandwidthEdgeCases(t *testing.T) {
 	}
 	if bw := OccupiedBandwidth([]float64{1, 1, 1, 1}, 2); bw != 1 {
 		t.Fatalf("fraction > 1 should clamp to full band, got %v", bw)
-	}
-}
-
-func TestFlatness(t *testing.T) {
-	flat := []float64{2, 2, 2, 2}
-	if f := Flatness(flat); math.Abs(f-1) > 1e-12 {
-		t.Fatalf("flatness of flat PSD = %v, want 1", f)
-	}
-	peaky := []float64{1e6, 1e-6, 1e-6, 1e-6}
-	if f := Flatness(peaky); f > 0.01 {
-		t.Fatalf("flatness of tone PSD = %v, want ~0", f)
-	}
-	if Flatness(nil) != 0 {
-		t.Fatal("empty flatness should be 0")
-	}
-}
-
-func TestFlatnessBounds(t *testing.T) {
-	f := func(seed uint64) bool {
-		s := prng.New(seed)
-		psd := make([]float64, 32)
-		for i := range psd {
-			psd[i] = s.Float64() + 1e-9
-		}
-		fl := Flatness(psd)
-		return fl > 0 && fl <= 1+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPeakToMedian(t *testing.T) {
-	if r := PeakToMedian([]float64{1, 1, 1, 10}); math.Abs(r-10) > 1e-12 {
-		t.Fatalf("peak/median = %v, want 10", r)
-	}
-	if r := PeakToMedian([]float64{0, 0, 5}); !math.IsInf(r, 1) {
-		t.Fatalf("zero median should give +Inf, got %v", r)
-	}
-	if PeakToMedian(nil) != 0 {
-		t.Fatal("empty should be 0")
 	}
 }
 

@@ -41,53 +41,6 @@ func TestQuickDBInverse(t *testing.T) {
 	}
 }
 
-func TestMeanVariance(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); !almostEq(m, 5, 1e-12) {
-		t.Fatalf("mean = %v", m)
-	}
-	// Population variance is 4; unbiased sample variance = 32/7.
-	if v := Variance(xs); !almostEq(v, 32.0/7.0, 1e-12) {
-		t.Fatalf("variance = %v", v)
-	}
-}
-
-func TestMeanEmpty(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 || StdDev([]float64{1}) != 0 {
-		t.Fatal("degenerate inputs should return 0")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if m := Median([]float64{3, 1, 2}); m != 2 {
-		t.Fatalf("odd median = %v", m)
-	}
-	if m := Median([]float64{4, 1, 3, 2}); m != 2.5 {
-		t.Fatalf("even median = %v", m)
-	}
-	// Median must not mutate its input.
-	xs := []float64{5, 1, 3}
-	Median(xs)
-	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
-		t.Fatal("Median mutated input")
-	}
-}
-
-func TestWilsonInterval(t *testing.T) {
-	lo, hi := WilsonInterval(0, 100)
-	if lo != 0 || hi <= 0 || hi > 0.1 {
-		t.Fatalf("Wilson(0/100) = [%v, %v]", lo, hi)
-	}
-	lo, hi = WilsonInterval(50, 100)
-	if !(lo < 0.5 && hi > 0.5) {
-		t.Fatalf("Wilson(50/100) = [%v, %v] should bracket 0.5", lo, hi)
-	}
-	lo, hi = WilsonInterval(0, 0)
-	if lo != 0 || hi != 1 {
-		t.Fatalf("Wilson(0/0) = [%v, %v], want [0,1]", lo, hi)
-	}
-}
-
 func TestFindThreshold(t *testing.T) {
 	target := 13.37
 	x, err := FindThreshold(0, 100, 1e-6, func(x float64) bool { return x >= target })
@@ -131,17 +84,6 @@ func TestQuickFindThresholdMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.9, -5, 99}
-	h := Histogram(xs, 0, 1, 2)
-	if h[0] != 3 || h[1] != 2 {
-		t.Fatalf("histogram = %v", h)
-	}
-	if got := Histogram(xs, 1, 0, 2); got[0] != 0 || got[1] != 0 {
-		t.Fatal("inverted range should yield empty histogram")
-	}
-}
-
 func TestLinspace(t *testing.T) {
 	xs := Linspace(0, 1, 5)
 	want := []float64{0, 0.25, 0.5, 0.75, 1}
@@ -165,15 +107,5 @@ func TestLogspace(t *testing.T) {
 		if !almostEq(xs[i], want[i], 1e-9*want[i]+1e-12) {
 			t.Fatalf("logspace[%d] = %v, want %v", i, xs[i], want[i])
 		}
-	}
-}
-
-func TestQFunc(t *testing.T) {
-	// Q(0) = 0.5 exactly; Q(1.96) ≈ 0.025.
-	if !almostEq(QFunc(0), 0.5, 1e-12) {
-		t.Fatalf("Q(0) = %v", QFunc(0))
-	}
-	if !almostEq(QFunc(1.959964), 0.025, 1e-6) {
-		t.Fatalf("Q(1.96) = %v", QFunc(1.959964))
 	}
 }

@@ -150,11 +150,6 @@ func PacketErrorRate(pb float64, nBits int) float64 {
 	return -math.Expm1(float64(nBits) * math.Log1p(-pb))
 }
 
-// Throughput evaluates eq. (17): T = R(1 - Pp).
-func Throughput(rate, packetErrorRate float64) float64 {
-	return rate * (1 - packetErrorRate)
-}
-
 // NoiseVarFromEbNo converts a per-bit Eb/N0 (linear) into the per-chip
 // noise variance for processing gain L: σ²ₙ = L/(Eb/N0). With this scaling
 // the jam-free eq. (7) SNR equals Eb/N0.

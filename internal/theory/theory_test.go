@@ -201,12 +201,6 @@ func TestPacketErrorRate(t *testing.T) {
 	}
 }
 
-func TestThroughput(t *testing.T) {
-	if tp := Throughput(100, 0.25); tp != 75 {
-		t.Fatalf("Throughput = %v, want 75", tp)
-	}
-}
-
 func TestNoiseVarFromEbNo(t *testing.T) {
 	// σ²ₙ = L / EbNo: jam-free SNR equals EbNo.
 	L := 100.0

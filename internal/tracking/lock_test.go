@@ -116,69 +116,6 @@ func TestCostasLockQualityBands(t *testing.T) {
 	}
 }
 
-// halfSineQPSK builds a half-sine-chip QPSK burst with the symbol period
-// stretched by the given clock offset in ppm — the waveform the Gardner
-// loop sees after a transmitter with a cheap crystal.
-func halfSineQPSK(nsym int, sps, ppm float64, seed uint64) []complex128 {
-	truePeriod := sps * (1 + ppm*1e-6)
-	src := prng.New(seed)
-	n := int(float64(nsym) * truePeriod)
-	x := make([]complex128, n)
-	for k := 0; k < nsym; k++ {
-		s := complex(float64(2*int(src.Uint64()&1)-1),
-			float64(2*int(src.Uint64()>>1&1)-1))
-		start := float64(k) * truePeriod
-		for j := 0; j <= int(truePeriod); j++ {
-			idx := int(start) + j
-			if idx >= n {
-				break
-			}
-			ph := (float64(idx) - start) / truePeriod
-			if ph < 0 || ph >= 1 {
-				continue
-			}
-			x[idx] += s * complex(math.Sin(math.Pi*ph), 0)
-		}
-	}
-	return x
-}
-
-// TestGardnerPeriodConvergence: under a known transmit clock offset the
-// timing loop's period estimate must converge to the true symbol period.
-// Residuals are pinned at <= 5 ppm for offsets the impairment layer calls
-// "lab"/"testbed" grade and <= 50 ppm at the ±500 ppm extremes.
-func TestGardnerPeriodConvergence(t *testing.T) {
-	const sps = 8.0
-	for _, tc := range []struct {
-		ppm         float64
-		residualPPM float64
-	}{
-		{0, 5},
-		{50, 5},
-		{200, 5},
-		{500, 50},
-		// A slow clock converges from one side only (the period clamp sits
-		// closer), so the residual after 4000 symbols is larger.
-		{-500, 250},
-	} {
-		g, err := NewGardner(sps, 0.01)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const nsym = 4000
-		strobes := g.Process(halfSineQPSK(nsym, sps, tc.ppm, 9))
-		truePeriod := sps * (1 + tc.ppm*1e-6)
-		residual := math.Abs(g.Period()-truePeriod) / truePeriod * 1e6
-		if residual > tc.residualPPM {
-			t.Errorf("ppm=%+g: period %.6f vs true %.6f, residual %.1f ppm > %.0f",
-				tc.ppm, g.Period(), truePeriod, residual, tc.residualPPM)
-		}
-		if len(strobes) < nsym-2 {
-			t.Errorf("ppm=%+g: %d strobes for %d symbols", tc.ppm, len(strobes), nsym)
-		}
-	}
-}
-
 // TestCoarseCFOInRangeAccuracy: the 4th-power estimator must land within
 // one FFT bin of a known offset, and the range restriction must reject
 // offsets outside it instead of aliasing them in.

@@ -8,7 +8,6 @@ import (
 	"bhss/internal/channel"
 	"bhss/internal/dsp"
 	"bhss/internal/prng"
-	"bhss/internal/pulse"
 )
 
 func qpskChips(n int, seed uint64) []complex128 {
@@ -21,48 +20,12 @@ func qpskChips(n int, seed uint64) []complex128 {
 	return out
 }
 
-func TestAGCReachesTarget(t *testing.T) {
-	agc, err := NewAGC(1.0, 5e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]complex128, 20000)
-	for i := range x {
-		x[i] = 0.05 // 26 dB below target
-	}
-	agc.Process(x)
-	tail := x[15000:]
-	var mean float64
-	for _, v := range tail {
-		mean += math.Hypot(real(v), imag(v))
-	}
-	mean /= float64(len(tail))
-	if math.Abs(mean-1) > 0.05 {
-		t.Fatalf("AGC settled at %v, want ~1", mean)
-	}
-	if agc.Gain() <= 1 {
-		t.Fatalf("gain %v should have grown", agc.Gain())
-	}
-}
-
-func TestAGCErrors(t *testing.T) {
-	if _, err := NewAGC(0, 0.01); err == nil {
-		t.Fatal("zero target should error")
-	}
-	if _, err := NewAGC(1, 0); err == nil {
-		t.Fatal("zero rate should error")
-	}
-	if _, err := NewAGC(1, 1); err == nil {
-		t.Fatal("rate 1 should error")
-	}
-}
-
 func TestCoarseCFOEstimatesOffset(t *testing.T) {
 	chips := qpskChips(4096, 1)
 	for _, cfo := range []float64{0.002, -0.005, 0.01} {
 		x := append([]complex128(nil), chips...)
 		dsp.Mix(x, cfo, 0.3)
-		got := CoarseCFO(x)
+		got := CoarseCFOInRange(x, 0.0125)
 		if math.Abs(got-cfo) > 3e-4 {
 			t.Fatalf("CFO %v estimated as %v", cfo, got)
 		}
@@ -70,7 +33,7 @@ func TestCoarseCFOEstimatesOffset(t *testing.T) {
 }
 
 func TestCoarseCFOZeroOnShortInput(t *testing.T) {
-	if CoarseCFO([]complex128{1}) != 0 {
+	if CoarseCFOInRange([]complex128{1}, 0.01) != 0 {
 		t.Fatal("degenerate input should estimate 0")
 	}
 }
@@ -139,99 +102,8 @@ func TestCostasFrequencyClamped(t *testing.T) {
 	}
 }
 
-func TestGardnerRecoversTimingOffset(t *testing.T) {
-	const sps = 8
-	chips := qpskChips(3000, 5)
-	g := pulse.Taps(pulse.HalfSine, sps)
-	wave := pulse.Modulate(chips, g)
-	// Matched filter then introduce a fractional delay of 3.3 samples.
-	mf := dsp.NewFIRReal(g)
-	filtered := mf.Apply(wave)
-	delayed := dsp.FractionalDelay(filtered, 3.3)
-
-	gard, err := NewGardner(sps, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strobes := gard.Process(delayed)
-	if len(strobes) < 2500 {
-		t.Fatalf("only %d strobes from %d chips", len(strobes), len(chips))
-	}
-	// After lock, strobe decisions must match the chip stream at a fixed
-	// lag. Find the lag by correlating signs over a window.
-	bestLag, bestScore := 0, -1.0
-	settle := 500
-	for lag := 0; lag < 8; lag++ {
-		score := 0.0
-		for i := settle; i < len(strobes)-8; i++ {
-			if i+lag >= len(chips) {
-				break
-			}
-			if (real(strobes[i]) > 0) == (real(chips[i+lag]) > 0) {
-				score++
-			}
-			if (imag(strobes[i]) > 0) == (imag(chips[i+lag]) > 0) {
-				score++
-			}
-		}
-		if score > bestScore {
-			bestScore = score
-			bestLag = lag
-		}
-	}
-	total := 0
-	errs := 0
-	for i := settle; i < len(strobes)-8 && i+bestLag < len(chips); i++ {
-		if (real(strobes[i]) > 0) != (real(chips[i+bestLag]) > 0) {
-			errs++
-		}
-		if (imag(strobes[i]) > 0) != (imag(chips[i+bestLag]) > 0) {
-			errs++
-		}
-		total += 2
-	}
-	if float64(errs)/float64(total) > 0.01 {
-		t.Fatalf("chip error rate %v after timing recovery (lag %d)", float64(errs)/float64(total), bestLag)
-	}
-}
-
-func TestGardnerTracksClockSkew(t *testing.T) {
-	// A 0.2% sample-clock offset: the period estimate should move toward
-	// the true period.
-	const sps = 8
-	const skew = 1.002
-	chips := qpskChips(4000, 6)
-	g := pulse.Taps(pulse.HalfSine, sps)
-	wave := pulse.Modulate(chips, g)
-	mf := dsp.NewFIRReal(g)
-	filtered := mf.Apply(wave)
-	// Resample at rate 1/skew via linear interpolation.
-	resampled := make([]complex128, int(float64(len(filtered))/skew)-1)
-	for i := range resampled {
-		t := float64(i) * skew
-		j := int(t)
-		frac := t - float64(j)
-		resampled[i] = filtered[j]*complex(1-frac, 0) + filtered[j+1]*complex(frac, 0)
-	}
-	gard, _ := NewGardner(sps, 0.02)
-	gard.Process(resampled)
-	wantPeriod := sps / skew
-	if math.Abs(gard.Period()-wantPeriod) > 0.05 {
-		t.Fatalf("period estimate %v, want ~%v", gard.Period(), wantPeriod)
-	}
-}
-
-func TestGardnerErrors(t *testing.T) {
-	if _, err := NewGardner(1, 0.01); err == nil {
-		t.Fatal("sps < 2 should error")
-	}
-	if _, err := NewGardner(8, 0); err == nil {
-		t.Fatal("zero bandwidth should error")
-	}
-}
-
 func TestFullChainPhaseAndNoise(t *testing.T) {
-	// Costas after AGC on a noisy, rotated chip stream: end-to-end sanity.
+	// Costas on a noisy, rotated, attenuated chip stream: end-to-end sanity.
 	chips := qpskChips(20000, 7)
 	x := append([]complex128(nil), chips...)
 	dsp.Scale(x, 0.2)
@@ -239,8 +111,6 @@ func TestFullChainPhaseAndNoise(t *testing.T) {
 	noise := channel.NewAWGN(0.2*0.2*0.01, 8) // 20 dB SNR at the scaled level
 	noise.Add(x)
 
-	agc, _ := NewAGC(1, 2e-3)
-	agc.Process(x)
 	c, _ := NewCostas(0.02)
 	c.Process(x)
 
@@ -255,28 +125,14 @@ func TestFullChainPhaseAndNoise(t *testing.T) {
 	}
 }
 
-func TestInterp(t *testing.T) {
-	x := []complex128{0, 2, 4}
-	if v := interp(x, 0.5); v != 1 {
-		t.Fatalf("interp(0.5) = %v", v)
-	}
-	if v := interp(x, -1); v != 0 {
-		t.Fatalf("interp(-1) = %v, want clamp to first", v)
-	}
-	if v := interp(x, 5); v != 4 {
-		t.Fatalf("interp(5) = %v, want clamp to last", v)
-	}
-}
-
 func TestCostasPhaseWraps(t *testing.T) {
 	c, _ := NewCostas(0.1)
 	x := qpskChips(30000, 9)
 	dsp.Mix(x, 3e-3, 0)
 	c.Process(x)
-	if p := c.Phase(); math.Abs(p) > math.Pi+1e-9 {
+	if p := c.phase; math.Abs(p) > math.Pi+1e-9 {
 		t.Fatalf("phase %v not wrapped", p)
 	}
-	_ = cmplx.Abs(0) // keep cmplx imported via use
 }
 
 // TestDerotorMatchesCmplxExp pins the Costas rotation to the

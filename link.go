@@ -100,17 +100,17 @@ func (l *SimLink) Send(payload []byte) ([]byte, *RxStats, error) {
 		channel.Attenuate(rx, l.channel.SignalAttenuationDB)
 	}
 	if l.channel.RandomPhase || l.channel.CFO > 0 {
-		im := channel.Impairments{}
+		var phase, cfo float64
 		if l.channel.RandomPhase {
-			im.Phase = 2 * math.Pi * l.src.Float64()
+			phase = 2 * math.Pi * l.src.Float64()
 		}
 		if l.channel.CFO > 0 {
-			im.CFO = l.channel.CFO
+			cfo = l.channel.CFO
 			if l.src.Bit() == 1 {
-				im.CFO = -im.CFO
+				cfo = -cfo
 			}
 		}
-		rx = im.Apply(rx)
+		dsp.Mix(rx, cfo, phase)
 	}
 	if l.Jammer != nil {
 		j := l.Jammer.Emit(len(rx))
