@@ -8,7 +8,7 @@
 //	bhssbench -exp fig13 -scale full -csv out.csv
 //
 // Experiments: fig5, fig7, fig8, fig9, fig10, fig11, fig13, fig14, table1,
-// table1opt, table2, patternstats, arms, ablation-dwell, ablation-taps.
+// table1opt, table2, arms, ablation-dwell, ablation-taps.
 // Theoretical figures (7-11, table1) are instant; the measured ones (13,
 // 14, table2, ablations) drive the full sample-level pipeline and take
 // seconds to minutes depending on -scale.
@@ -36,7 +36,7 @@ import (
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment id (fig5..fig14, table1, table1opt, table2, patternstats, arms, ablation-dwell, ablation-taps, fidelity, soak, capacity, all)")
+		exp         = flag.String("exp", "all", "experiment id (fig5..fig14, table1, table1opt, table2, arms, ablation-dwell, ablation-taps, fidelity, soak, capacity, all)")
 		impairSpec  = flag.String("impair", "", "RF front-end impairment spec applied to every measured trial, e.g. cfo=2e3,ppm=20,phnoise=-80,quant=8 (empty = ideal; headline figures are pinned with it empty)")
 		chaosSpec   = flag.String("chaos", "", "fault-injection spec for -exp soak, e.g. resetevery=700,trunc=0.001,seed=9 (empty = clean link)")
 		soakSecs    = flag.Float64("soak-seconds", 0, "simulated seconds of traffic for -exp soak (0 = default)")
@@ -63,7 +63,6 @@ func main() {
 		fmt.Println(`experiments (paper artifact -> runtime class):
   table1          hop pattern distributions + §6.4.1 averages  (instant)
   table1opt       Monte Carlo maximin re-derivation            (instant)
-  patternstats    alias of table1                              (instant)
   fig5            hopping waveform and per-hop spectrum        (instant)
   fig7, fig8      SNR improvement bound (+ zoom)               (instant)
   fig9            BER vs Eb/N0, BHSS vs DSSS/FHSS              (instant)
@@ -211,8 +210,8 @@ func main() {
 	ids := strings.Split(*exp, ",")
 	if *exp == "all" {
 		ids = []string{
-			"table1", "table1opt", "patternstats", "fig5", "fig7", "fig8",
-			"fig9", "fig10", "fig11", "fig13", "fig14", "table2",
+			"table1", "table1opt", "fig5", "fig7", "fig8", "fig9",
+			"fig10", "fig11", "fig13", "fig14", "table2",
 		}
 	}
 	if *exp == "none" {
@@ -578,10 +577,6 @@ func run(id string, sc experiment.Scale, full bool) (experiment.Result, error) {
 		return experiment.Table1(), nil
 	case "table1opt":
 		return experiment.OptimizedParabolic(20000, sc.Seed), nil
-	case "patternstats":
-		// Table1 already reports the §6.4.1 averages alongside the
-		// distributions; alias kept for the DESIGN.md index.
-		return experiment.Table1(), nil
 	case "table2":
 		return experiment.Table2(sc)
 	case "arms":

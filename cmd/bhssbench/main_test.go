@@ -158,16 +158,12 @@ func TestHeadlineNeedsExactlyOneMeasuredRecord(t *testing.T) {
 // drivers, and an unknown id is an error.
 func TestRunDispatchesTheory(t *testing.T) {
 	sc := experiment.QuickScale()
-	for _, id := range []string{"fig5", "fig7", "fig8", "fig9", "fig10", "fig11", "table1", "patternstats"} {
+	for _, id := range []string{"fig5", "fig7", "fig8", "fig9", "fig10", "fig11", "table1"} {
 		res, err := run(id, sc, false)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		want := id
-		if id == "patternstats" {
-			want = "table1"
-		}
-		if res.ID != want || len(res.Tables)+len(res.Series) == 0 {
+		if res.ID != id || len(res.Tables)+len(res.Series) == 0 {
 			t.Errorf("%s: result %q with %d tables and %d series", id, res.ID, len(res.Tables), len(res.Series))
 		}
 	}

@@ -6,20 +6,23 @@
 //
 // Usage:
 //
-//	bhssjam -hub 127.0.0.1:4200 -kind bandlimited -bw 2.5 -power 20
-//	bhssjam -kind hopping -pattern exponential -power 20
-//	bhssjam -kind sweep -bw 10 -period 65536
+//	bhssjam -hub 127.0.0.1:4200 -jam jam=bandlimited,bw=2.5,power=100
+//	bhssjam -jam jam=hopping,pattern=exponential,dwell=65536,power=100
+//	bhssjam -jam jam=sweep,span=10,period=65536,power=100
+//	bhssjam -jam jam=bandlimited,duty=0.5:65536,power=100
 //	bhssjam -jam jam=reactive,delay=256,sense=1024,power=100
 //
 // The -jam flag takes a jammer spec (jammer.ParseSpec grammar) naming any
-// adversary in the zoo and overrides the legacy -kind flag set. Sensing
-// kinds (reactive, multitone, adaptive) additionally open a receive stream
-// from the hub and follow what they overhear. The jammer connects with the
-// hub's jam role under a per-process tag, and its sense stream excludes
-// that tag (EXCL in the handshake), so the follower hears the victim's
-// transmission without its own interference looped back — the same
-// overhearing geometry as the paper's testbed attacker, whose sense
-// antenna sat outside its own transmit beam.
+// adversary in the zoo; its power is linear, relative to a unit-power
+// signal. The default is band-limited noise 2.5 MHz wide at power 100
+// (20 dB above the signal). Sensing kinds (reactive, multitone, adaptive)
+// additionally open a receive stream from the hub and follow what they
+// overhear. The jammer connects with the hub's jam role under a
+// per-process tag, and its sense stream excludes that tag (EXCL in the
+// handshake), so the follower hears the victim's transmission without its
+// own interference looped back — the same overhearing geometry as the
+// paper's testbed attacker, whose sense antenna sat outside its own
+// transmit beam.
 package main
 
 import (
@@ -28,12 +31,10 @@ import (
 	"fmt"
 	"log"
 
-	"bhss/internal/hop"
 	"bhss/internal/impair"
 	"bhss/internal/iqstream"
 	"bhss/internal/jammer"
 	"bhss/internal/obs"
-	"bhss/internal/stats"
 )
 
 func main() {
@@ -47,14 +48,8 @@ func main() {
 func run() (err error) {
 	var (
 		hubAddr    = flag.String("hub", "127.0.0.1:4200", "bhssair hub address")
-		jamSpec    = flag.String("jam", "", "jammer spec (jammer.ParseSpec grammar), e.g. jam=reactive,delay=256,sense=1024,power=100; overrides -kind/-bw/-pattern/-period/-duty/-power (spec power is linear)")
-		kind       = flag.String("kind", "bandlimited", "jammer kind: bandlimited, tone, sweep, hopping, pulsed")
-		bwMHz      = flag.Float64("bw", 2.5, "jammer bandwidth in MHz (sweep: span)")
+		jamSpec    = flag.String("jam", "jam=bandlimited,bw=2.5,power=100", "jammer spec (jammer.ParseSpec grammar; power is linear), e.g. jam=reactive,delay=256,sense=1024,power=100")
 		rate       = flag.Float64("rate", 20, "sample rate in MHz")
-		powerDB    = flag.Float64("power", 20, "jammer power in dB relative to a unit signal")
-		pattern    = flag.String("pattern", "linear", "hopping jammer pattern")
-		period     = flag.Int("period", 65536, "sweep period / pulse period / hop dwell in samples")
-		duty       = flag.Float64("duty", 0.5, "pulsed jammer duty cycle")
 		seed       = flag.Uint64("seed", 7, "jammer noise seed")
 		linkID     = flag.Uint("link", 0, "hub link (RF session) to jam; 0 is the default shared medium")
 		blocks     = flag.Int("blocks", 0, "number of 4096-sample blocks to emit (0 = forever)")
@@ -70,47 +65,7 @@ func run() (err error) {
 		return err
 	}
 
-	power := stats.FromDB(*powerDB)
-	var src jammer.Source
-	if *jamSpec != "" {
-		// The spec grammar names any adversary in the zoo, including the
-		// sensing followers the legacy flags cannot build.
-		src, err = jammer.NewFromSpec(*jamSpec, *rate, *seed)
-	} else {
-		switch *kind {
-		case "bandlimited":
-			src, err = jammer.NewBandlimited(*bwMHz / *rate, power, *seed)
-		case "tone":
-			src, err = jammer.NewTone(0, power)
-		case "sweep":
-			src, err = jammer.NewSweep(*bwMHz / *rate, *period, power)
-		case "pulsed":
-			var inner jammer.Source
-			inner, err = jammer.NewBandlimited(*bwMHz / *rate, power, *seed)
-			if err == nil {
-				src, err = jammer.NewPulsed(inner, *duty, *period)
-			}
-		case "hopping":
-			var p hop.Pattern
-			switch *pattern {
-			case "linear":
-				p = hop.Linear
-			case "exponential":
-				p = hop.Exponential
-			case "parabolic":
-				p = hop.Parabolic
-			default:
-				return fmt.Errorf("unknown pattern %q", *pattern)
-			}
-			var dist hop.Distribution
-			dist, err = hop.NewDistribution(p, hop.DefaultBandwidths())
-			if err == nil {
-				src, err = jammer.NewHopping(dist, *rate, *period, power, *seed)
-			}
-		default:
-			return fmt.Errorf("unknown kind %q", *kind)
-		}
-	}
+	src, err := jammer.NewFromSpec(*jamSpec, *rate, *seed)
 	if err != nil {
 		return err
 	}
@@ -179,11 +134,7 @@ func run() (err error) {
 		}()
 	}
 
-	if *jamSpec != "" {
-		log.Printf("jamming: %s", *jamSpec)
-	} else {
-		log.Printf("jamming: %s, %.3f MHz, %.1f dB", *kind, *bwMHz, *powerDB)
-	}
+	log.Printf("jamming: %s", *jamSpec)
 	const block = 4096
 	for i := 0; *blocks == 0 || i < *blocks; i++ {
 		var out []complex128

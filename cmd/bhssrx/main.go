@@ -58,18 +58,9 @@ func run() (err error) {
 	)
 	flag.Parse()
 
-	var p hop.Pattern
-	switch *pattern {
-	case "fixed":
-		p = hop.Fixed
-	case "linear":
-		p = hop.Linear
-	case "exponential":
-		p = hop.Exponential
-	case "parabolic":
-		p = hop.Parabolic
-	default:
-		return fmt.Errorf("unknown pattern %q", *pattern)
+	p, err := hop.ParsePattern(*pattern)
+	if err != nil {
+		return err
 	}
 	cfg := core.DefaultConfig(*seed)
 	cfg.Pattern = p

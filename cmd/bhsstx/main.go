@@ -23,21 +23,6 @@ import (
 	"bhss/internal/obs"
 )
 
-func patternByName(name string) (hop.Pattern, error) {
-	switch name {
-	case "fixed":
-		return hop.Fixed, nil
-	case "linear":
-		return hop.Linear, nil
-	case "exponential":
-		return hop.Exponential, nil
-	case "parabolic":
-		return hop.Parabolic, nil
-	default:
-		return 0, fmt.Errorf("unknown pattern %q", name)
-	}
-}
-
 func main() {
 	if err := run(); err != nil {
 		log.Fatalf("bhsstx: %v", err)
@@ -63,7 +48,7 @@ func run() (err error) {
 	)
 	flag.Parse()
 
-	p, err := patternByName(*pattern)
+	p, err := hop.ParsePattern(*pattern)
 	if err != nil {
 		return err
 	}

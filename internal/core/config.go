@@ -24,7 +24,6 @@ import (
 	"math"
 
 	"bhss/internal/hop"
-	"bhss/internal/pulse"
 )
 
 // SyncMode selects how the receiver aligns to a burst.
@@ -41,6 +40,10 @@ const (
 	// the prototype's preamble/SFD-based synchronization.
 	PreambleSync
 )
+
+// defaultFilterTaps is the suppression filter tap budget at simulation
+// scale, for DefaultConfig and for a Config that leaves FilterTaps zero.
+const defaultFilterTaps = 1025
 
 // Config parameterizes a BHSS link. Transmitter and receiver must be
 // constructed from identical configurations (the pre-shared secret).
@@ -61,20 +64,12 @@ type Config struct {
 	// Seed is the pre-shared secret that drives the chip scrambler and
 	// the hop schedule.
 	Seed uint64
-	// Shape is the chip pulse (paper: half-sine).
-	Shape pulse.Shape
 	// EnableFilter turns the jammer estimation + suppression filtering
 	// on. Off, the receiver is a plain (hopping or fixed) DSSS receiver.
 	EnableFilter bool
 	// FilterTaps bounds the suppression filter length (paper: 3181 taps
 	// at full scale; default 1025 at simulation scale).
 	FilterTaps int
-	// PSDSegment caps the Welch segment length for jammer estimation
-	// (power of two; default 2048). The effective per-hop size adapts to
-	// the hop bandwidth — narrow hops need fine frequency resolution for
-	// the excision notch, wide hops need averaging — and never exceeds
-	// the filter tap budget or the hop length.
-	PSDSegment int
 	// Sync selects the synchronization mode.
 	Sync SyncMode
 	// TrackingLoops enables the prototype's per-hop carrier tracking loop
@@ -85,17 +80,6 @@ type Config struct {
 	// when the matched filter alone would reject the jamming power — the
 	// mechanism behind the paper's measured low-pass filtering gains.
 	TrackingLoops bool
-	// ExcisionPeakRatio is the threshold on the receiver's shape-
-	// normalized in-band interference indicator (peak over low-quantile
-	// of PSD/|G(f)|²) above which the excision filter engages, and the
-	// per-bin over-target factor the notch design cuts at (default 3 —
-	// the normalized indicator is ~1-2 on a clean channel because the
-	// pulse's own spectral shape has been divided out, and a false
-	// trigger costs only the few bins that exceed the shaped target).
-	ExcisionPeakRatio float64
-	// WidebandExcessRatio is the out-of-band to in-band power ratio above
-	// which the control logic engages the low-pass filter (default 0.5).
-	WidebandExcessRatio float64
 }
 
 // DefaultConfig returns the paper's prototype configuration at simulation
@@ -108,10 +92,8 @@ func DefaultConfig(seed uint64) Config {
 		Pattern:       hop.Linear,
 		SymbolsPerHop: hop.DefaultSymbolsPerHop,
 		Seed:          seed,
-		Shape:         pulse.HalfSine,
 		EnableFilter:  true,
-		FilterTaps:    1025,
-		PSDSegment:    2048,
+		FilterTaps:    defaultFilterTaps,
 	}
 }
 
@@ -128,22 +110,10 @@ func (c *Config) normalize() (hop.Distribution, []int, error) {
 		return hop.Distribution{}, nil, fmt.Errorf("core: SymbolsPerHop %d must be >= 1", c.SymbolsPerHop)
 	}
 	if c.FilterTaps == 0 {
-		c.FilterTaps = 257
+		c.FilterTaps = defaultFilterTaps
 	}
 	if c.FilterTaps < 3 {
 		return hop.Distribution{}, nil, fmt.Errorf("core: FilterTaps %d too small", c.FilterTaps)
-	}
-	if c.PSDSegment == 0 {
-		c.PSDSegment = 2048
-	}
-	if c.PSDSegment < 16 || c.PSDSegment&(c.PSDSegment-1) != 0 {
-		return hop.Distribution{}, nil, fmt.Errorf("core: PSDSegment %d must be a power of two >= 16", c.PSDSegment)
-	}
-	if c.ExcisionPeakRatio == 0 {
-		c.ExcisionPeakRatio = 3
-	}
-	if c.WidebandExcessRatio == 0 {
-		c.WidebandExcessRatio = 0.5
 	}
 	var dist hop.Distribution
 	if c.Distribution != nil {

@@ -430,7 +430,6 @@ func TestConfigValidation(t *testing.T) {
 		{SampleRate: 20, Bandwidths: []float64{10}},
 		{SampleRate: 20, Bandwidths: []float64{3}, SymbolsPerHop: 4}, // 20/3 not integer
 		{SampleRate: 20, Bandwidths: []float64{10}, SymbolsPerHop: 4, FilterTaps: 2},
-		{SampleRate: 20, Bandwidths: []float64{10}, SymbolsPerHop: 4, PSDSegment: 100},
 	}
 	for i, c := range bad {
 		if _, err := NewTransmitter(c); err == nil {

@@ -249,7 +249,7 @@ func (r *Receiver) pulseTaps(sps int) []float64 {
 	if g, ok := r.pulseCache[sps]; ok {
 		return g
 	}
-	g := pulse.Taps(r.cfg.Shape, sps)
+	g := pulse.Taps(sps)
 	r.pulseCache[sps] = g
 	return g
 }
@@ -298,14 +298,14 @@ func (r *Receiver) estimateHop(seg []complex128, sps int) (FilterDecision, hopFi
 	report := HopReport{SamplesPerChip: sps}
 	// Resolution adapts to the hop: aim for ~32 bins across the signal
 	// band (in-band bins = K * 1.5/sps) so an in-band notch can be much
-	// narrower than the band, bounded by the configured cap, the filter
-	// tap budget (the notch has K-1 taps) and the hop length.
+	// narrower than the band, bounded by psdSegmentCap, the filter tap
+	// budget (the notch has K-1 taps) and the hop length.
 	k := dsp.NextPow2(32 * sps)
 	if k < 256 {
 		k = 256
 	}
-	if k > r.cfg.PSDSegment {
-		k = r.cfg.PSDSegment
+	if k > psdSegmentCap {
+		k = psdSegmentCap
 	}
 	for k > r.cfg.FilterTaps+1 {
 		k >>= 1
@@ -389,10 +389,10 @@ func (r *Receiver) estimateHop(seg []complex128, sps int) (FilterDecision, hopFi
 
 	ctx := hopFilterCtx{raw: raw, shape: shape, refN: refN}
 	switch {
-	case signalBW < 1 && outBand > r.cfg.WidebandExcessRatio*inBand:
+	case signalBW < 1 && outBand > widebandExcessRatio*inBand:
 		report.Decision = FilterLowPass
 		return FilterLowPass, ctx, report
-	case report.PeakToMedian > r.cfg.ExcisionPeakRatio:
+	case report.PeakToMedian > excisionPeakRatio:
 		report.Decision = FilterExcision
 		return FilterExcision, ctx, report
 	default:
@@ -485,7 +485,6 @@ func (r *Receiver) filterHop(seg []complex128, sps int, decision FilterDecision,
 // remains exact when the absolute signal level changes between hops.
 func (r *Receiver) notchFilter(sps int, ctx hopFilterCtx) (*dsp.FIR, error) {
 	k := len(ctx.raw)
-	thr := r.cfg.ExcisionPeakRatio
 	// Design-grade smoothing: lighter than the detection smoothing so the
 	// notch stays as narrow as the jammer.
 	r.scratch.psd = resizeFloats(r.scratch.psd, k)
@@ -503,7 +502,7 @@ func (r *Receiver) notchFilter(sps int, ctx hopFilterCtx) (*dsp.FIR, error) {
 			r.met.Cache.NotchMiss.Inc()
 			defer r.met.RecordStage(obs.StageRxFilterDesign, obs.Start())
 		}
-		return dsp.ShapedNotchFIR(psd, target, thr)
+		return dsp.ShapedNotchFIR(psd, target, excisionPeakRatio)
 	}
 	r.scratch.qpsd = resizeFloats(r.scratch.qpsd, k)
 	qpsd := r.scratch.qpsd
@@ -514,7 +513,7 @@ func (r *Receiver) notchFilter(sps int, ctx hopFilterCtx) (*dsp.FIR, error) {
 	fp := uint64(fnvOffset)
 	for i, p := range psd {
 		qpsd[i] = 0 // below target: passes with unit gain either way
-		if p > thr*target[i] {
+		if p > excisionPeakRatio*target[i] {
 			e := math.Round(4 * math.Log2(p/ctx.refN))
 			qpsd[i] = ctx.refN * math.Exp2(e/4)
 			fp = (fp ^ uint64(i)) * fnvPrime
@@ -533,7 +532,7 @@ func (r *Receiver) notchFilter(sps int, ctx hopFilterCtx) (*dsp.FIR, error) {
 		r.met.Cache.NotchMiss.Inc()
 		dsw = obs.Start()
 	}
-	f, err := dsp.ShapedNotchFIR(qpsd, target, thr)
+	f, err := dsp.ShapedNotchFIR(qpsd, target, excisionPeakRatio)
 	if r.met != nil {
 		r.met.RecordStage(obs.StageRxFilterDesign, dsw)
 	}
@@ -555,6 +554,25 @@ func (r *Receiver) notchFilter(sps int, ctx hopFilterCtx) (*dsp.FIR, error) {
 // keeps the reference anchored on the un-jammed bins even when the jammer
 // occupies a large fraction of the band.
 const signalQuantile = 0.35
+
+// psdSegmentCap caps the Welch segment length for jammer estimation
+// (a power of two). The per-hop size adapts below it to the hop
+// bandwidth: narrow hops need fine frequency resolution for the excision
+// notch, wide hops need averaging.
+const psdSegmentCap = 2048
+
+// excisionPeakRatio is the threshold on the shape-normalized in-band
+// interference indicator (peak over low quantile of PSD/|G(f)|²) above
+// which the excision filter engages, and the per-bin over-target factor
+// the notch design cuts at. The normalized indicator is ~1-2 on a clean
+// channel because the pulse's own spectral shape has been divided out,
+// and a false trigger costs only the few bins that exceed the shaped
+// target.
+const excisionPeakRatio = 3
+
+// widebandExcessRatio is the out-of-band to in-band power ratio above
+// which the control logic engages the low-pass filter.
+const widebandExcessRatio = 0.5
 
 // ratioOrInf returns peak/ref, mapping a zero reference to 0 (when the peak
 // is zero too) or +Inf.

@@ -87,7 +87,7 @@ func (t *Transmitter) pulseTaps(sps int) []float64 {
 	if g, ok := t.pulseCache[sps]; ok {
 		return g
 	}
-	g := pulse.Taps(t.cfg.Shape, sps)
+	g := pulse.Taps(sps)
 	t.pulseCache[sps] = g
 	return g
 }

@@ -340,7 +340,7 @@ func gainAt(f *FIR, freq float64) float64 {
 }
 
 func TestFrequencyResponseMatchesGainAt(t *testing.T) {
-	f := LowPassFIR(0.2, 33, Hann, 0)
+	f := LowPassFIR(0.2, 33, Hamming, 0)
 	const nfft = 64
 	resp := f.FrequencyResponse(nfft)
 	for k := 0; k < nfft; k++ {

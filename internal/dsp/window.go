@@ -6,14 +6,11 @@ import "math"
 // estimation.
 type Window int
 
-// Supported windows. Rectangular is mainly useful in tests; Hamming is the
-// default for the Welch estimator; Blackman gives the high stop-band
-// attenuation the paper's 70 dB filter spec requires; Kaiser allows an
-// explicit attenuation/width trade via its beta parameter.
+// Supported windows. Hamming is the Welch estimator's; Blackman gives the
+// high stop-band attenuation the paper's 70 dB filter spec requires; Kaiser
+// allows an explicit attenuation/width trade via its beta parameter.
 const (
-	Rectangular Window = iota
-	Hann
-	Hamming
+	Hamming Window = iota
 	Blackman
 	Kaiser
 )
@@ -21,10 +18,6 @@ const (
 // String returns the window name.
 func (w Window) String() string {
 	switch w {
-	case Rectangular:
-		return "rectangular"
-	case Hann:
-		return "hann"
 	case Hamming:
 		return "hamming"
 	case Blackman:
@@ -51,14 +44,6 @@ func (w Window) Coefficients(n int, beta float64) []float64 {
 	}
 	N := float64(n - 1)
 	switch w {
-	case Rectangular:
-		for i := range out {
-			out[i] = 1
-		}
-	case Hann:
-		for i := range out {
-			out[i] = 0.5 - 0.5*math.Cos(2*math.Pi*float64(i)/N)
-		}
 	case Hamming:
 		for i := range out {
 			out[i] = 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/N)

@@ -57,6 +57,16 @@ func (p Pattern) String() string {
 	}
 }
 
+// ParsePattern returns the pattern whose String is name.
+func ParsePattern(name string) (Pattern, error) {
+	for p := Fixed; p <= Parabolic; p++ {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("hop: unknown pattern %q", name)
+}
+
 // Distribution is a probability distribution over a bandwidth set.
 type Distribution struct {
 	Bandwidths []float64

@@ -2,6 +2,7 @@ package hop
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -13,6 +14,17 @@ func TestPatternNames(t *testing.T) {
 	} {
 		if p.String() != want {
 			t.Fatalf("%d.String() = %q", p, p.String())
+		}
+	}
+	for _, p := range []Pattern{Fixed, Linear, Exponential, Parabolic} {
+		if got, err := ParsePattern(p.String()); err != nil || got != p {
+			t.Fatalf("ParsePattern(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	for _, name := range []string{"unknown", "zigzag", "", "Linear"} {
+		_, err := ParsePattern(name)
+		if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Fatalf("ParsePattern(%q): error %v does not name the input", name, err)
 		}
 	}
 }

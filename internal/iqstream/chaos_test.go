@@ -305,12 +305,12 @@ func TestChaosProxyHubEndToEnd(t *testing.T) {
 	addr := p.Addr().String()
 
 	cfg := ReconnectConfig{BackoffBase: time.Millisecond, Sleep: func(time.Duration) {}}
-	tx, err := DialTxReconnecting(addr, 0, cfg)
+	tx, err := DialTxLinkReconnecting(addr, 0, LinkOpts{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tx.Close()
-	rx, err := DialRxReconnecting(addr, cfg)
+	rx, err := DialRxLinkReconnecting(addr, LinkOpts{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

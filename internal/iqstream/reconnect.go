@@ -91,26 +91,17 @@ type ReconnectingClient struct {
 	reconnects atomic.Int64
 }
 
-// DialTxReconnecting connects as a transmitter with the given port gain,
+// DialTxLinkReconnecting connects as a transmitter with the given port
+// gain on one link (or as a tagged jammer, per opts; LinkOpts{} is link 0),
 // retrying with backoff until the hub accepts (or MaxAttempts is spent).
-func DialTxReconnecting(addr string, gainDB float64, cfg ReconnectConfig) (*ReconnectingClient, error) {
-	return DialTxLinkReconnecting(addr, gainDB, LinkOpts{}, cfg)
-}
-
-// DialRxReconnecting connects as a receiver, retrying with backoff until
-// the hub accepts (or MaxAttempts is spent).
-func DialRxReconnecting(addr string, cfg ReconnectConfig) (*ReconnectingClient, error) {
-	return DialRxLinkReconnecting(addr, LinkOpts{}, cfg)
-}
-
-// DialTxLinkReconnecting is DialTxReconnecting on one link (or as a tagged
-// jammer, per opts); each redial re-sends the same link handshake.
+// Each redial re-sends the same link handshake.
 func DialTxLinkReconnecting(addr string, gainDB float64, o LinkOpts, cfg ReconnectConfig) (*ReconnectingClient, error) {
 	return dialReconnecting(addr, txHandshakeLine(gainDB, o), cfg)
 }
 
-// DialRxLinkReconnecting is DialRxReconnecting on one link, optionally
-// excluding a tagged contribution from the received mix.
+// DialRxLinkReconnecting connects as a receiver on one link, optionally
+// excluding a tagged contribution from the received mix, retrying with
+// backoff until the hub accepts (or MaxAttempts is spent).
 func DialRxLinkReconnecting(addr string, o LinkOpts, cfg ReconnectConfig) (*ReconnectingClient, error) {
 	return dialReconnecting(addr, rxHandshakeLine(o), cfg)
 }

@@ -63,7 +63,7 @@ func TestReconnectConfigValidation(t *testing.T) {
 		{Jitter: 1.5},
 	}
 	for i, cfg := range bad {
-		if _, err := DialRxReconnecting("127.0.0.1:1", cfg); err == nil {
+		if _, err := DialRxLinkReconnecting("127.0.0.1:1", LinkOpts{}, cfg); err == nil {
 			t.Fatalf("case %d: invalid config accepted", i)
 		}
 	}
@@ -83,7 +83,7 @@ func TestReconnectingDialRetries(t *testing.T) {
 
 	met := &obs.NetMetrics{}
 	var slept []time.Duration
-	_, err = DialRxReconnecting(addr, ReconnectConfig{
+	_, err = DialRxLinkReconnecting(addr, LinkOpts{}, ReconnectConfig{
 		BackoffBase: time.Millisecond,
 		BackoffMax:  4 * time.Millisecond,
 		MaxAttempts: 4,
@@ -119,7 +119,7 @@ func TestReconnectingSendRecovers(t *testing.T) {
 	}
 	defer rx.Close()
 
-	tx, err := DialTxReconnecting(addr, 0, ReconnectConfig{
+	tx, err := DialTxLinkReconnecting(addr, 0, LinkOpts{}, ReconnectConfig{
 		BackoffBase: time.Millisecond,
 		Metrics:     met,
 		Sleep:       func(time.Duration) {},
@@ -167,7 +167,7 @@ func TestReconnectingRecvStreamGap(t *testing.T) {
 	h := startHub(t, HubConfig{BlockSize: 256})
 	addr := h.Addr().String()
 
-	rx, err := DialRxReconnecting(addr, ReconnectConfig{
+	rx, err := DialRxLinkReconnecting(addr, LinkOpts{}, ReconnectConfig{
 		BackoffBase: time.Millisecond,
 		Metrics:     met,
 		Sleep:       func(time.Duration) {},
@@ -246,7 +246,7 @@ func TestReconnectingClientClosed(t *testing.T) {
 	h := startHub(t, HubConfig{BlockSize: 256})
 	addr := h.Addr().String()
 
-	rc, err := DialTxReconnecting(addr, 0, ReconnectConfig{Sleep: func(time.Duration) {}})
+	rc, err := DialTxLinkReconnecting(addr, 0, LinkOpts{}, ReconnectConfig{Sleep: func(time.Duration) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestReconnectingCloseAbortsConnect(t *testing.T) {
 	h := startHub(t, HubConfig{BlockSize: 256})
 	addr := h.Addr().String()
 
-	rc, err := DialTxReconnecting(addr, 0, ReconnectConfig{
+	rc, err := DialTxLinkReconnecting(addr, 0, LinkOpts{}, ReconnectConfig{
 		BackoffBase: time.Millisecond,
 		MaxAttempts: -1,
 		Sleep:       func(time.Duration) { time.Sleep(time.Millisecond) },

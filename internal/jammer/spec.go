@@ -244,13 +244,9 @@ func (c SpecConfig) Build(sampleRateMHz float64, seed uint64) (Source, error) {
 		src, err = NewSweep(c.SpanMHz/sampleRateMHz, c.Period, c.Power)
 	case "hopping":
 		var p hop.Pattern
-		switch c.Pattern {
-		case "linear":
-			p = hop.Linear
-		case "exponential":
-			p = hop.Exponential
-		case "parabolic":
-			p = hop.Parabolic
+		p, err = hop.ParsePattern(c.Pattern)
+		if err != nil {
+			return nil, err
 		}
 		var dist hop.Distribution
 		dist, err = hop.NewDistribution(p, hop.DefaultBandwidths())

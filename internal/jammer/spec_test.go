@@ -3,6 +3,8 @@ package jammer
 import (
 	"strings"
 	"testing"
+
+	"bhss/internal/hop"
 )
 
 func TestParseSpecRoundTrip(t *testing.T) {
@@ -101,19 +103,51 @@ func TestParseSpecErrors(t *testing.T) {
 }
 
 func TestSpecBuildKinds(t *testing.T) {
+	// direct, when set, builds the same jammer with its constructor at
+	// 20 MS/s and seed 7; the spec must emit the same samples. The
+	// power-100 rows are the command-line forms of bhssjam's jammers at
+	// 20 dB over the signal, the first of them its default.
+	hopping := func(p hop.Pattern, dwell int, power float64) func() (Source, error) {
+		return func() (Source, error) {
+			dist, err := hop.NewDistribution(p, hop.DefaultBandwidths())
+			if err != nil {
+				return nil, err
+			}
+			return NewHopping(dist, 20, dwell, power, 7)
+		}
+	}
+	pulsed := func(power, duty float64, period int) func() (Source, error) {
+		return func() (Source, error) {
+			inner, err := NewBandlimited(2.5/20, power, 7)
+			if err != nil {
+				return nil, err
+			}
+			return NewPulsed(inner, duty, period)
+		}
+	}
 	cases := []struct {
 		spec    string
 		txAware bool
 		power   float64
+		direct  func() (Source, error)
 	}{
-		{"jam=bandlimited,bw=2.5,power=100", false, 100},
-		{"jam=tone,freq=1.25,power=2", false, 2},
-		{"jam=sweep", false, 1},
-		{"jam=hopping,pattern=exponential", false, 1},
-		{"jam=bandlimited,duty=0.5", false, 0.5}, // duty-weighted
-		{"jam=reactive,delay=256,sense=1024,power=2", true, 2},
-		{"jam=multitone,tones=3", true, 1},
-		{"jam=adaptive,power=4", true, 4},
+		{"jam=bandlimited,bw=2.5,power=100", false, 100,
+			func() (Source, error) { return NewBandlimited(2.5/20, 100, 7) }},
+		{"jam=tone,freq=1.25,power=2", false, 2,
+			func() (Source, error) { return NewTone(1.25/20, 2) }},
+		{"jam=tone,power=100", false, 100,
+			func() (Source, error) { return NewTone(0, 100) }},
+		{"jam=sweep", false, 1,
+			func() (Source, error) { return NewSweep(10.0/20, 4096, 1) }},
+		{"jam=sweep,span=10,period=65536,power=100", false, 100,
+			func() (Source, error) { return NewSweep(10.0/20, 65536, 100) }},
+		{"jam=hopping,pattern=exponential", false, 1, hopping(hop.Exponential, 4096, 1)},
+		{"jam=hopping,pattern=linear,dwell=65536,power=100", false, 100, hopping(hop.Linear, 65536, 100)},
+		{"jam=bandlimited,duty=0.5", false, 0.5, pulsed(1, 0.5, 4096)}, // duty-weighted
+		{"jam=bandlimited,bw=2.5,duty=0.5:65536,power=100", false, 50, pulsed(100, 0.5, 65536)},
+		{"jam=reactive,delay=256,sense=1024,power=2", true, 2, nil},
+		{"jam=multitone,tones=3", true, 1, nil},
+		{"jam=adaptive,power=4", true, 4, nil},
 	}
 	for _, tc := range cases {
 		src, err := NewFromSpec(tc.spec, 20, 7)
@@ -126,8 +160,28 @@ func TestSpecBuildKinds(t *testing.T) {
 		if src.Power() != tc.power {
 			t.Fatalf("%q: power %v, want %v", tc.spec, src.Power(), tc.power)
 		}
-		if out := src.Emit(256); len(out) != 256 {
-			t.Fatalf("%q: Emit returned %d samples", tc.spec, len(out))
+		if tc.direct == nil {
+			if out := src.Emit(256); len(out) != 256 {
+				t.Fatalf("%q: Emit returned %d samples", tc.spec, len(out))
+			}
+			continue
+		}
+		want, err := tc.direct()
+		if err != nil {
+			t.Fatalf("%q: direct constructor: %v", tc.spec, err)
+		}
+		// 20 blocks of 4096 samples, bhssjam's block size, cross every
+		// 65536-sample period, dwell and duty cycle above.
+		for b := 0; b < 20; b++ {
+			got, exp := src.Emit(4096), want.Emit(4096)
+			if len(got) != len(exp) {
+				t.Fatalf("%q block %d: %d samples, direct %d", tc.spec, b, len(got), len(exp))
+			}
+			for i := range got {
+				if got[i] != exp[i] {
+					t.Fatalf("%q block %d sample %d: %v, direct %v", tc.spec, b, i, got[i], exp[i])
+				}
+			}
 		}
 	}
 }

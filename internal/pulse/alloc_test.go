@@ -11,7 +11,7 @@ import (
 // the Append-style modulation hot paths when the caller reuses buffers.
 func TestHotPathZeroAlloc(t *testing.T) {
 	const sps = 8
-	g := Taps(HalfSine, sps)
+	g := Taps(sps)
 	chips := make([]complex128, 128)
 	inv := 1 / math.Sqrt2
 	for i := range chips {

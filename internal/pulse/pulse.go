@@ -4,11 +4,10 @@
 // bandwidth by α. At a fixed sampling rate Rs this means varying the number
 // of samples per chip: B_p = Rs / samplesPerChip.
 //
-// The paper's prototype modulates chips with a half-sine pulse (as IEEE
-// 802.15.4 does); half-sine and rectangular pulses are confined to a single
-// chip period, so hopping the bandwidth between symbols introduces no
-// inter-chip interference at the boundary. A root-raised-cosine pulse is
-// provided as an alternative for spectrum-shaping experiments.
+// The chip pulse is the half-sine of the paper's prototype (and of IEEE
+// 802.15.4). It is confined to a single chip period, so hopping the
+// bandwidth between symbols introduces no inter-chip interference at the
+// boundary.
 package pulse
 
 import (
@@ -18,120 +17,30 @@ import (
 	"bhss/internal/dsp/simd"
 )
 
-// Shape identifies a chip pulse shape.
-type Shape int
-
-const (
-	// HalfSine is g(t) = sin(πt/Tc) over one chip period, the paper's
-	// (and IEEE 802.15.4's) choice.
-	HalfSine Shape = iota
-	// Rect is a rectangular (NRZ) chip pulse.
-	Rect
-	// RRC is a root-raised-cosine pulse truncated to RRCSpan chips with
-	// roll-off RRCBeta. Unlike the others it spans several chips.
-	RRC
-)
-
-// RRCSpan is the truncation length of the RRC pulse in chip periods.
-const RRCSpan = 8
-
-// RRCBeta is the RRC roll-off factor.
-const RRCBeta = 0.35
-
-// String returns the shape name.
-func (s Shape) String() string {
-	switch s {
-	case HalfSine:
-		return "half-sine"
-	case Rect:
-		return "rect"
-	case RRC:
-		return "rrc"
-	default:
-		return "unknown"
-	}
-}
-
-// Taps returns the pulse shape sampled at sps samples per chip, normalized
-// so that the average transmit power of unit-power chips is one
-// (sum of squares == sps). For HalfSine and Rect the slice has sps samples;
-// for RRC it has RRCSpan*sps+1.
+// Taps returns the half-sine chip pulse g(t) = sin(πt/Tc) sampled at sps
+// samples per chip, normalized so that the average transmit power of
+// unit-power chips is one (sum of squares == sps).
 //
 //bhss:planphase pulse design runs at construction time (results are cached per sps)
-func Taps(s Shape, sps int) []float64 {
+func Taps(sps int) []float64 {
 	if sps < 1 {
 		panic(fmt.Sprintf("pulse: sps %d must be >= 1", sps))
 	}
-	var g []float64
-	switch s {
-	case HalfSine:
-		g = make([]float64, sps)
-		for i := range g {
-			g[i] = math.Sin(math.Pi * (float64(i) + 0.5) / float64(sps))
-		}
-	case Rect:
-		g = make([]float64, sps)
-		for i := range g {
-			g[i] = 1
-		}
-	case RRC:
-		g = rrcTaps(sps, RRCSpan, RRCBeta)
-	default:
-		panic("pulse: unknown shape")
-	}
-	normalizeEnergy(g, float64(sps))
-	return g
-}
-
-// normalizeEnergy scales g so that sum(g^2) == target.
-func normalizeEnergy(g []float64, target float64) {
+	g := make([]float64, sps)
 	var e float64
-	for _, v := range g {
-		e += v * v
+	for i := range g {
+		g[i] = math.Sin(math.Pi * (float64(i) + 0.5) / float64(sps))
+		e += g[i] * g[i]
 	}
-	if e == 0 {
-		return
-	}
-	scale := math.Sqrt(target / e)
+	scale := math.Sqrt(float64(sps) / e)
 	for i := range g {
 		g[i] *= scale
 	}
-}
-
-// rrcTaps returns a root-raised-cosine pulse with the given roll-off,
-// truncated to span chip periods (span*sps+1 samples, symmetric).
-func rrcTaps(sps, span int, beta float64) []float64 {
-	n := span*sps + 1
-	g := make([]float64, n)
-	mid := float64(n-1) / 2
-	for i := range g {
-		t := (float64(i) - mid) / float64(sps) // time in chip periods
-		g[i] = rrcValue(t, beta)
-	}
 	return g
 }
 
-// rrcValue evaluates the RRC impulse response at time t (in chip periods),
-// handling the t=0 and t=±1/(4β) singularities analytically.
-func rrcValue(t, beta float64) float64 {
-	switch {
-	case t == 0:
-		return 1 + beta*(4/math.Pi-1)
-	case beta > 0 && math.Abs(math.Abs(t)-1/(4*beta)) < 1e-9:
-		a := math.Pi / (4 * beta)
-		return beta / math.Sqrt2 * ((1+2/math.Pi)*math.Sin(a) + (1-2/math.Pi)*math.Cos(a))
-	default:
-		num := math.Sin(math.Pi*t*(1-beta)) + 4*beta*t*math.Cos(math.Pi*t*(1+beta))
-		den := math.Pi * t * (1 - (4*beta*t)*(4*beta*t))
-		if den == 0 {
-			return 0
-		}
-		return num / den
-	}
-}
-
 // Modulate maps complex chips to samples at sps samples per chip using the
-// single-chip pulse g (len(g) == sps, from Taps with HalfSine or Rect).
+// single-chip pulse g (len(g) == sps, from Taps).
 // The output has len(chips)*sps samples.
 func Modulate(chips []complex128, g []float64) []complex128 {
 	return ModulateAppend(make([]complex128, 0, len(chips)*len(g)), chips, g)

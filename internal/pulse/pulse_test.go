@@ -10,39 +10,27 @@ import (
 	"bhss/internal/spectral"
 )
 
-func TestShapeNames(t *testing.T) {
-	if HalfSine.String() != "half-sine" || Rect.String() != "rect" ||
-		RRC.String() != "rrc" || Shape(9).String() != "unknown" {
-		t.Fatal("shape names wrong")
-	}
-}
-
 func TestTapsEnergyNormalization(t *testing.T) {
-	for _, s := range []Shape{HalfSine, Rect, RRC} {
-		for _, sps := range []int{1, 2, 4, 8, 16, 64, 128} {
-			g := Taps(s, sps)
-			var e float64
-			for _, v := range g {
-				e += v * v
-			}
-			if math.Abs(e-float64(sps)) > 1e-9 {
-				t.Fatalf("%v sps=%d: energy %v, want %v", s, sps, e, float64(sps))
-			}
+	for _, sps := range []int{1, 2, 4, 8, 16, 64, 128} {
+		g := Taps(sps)
+		var e float64
+		for _, v := range g {
+			e += v * v
+		}
+		if math.Abs(e-float64(sps)) > 1e-9 {
+			t.Fatalf("sps=%d: energy %v, want %v", sps, e, float64(sps))
 		}
 	}
 }
 
 func TestTapsLength(t *testing.T) {
-	if len(Taps(HalfSine, 8)) != 8 || len(Taps(Rect, 4)) != 4 {
-		t.Fatal("single-chip pulses must have sps taps")
-	}
-	if len(Taps(RRC, 4)) != RRCSpan*4+1 {
-		t.Fatalf("RRC taps = %d, want %d", len(Taps(RRC, 4)), RRCSpan*4+1)
+	if len(Taps(8)) != 8 || len(Taps(4)) != 4 {
+		t.Fatal("the single-chip pulse must have sps taps")
 	}
 }
 
 func TestHalfSineSymmetry(t *testing.T) {
-	g := Taps(HalfSine, 16)
+	g := Taps(16)
 	for i := range g {
 		j := len(g) - 1 - i
 		if math.Abs(g[i]-g[j]) > 1e-12 {
@@ -56,8 +44,7 @@ func TestHalfSineSymmetry(t *testing.T) {
 
 func TestTapsPanics(t *testing.T) {
 	for _, fn := range []func(){
-		func() { Taps(HalfSine, 0) },
-		func() { Taps(Shape(42), 4) },
+		func() { Taps(0) },
 		func() { DemodulateAppend(nil, nil, nil, 0) },
 	} {
 		func() {
@@ -82,41 +69,37 @@ func randomChips(n int, seed uint64) []complex128 {
 }
 
 func TestModulateDemodulateRoundTrip(t *testing.T) {
-	for _, shape := range []Shape{HalfSine, Rect} {
-		for _, sps := range []int{2, 4, 8, 32, 128} {
-			g := Taps(shape, sps)
-			chips := randomChips(50, uint64(sps))
-			samples := Modulate(chips, g)
-			if len(samples) != 50*sps {
-				t.Fatalf("%v sps=%d: %d samples, want %d", shape, sps, len(samples), 50*sps)
-			}
-			back := DemodulateAppend(nil, samples, g, 0)
-			if len(back) != len(chips) {
-				t.Fatalf("round trip length %d, want %d", len(back), len(chips))
-			}
-			for i := range chips {
-				if d := back[i] - chips[i]; math.Hypot(real(d), imag(d)) > 1e-10 {
-					t.Fatalf("%v sps=%d chip %d: %v != %v", shape, sps, i, back[i], chips[i])
-				}
+	for _, sps := range []int{2, 4, 8, 32, 128} {
+		g := Taps(sps)
+		chips := randomChips(50, uint64(sps))
+		samples := Modulate(chips, g)
+		if len(samples) != 50*sps {
+			t.Fatalf("sps=%d: %d samples, want %d", sps, len(samples), 50*sps)
+		}
+		back := DemodulateAppend(nil, samples, g, 0)
+		if len(back) != len(chips) {
+			t.Fatalf("round trip length %d, want %d", len(back), len(chips))
+		}
+		for i := range chips {
+			if d := back[i] - chips[i]; math.Hypot(real(d), imag(d)) > 1e-10 {
+				t.Fatalf("sps=%d chip %d: %v != %v", sps, i, back[i], chips[i])
 			}
 		}
 	}
 }
 
 func TestModulatePowerIsChipPower(t *testing.T) {
-	for _, shape := range []Shape{HalfSine, Rect} {
-		for _, sps := range []int{2, 16, 64} {
-			chips := randomChips(200, 7)
-			samples := Modulate(chips, Taps(shape, sps))
-			if p := dsp.Power(samples); math.Abs(p-1) > 1e-9 {
-				t.Fatalf("%v sps=%d: tx power %v, want 1", shape, sps, p)
-			}
+	for _, sps := range []int{2, 16, 64} {
+		chips := randomChips(200, 7)
+		samples := Modulate(chips, Taps(sps))
+		if p := dsp.Power(samples); math.Abs(p-1) > 1e-9 {
+			t.Fatalf("sps=%d: tx power %v, want 1", sps, p)
 		}
 	}
 }
 
 func TestDemodulateOffsetAndTail(t *testing.T) {
-	g := Taps(HalfSine, 4)
+	g := Taps(4)
 	chips := randomChips(10, 3)
 	samples := Modulate(chips, g)
 	// Prepend garbage; demodulate with matching offset.
@@ -145,7 +128,7 @@ func TestDemodulateOffsetAndTail(t *testing.T) {
 func TestBandwidthScalesInverselyWithPulseDuration(t *testing.T) {
 	measure := func(sps int) float64 {
 		chips := randomChips(4096, uint64(sps)*11)
-		x := Modulate(chips, Taps(HalfSine, sps))
+		x := Modulate(chips, Taps(sps))
 		psd, err := spectral.Welch(1024).PSD(x)
 		if err != nil {
 			t.Fatal(err)
@@ -165,41 +148,10 @@ func TestBandwidthScalesInverselyWithPulseDuration(t *testing.T) {
 	}
 }
 
-func TestRRCNyquistProperty(t *testing.T) {
-	// RRC convolved with itself (raised cosine) must be ~ISI-free: values
-	// at nonzero integer chip offsets from the center are near zero.
-	sps := 8
-	g := Taps(RRC, sps)
-	gc := make([]complex128, len(g))
-	for i, v := range g {
-		gc[i] = complex(v, 0)
-	}
-	rc := dsp.Convolve(gc, gc)
-	center := len(rc) / 2
-	peak := real(rc[center])
-	for k := 1; k <= 3; k++ {
-		v := math.Abs(real(rc[center+k*sps])) / peak
-		if v > 0.02 {
-			t.Fatalf("raised-cosine ISI at chip offset %d: %v", k, v)
-		}
-	}
-}
-
-func TestRRCValueSingularities(t *testing.T) {
-	// Must not NaN at the analytic special points.
-	if v := rrcValue(0, RRCBeta); math.IsNaN(v) || v <= 0 {
-		t.Fatalf("rrc(0) = %v", v)
-	}
-	s := rrcValue(1/(4*RRCBeta), RRCBeta)
-	if math.IsNaN(s) || math.IsInf(s, 0) {
-		t.Fatalf("rrc at singularity = %v", s)
-	}
-}
-
 func TestQuickRoundTripArbitraryChips(t *testing.T) {
 	f := func(seed uint64, spsRaw uint8) bool {
 		sps := 1 << (spsRaw % 6) // 1..32
-		g := Taps(HalfSine, sps)
+		g := Taps(sps)
 		chips := randomChips(17, seed)
 		back := DemodulateAppend(nil, Modulate(chips, g), g, 0)
 		for i := range chips {
@@ -215,7 +167,7 @@ func TestQuickRoundTripArbitraryChips(t *testing.T) {
 }
 
 func BenchmarkModulateSps8(b *testing.B) {
-	g := Taps(HalfSine, 8)
+	g := Taps(8)
 	chips := randomChips(4096, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -224,7 +176,7 @@ func BenchmarkModulateSps8(b *testing.B) {
 }
 
 func BenchmarkDemodulateSps8(b *testing.B) {
-	g := Taps(HalfSine, 8)
+	g := Taps(8)
 	samples := Modulate(randomChips(4096, 1), g)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -193,12 +193,12 @@ func Run(cfg Config) (Report, error) {
 			Logf:        logf,
 		}
 	}
-	txc, err := iqstream.DialTxReconnecting(linkAddr, 0, rcfg(101))
+	txc, err := iqstream.DialTxLinkReconnecting(linkAddr, 0, iqstream.LinkOpts{}, rcfg(101))
 	if err != nil {
 		return Report{}, fmt.Errorf("soak: dial tx: %w", err)
 	}
 	defer txc.Close()
-	rxc, err := iqstream.DialRxReconnecting(linkAddr, rcfg(202))
+	rxc, err := iqstream.DialRxLinkReconnecting(linkAddr, iqstream.LinkOpts{}, rcfg(202))
 	if err != nil {
 		return Report{}, fmt.Errorf("soak: dial rx: %w", err)
 	}

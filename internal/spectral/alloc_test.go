@@ -5,13 +5,12 @@ import (
 	"testing"
 
 	"bhss/internal/alloctest"
-	"bhss/internal/dsp"
 )
 
 // TestHotPathZeroAlloc asserts PSDInto's steady-state zero-allocation
 // contract on the power-of-two fast path.
 func TestHotPathZeroAlloc(t *testing.T) {
-	est := Estimator{SegmentLength: 256, Overlap: 128, Window: dsp.Hamming}
+	est := Welch(256)
 	r, err := est.Reusable()
 	if err != nil {
 		t.Fatal(err)

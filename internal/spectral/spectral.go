@@ -1,7 +1,7 @@
 // Package spectral implements power spectral density estimation and the
-// derived measurements the BHSS receiver's control logic relies on: the
-// averaged-periodogram estimator behind Bartlett's and Welch's methods (both
-// cited by the paper, §4.2; the receiver runs Welch's), band power and
+// derived measurements the BHSS receiver's control logic relies on: Welch's
+// averaged-periodogram estimator (the paper, §4.2, cites Bartlett's and
+// Welch's methods; the receiver runs Welch's), band power and
 // occupied-bandwidth estimation.
 //
 // All PSDs are returned in *un-shifted* FFT bin order (bin 0 = DC) so they
@@ -17,28 +17,17 @@ import (
 	"bhss/internal/obs"
 )
 
-// Estimator configures an averaged-periodogram PSD estimator.
+// Estimator configures a Welch PSD estimator: Hamming-windowed segments
+// with 50% overlap, the configuration most GNU Radio deployments default
+// to.
 type Estimator struct {
 	// SegmentLength is the FFT size K of each periodogram segment.
 	SegmentLength int
-	// Overlap is the number of samples consecutive segments share.
-	// Bartlett's method uses 0; Welch's classic choice is SegmentLength/2.
-	Overlap int
-	// Window applied to each segment before the FFT. Welch's method uses a
-	// tapered window; Bartlett's uses Rectangular.
-	Window dsp.Window
-	// Beta is the Kaiser window parameter (ignored for other windows).
-	Beta float64
 }
 
-// Welch returns an estimator using Welch's method with 50% overlap and a
-// Hamming window, the configuration most GNU Radio deployments default to.
+// Welch returns an estimator with segments of segmentLength samples.
 func Welch(segmentLength int) Estimator {
-	return Estimator{
-		SegmentLength: segmentLength,
-		Overlap:       segmentLength / 2,
-		Window:        dsp.Hamming,
-	}
+	return Estimator{SegmentLength: segmentLength}
 }
 
 // PSD estimates the power spectral density of x. The result has
@@ -86,12 +75,9 @@ func (e Estimator) Reusable() (*Reusable, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("spectral: segment length %d must be positive", k)
 	}
-	if e.Overlap < 0 || e.Overlap >= k {
-		return nil, fmt.Errorf("spectral: overlap %d out of [0, %d)", e.Overlap, k)
-	}
 	r := &Reusable{
 		est: e,
-		win: e.Window.Coefficients(k, e.Beta),
+		win: dsp.Hamming.Coefficients(k, 0),
 		seg: make([]complex128, k),
 	}
 	// Window power normalization: divide by sum(w^2) so the estimate is
@@ -122,7 +108,7 @@ func (r *Reusable) PSDInto(dst []float64, x []complex128) error {
 	if len(x) < k {
 		return fmt.Errorf("spectral: need at least %d samples, have %d", k, len(x))
 	}
-	step := k - r.est.Overlap
+	step := k - k/2 // segments overlap by k/2 samples
 	for i := range dst {
 		dst[i] = 0
 	}
