@@ -486,7 +486,7 @@ func (h *Hub) runTx(conn net.Conn, br *bufio.Reader, lk *link, port int, q *txQu
 	r := NewReader(br)
 	reason := "stream ended"
 	for {
-		block, err := r.ReadBlock()
+		block, err := r.nextBlock()
 		if err != nil {
 			reason = err.Error()
 			break
@@ -542,7 +542,7 @@ func (h *Hub) detachRx(lk *link, rx *rxConn, reason string) {
 	h.maybeEvictEmpty(lk)
 }
 
-// enqueueTx appends one decoded block to the transmitter's pending queue.
+// enqueueTx copies one decoded block into the transmitter's pending queue.
 // At the MaxPending bound it applies backpressure: it stops reading the
 // socket until the mixer drains the queue, and gives up with
 // errOverflowDeadline once the wait exceeds OverflowDeadline.
@@ -564,9 +564,9 @@ func (h *Hub) enqueueTx(lk *link, port int, q *txQueue, block []complex128) erro
 		}
 		// An oversized single block is admitted into an empty queue so it
 		// cannot deadlock the bound.
-		if len(q.pending) == 0 || len(q.pending)+len(block) <= h.cfg.MaxPending {
-			q.pending = append(q.pending, block...)
-			n := len(q.pending)
+		if q.n == 0 || q.n+len(block) <= h.cfg.MaxPending {
+			q.push(block, h.cfg.MaxPending)
+			n := q.n
 			lk.mu.Unlock()
 			h.noteHighWater(n)
 			h.kickLink(lk)

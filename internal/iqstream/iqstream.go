@@ -77,8 +77,11 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 // Reader deserializes sample blocks from an underlying stream. It is not
 // safe for concurrent use.
 type Reader struct {
-	r   *bufio.Reader
-	buf []byte
+	r      *bufio.Reader
+	header [8]byte
+	buf    []byte
+	// block is nextBlock's decode storage, reused from block to block.
+	block []complex128
 }
 
 // NewReader returns a block reader over r.
@@ -86,10 +89,27 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReader(r)}
 }
 
-// ReadBlock reads the next block. io.EOF is returned unwrapped at a clean
-// block boundary.
+// ReadBlock reads the next block into a fresh slice the caller owns.
+// io.EOF is returned unwrapped at a clean block boundary.
 func (r *Reader) ReadBlock() ([]complex128, error) {
-	var header [8]byte
+	return r.readBlock(nil)
+}
+
+// nextBlock is ReadBlock into storage the Reader keeps: the block is
+// valid only until the next read. The hub's transmitter loop copies each
+// block into its queue, so its steady state allocates nothing.
+func (r *Reader) nextBlock() ([]complex128, error) {
+	block, err := r.readBlock(r.block)
+	if err == nil {
+		r.block = block
+	}
+	return block, err
+}
+
+// readBlock decodes the next block into dst's backing array, or into a
+// fresh slice when dst is nil or too small.
+func (r *Reader) readBlock(dst []complex128) ([]complex128, error) {
+	header := r.header[:]
 	if _, err := io.ReadFull(r.r, header[:1]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
@@ -114,7 +134,10 @@ func (r *Reader) ReadBlock() ([]complex128, error) {
 	if _, err := io.ReadFull(r.r, buf); err != nil {
 		return nil, ErrShortRead
 	}
-	out := make([]complex128, n)
+	if dst == nil || cap(dst) < int(n) {
+		dst = make([]complex128, n)
+	}
+	out := dst[:n]
 	for i := range out {
 		re := math.Float32frombits(binary.LittleEndian.Uint32(buf[i*8:]))
 		im := math.Float32frombits(binary.LittleEndian.Uint32(buf[i*8+4:]))

@@ -43,7 +43,7 @@ func (lk *link) pendingLocked() int {
 	n := 0
 	for _, q := range lk.txs {
 		//bhss:allow(detrand) integer addition commutes: the total is identical in any map order
-		n += len(q.pending)
+		n += q.n
 	}
 	return n
 }
@@ -55,13 +55,53 @@ func (lk *link) emptyLocked() bool {
 }
 
 type txQueue struct {
-	gain    float64
-	tag     string // contribution tag for EXCL filtering ("" = untagged)
-	pending []complex128
+	gain float64
+	tag  string // contribution tag for EXCL filtering ("" = untagged)
+	// The pending samples are a FIFO in a growable ring: n samples from
+	// ring[head], wrapping at len(ring). Blocks are copied in, so the
+	// ring is the queue's only storage and is freed with it.
+	ring    []complex128
+	head, n int
 	active  bool
 	// space (capacity 1) is signalled by the mixer whenever it drains
 	// samples from this queue; blocked enqueues wait on it.
 	space chan struct{}
+}
+
+// push copies block onto the tail of the queue. A block that does not fit
+// grows the ring to twice its size, capped at limit (the MaxPending soft
+// bound) unless the queue then needs more, which admission allows only by
+// one wire block.
+func (q *txQueue) push(block []complex128, limit int) {
+	if need := q.n + len(block); need > len(q.ring) {
+		ring := make([]complex128, max(need, min(2*len(q.ring), limit)))
+		a, b := q.front(q.n)
+		copy(ring[copy(ring, a):], b)
+		q.ring, q.head = ring, 0
+	}
+	tail := q.head + q.n
+	if tail >= len(q.ring) {
+		tail -= len(q.ring)
+	}
+	copy(q.ring, block[copy(q.ring[tail:], block):])
+	q.n += len(block)
+}
+
+// front returns the oldest n ≤ q.n samples as at most two segments: a
+// runs up to the end of the ring and b is the wrapped remainder.
+func (q *txQueue) front(n int) (a, b []complex128) {
+	if end := q.head + n; end <= len(q.ring) {
+		return q.ring[q.head:end], nil
+	}
+	return q.ring[q.head:], q.ring[:q.head+n-len(q.ring)]
+}
+
+// pop discards the oldest n ≤ q.n samples.
+func (q *txQueue) pop(n int) {
+	q.n -= n
+	if q.head += n; q.head >= len(q.ring) {
+		q.head -= len(q.ring)
+	}
 }
 
 type rxConn struct {

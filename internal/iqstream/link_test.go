@@ -8,7 +8,65 @@ import (
 	"time"
 
 	"bhss/internal/obs"
+	"bhss/internal/prng"
 )
+
+// TestTxQueueRing drives the pending ring against a plain-slice FIFO:
+// seeded random pushes of 1 to 3×BlockSize samples, admitted as enqueueTx
+// admits them, and random drains of up to a block. Every round starts from
+// an empty queue, so the ring grows in every round, and it must wrap and
+// grow while wrapped. It never grows past the MaxPending bound plus one
+// block.
+func TestTxQueueRing(t *testing.T) {
+	const blockSize, maxPending = 4096, 8 * 4096
+	rng := prng.New(5)
+	var next float64
+	var wrappedDrains, wrappedGrowths int
+	for round := 0; round < 100; round++ {
+		var q txQueue
+		var ref []complex128
+		for step := 0; step < 100; step++ {
+			if rng.Intn(2) == 0 {
+				block := make([]complex128, 1+rng.Intn(3*blockSize))
+				if q.n > 0 && q.n+len(block) > maxPending {
+					continue // enqueueTx would wait for the mixer
+				}
+				for i := range block {
+					next++
+					block[i] = complex(next, -next)
+				}
+				if q.head+q.n > len(q.ring) && q.n+len(block) > len(q.ring) {
+					wrappedGrowths++
+				}
+				q.push(block, maxPending)
+				ref = append(ref, block...)
+				if len(q.ring) > maxPending+blockSize {
+					t.Fatalf("ring of %d samples, want at most MaxPending plus one block (%d)", len(q.ring), maxPending+blockSize)
+				}
+			} else {
+				n := min(q.n, rng.Intn(blockSize+1))
+				a, b := q.front(n)
+				if len(b) > 0 {
+					wrappedDrains++
+				}
+				for i, v := range append(a[:len(a):len(a)], b...) {
+					if v != ref[i] {
+						t.Fatalf("round %d step %d: drained sample %d = %v, want %v", round, step, i, v, ref[i])
+					}
+				}
+				q.pop(n)
+				ref = ref[n:]
+			}
+			if q.n != len(ref) {
+				t.Fatalf("round %d step %d: queue holds %d samples, want %d", round, step, q.n, len(ref))
+			}
+		}
+	}
+	t.Logf("%d wrapped drains, %d growths while wrapped", wrappedDrains, wrappedGrowths)
+	if wrappedDrains == 0 || wrappedGrowths == 0 {
+		t.Fatalf("%d wrapped drains and %d growths while wrapped, want both > 0", wrappedDrains, wrappedGrowths)
+	}
+}
 
 // TestHubMultiLinkIsolation is the no-cross-link-bleed property: three links
 // carrying distinct constant values, mixed concurrently, deliver exactly
@@ -218,10 +276,19 @@ func TestHubEvictionSparesLateAttach(t *testing.T) {
 // self-hearing fix): a receiver naming EXCL <tag> hears its link's mix with
 // the tagged transmitter's scaled contribution subtracted, while plain
 // receivers hear everything. The two phases are sequenced by draining each
-// transmission fully, so every expected sample value is exact.
+// transmission fully, so every expected sample value is exact. Each phase
+// streams a numbered sequence in blocks that do not divide the mixing
+// block (4,097 and 1,000 into 4,096), so the pending rings wrap under the
+// mixer, the jammer's at a non-unit gain through the tag contribution
+// path; only the silence the mixer pads between arrivals may interleave.
 func TestHubExcludeSelf(t *testing.T) {
 	checkGoroutines(t)
-	h := startHub(t, HubConfig{BlockSize: 64})
+	const mixBlock, jamGainDB = 4096, -6
+	// Every transmitted block may become a mixed block of its own, and
+	// the receiver queues hold a whole phase, so neither receiver can
+	// lose a block while the other is read.
+	const jamBlocks, victimBlocks = 60, 200
+	h := startHub(t, HubConfig{BlockSize: mixBlock, RxBuffer: 2 * max(jamBlocks, victimBlocks)})
 	addr := h.Addr().String()
 
 	plain, err := DialRxLink(addr, LinkOpts{})
@@ -240,49 +307,77 @@ func TestHubExcludeSelf(t *testing.T) {
 	}
 	defer victim.Close()
 	// The jam role defaults its contribution tag to "jam".
-	jam, err := DialTxLink(addr, 0, LinkOpts{Jam: true})
+	jam, err := DialTxLink(addr, jamGainDB, LinkOpts{Jam: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jam.Close()
 
-	const n = 1024
-	block := make([]complex128, n)
-
-	// Phase 1: only the jammer transmits. The plain receiver hears it; the
-	// sense stream hears exact silence — its own contribution subtracted.
-	for i := range block {
-		block[i] = complex(0, 2)
+	// phase sends blocks of blockLen samples, sample k (from 1) being
+	// at(k), and returns the plain and sense streams up to its last
+	// sample; the sense stream is read for as many samples as the plain.
+	phase := func(tx *Client, blocks, blockLen int, at func(k int) complex128) (heard, sensed []complex128) {
+		go func() {
+			block := make([]complex128, blockLen)
+			for b := 0; b < blocks; b++ {
+				for i := range block {
+					block[i] = at(b*blockLen + i + 1)
+				}
+				if err := tx.Send(block); err != nil {
+					return
+				}
+			}
+		}()
+		for left := blocks * blockLen; left > 0; {
+			blk := recvN(t, plain, mixBlock)
+			for _, v := range blk {
+				if v != 0 {
+					left--
+				}
+			}
+			heard = append(heard, blk...)
+		}
+		return heard, recvN(t, sense, len(heard))
 	}
-	if err := jam.Send(block); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range recvN(t, plain, n) {
-		if v != complex(0, 2) {
-			t.Fatalf("plain sample %d = %v during jam phase, want 2i", i, v)
+	// inOrder checks that stream, silence aside, is want(1), want(2), ...
+	inOrder := func(name string, stream []complex128, want func(k int) complex128) {
+		t.Helper()
+		k := 1
+		for i, v := range stream {
+			if v == 0 {
+				continue
+			}
+			if w := want(k); v != w {
+				t.Fatalf("%s sample %d = %v, want sequence value %d = %v", name, i, v, k, w)
+			}
+			k++
 		}
 	}
-	for i, v := range recvN(t, sense, n) {
+	wire := func(v complex128) complex128 {
+		return complex(float64(float32(real(v))), float64(float32(imag(v))))
+	}
+
+	// Phase 1: only the jammer transmits. The plain receiver hears it
+	// scaled by its gain; the sense stream hears exact silence — its own
+	// contribution subtracted.
+	jamAt := func(k int) complex128 { return complex(float64(k), -2*float64(k)) }
+	g := complex(dbToAmp(jamGainDB), 0)
+	heard, sensed := phase(jam, jamBlocks, mixBlock+1, jamAt)
+	inOrder("plain (jam phase)", heard, func(k int) complex128 { return wire(jamAt(k) * g) })
+	for i, v := range sensed {
 		if v != 0 {
 			t.Fatalf("sense sample %d = %v during jam phase: own transmission leaked into the excluded stream", i, v)
 		}
 	}
 
-	// Phase 2: only the victim transmits. Both receivers hear it untouched.
-	for i := range block {
-		block[i] = complex(1, 0)
-	}
-	if err := victim.Send(block); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range recvN(t, plain, n) {
-		if v != complex(1, 0) {
-			t.Fatalf("plain sample %d = %v during victim phase, want 1", i, v)
-		}
-	}
-	for i, v := range recvN(t, sense, n) {
-		if v != complex(1, 0) {
-			t.Fatalf("sense sample %d = %v during victim phase, want 1: exclusion removed a foreign contribution", i, v)
+	// Phase 2: only the victim transmits. Both receivers hear it untouched,
+	// block for block.
+	victimAt := func(k int) complex128 { return complex(float64(k), float64(k%7)) }
+	heard, sensed = phase(victim, victimBlocks, 1000, victimAt)
+	inOrder("plain (victim phase)", heard, victimAt)
+	for i := range heard {
+		if sensed[i] != heard[i] {
+			t.Fatalf("sense sample %d = %v during victim phase, want %v: exclusion removed a foreign contribution", i, sensed[i], heard[i])
 		}
 	}
 }

@@ -1,9 +1,10 @@
 package iqstream
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -36,7 +37,7 @@ func (sh *shard) snapshot(dst []*link) []*link {
 		dst = append(dst, lk)
 	}
 	sh.mu.Unlock()
-	sort.Slice(dst, func(i, j int) bool { return dst[i].id < dst[j].id })
+	slices.SortFunc(dst, func(a, b *link) int { return cmp.Compare(a.id, b.id) })
 	return dst
 }
 
@@ -110,6 +111,9 @@ type mixScratch struct {
 	ids      []int
 	tags     []tagContrib
 	noiseAmp float64
+	// noise holds one block of the link's noise draws (nil when
+	// NoiseVar is 0).
+	noise []complex128
 }
 
 // tagContrib accumulates one excluded tag's scaled contribution to the
@@ -125,6 +129,7 @@ func (h *Hub) newMixScratch() *mixScratch {
 	sc := &mixScratch{block: make([]complex128, h.cfg.BlockSize)}
 	if h.cfg.NoiseVar > 0 {
 		sc.noiseAmp = math.Sqrt(h.cfg.NoiseVar)
+		sc.noise = make([]complex128, h.cfg.BlockSize)
 	}
 	return sc
 }
@@ -208,7 +213,7 @@ func (h *Hub) mixPending(lk *link, sc *mixScratch) bool {
 	}
 	havePending := false
 	for _, q := range lk.txs {
-		if len(q.pending) > 0 {
+		if q.n > 0 {
 			havePending = true
 			break
 		}
@@ -216,7 +221,7 @@ func (h *Hub) mixPending(lk *link, sc *mixScratch) bool {
 	if !havePending || len(lk.rxs) == 0 {
 		// Garbage-collect drained, disconnected transmitter queues.
 		for port, q := range lk.txs {
-			if !q.active && len(q.pending) == 0 {
+			if !q.active && q.n == 0 {
 				delete(lk.txs, port)
 			}
 		}
@@ -270,14 +275,11 @@ func (h *Hub) mixPending(lk *link, sc *mixScratch) bool {
 	for port := range lk.txs {
 		ids = append(ids, port)
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	sc.ids = ids
 	for _, port := range ids {
 		q := lk.txs[port]
-		n := len(q.pending)
-		if n > h.cfg.BlockSize {
-			n = h.cfg.BlockSize
-		}
+		n := min(q.n, h.cfg.BlockSize)
 		g := complex(q.gain, 0)
 		var contrib []complex128
 		if q.tag != "" {
@@ -289,18 +291,10 @@ func (h *Hub) mixPending(lk *link, sc *mixScratch) bool {
 				}
 			}
 		}
-		if contrib != nil {
-			for i := 0; i < n; i++ {
-				v := q.pending[i] * g
-				block[i] += v
-				contrib[i] += v
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				block[i] += q.pending[i] * g
-			}
-		}
-		q.pending = q.pending[n:]
+		a, b := q.front(n)
+		addScaled(block, contrib, a, 0, g)
+		addScaled(block, contrib, b, len(a), g)
+		q.pop(n)
 		if n > 0 {
 			select {
 			case q.space <- struct{}{}:
@@ -309,12 +303,33 @@ func (h *Hub) mixPending(lk *link, sc *mixScratch) bool {
 		}
 	}
 	if sc.noiseAmp > 0 {
+		// One bulk draw yields exactly the per-sample ComplexNorm
+		// sequence: the link's Source is never drawn any other way.
+		lk.noise.ComplexNormInto(sc.noise)
 		a := complex(sc.noiseAmp, 0)
 		for i := range block {
-			block[i] += lk.noise.ComplexNorm() * a
+			block[i] += sc.noise[i] * a
 		}
 	}
 	return true
+}
+
+// addScaled adds seg·g into block from off on, and into contrib as well
+// when it is non-nil.
+func addScaled(block, contrib, seg []complex128, off int, g complex128) {
+	block = block[off : off+len(seg)]
+	if contrib == nil {
+		for i, s := range seg {
+			block[i] += s * g
+		}
+		return
+	}
+	contrib = contrib[off : off+len(seg)]
+	for i, s := range seg {
+		v := s * g
+		block[i] += v
+		contrib[i] += v
+	}
 }
 
 // deliverLink fans a mixed block out to the link's receiver queues without
