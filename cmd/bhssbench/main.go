@@ -22,6 +22,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"time"
@@ -46,8 +47,7 @@ func main() {
 		frames      = flag.Int("frames", 0, "override frames per measurement point")
 		list        = flag.Bool("list", false, "list experiments and exit")
 		benchOut    = flag.String("bench-out", "", "for -exp throughput: also write the machine-readable result to this JSON file (the committed baseline is BENCH_link.json)")
-		obsPath     = flag.String("obs", "", "write periodic pipeline-metric snapshots to this file")
-		obsFormat   = flag.String("obs-format", "jsonl", "snapshot format: jsonl or csv")
+		obsPath     = flag.String("obs", "", "write periodic pipeline-metric snapshots to this file, one JSON line each")
 		obsInterval = flag.Duration("obs-interval", 2*time.Second, "snapshot writer period")
 		progress    = flag.Duration("progress", 0, "print live sweep progress to stderr at this period (0 = off)")
 		debugAddr   = flag.String("debug-addr", "", "serve /debug/bhss, /debug/vars and /debug/pprof on this address (empty = off)")
@@ -155,23 +155,22 @@ func main() {
 	}
 	var writer *obs.SnapshotWriter
 	if *obsPath != "" {
-		format, err := obs.ParseFormat(*obsFormat)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
-		}
 		f, err := os.Create(*obsPath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "obs: %v\n", err)
 			os.Exit(1)
 		}
 		defer f.Close()
-		writer = obs.NewSnapshotWriter(f, format, met)
-		hdr := obs.NewHeader(*seed, simd.Active().String())
-		// NewHeader only sees the build-info stamp; gitRev() adds the
-		// `git rev-parse` fallback that covers `go run` invocations.
-		hdr.GitRev = camp.key.GitRev
-		writer.SetHeader(hdr)
+		writer = obs.NewSnapshotWriter(f, met)
+		writer.SetHeader(obs.Header{
+			Schema:    obs.SnapshotSchema,
+			GitRev:    camp.key.GitRev,
+			GoVersion: runtime.Version(),
+			GOOS:      runtime.GOOS,
+			GOARCH:    runtime.GOARCH,
+			SIMD:      simd.Active().String(),
+			Seed:      *seed,
+		})
 		writer.Start(*obsInterval)
 		defer func() {
 			if err := writer.Stop(); err != nil {

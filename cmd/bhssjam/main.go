@@ -8,8 +8,6 @@
 //
 //	bhssjam -hub 127.0.0.1:4200 -jam jam=bandlimited,bw=2.5,power=100
 //	bhssjam -jam jam=hopping,pattern=exponential,dwell=65536,power=100
-//	bhssjam -jam jam=sweep,span=10,period=65536,power=100
-//	bhssjam -jam jam=bandlimited,duty=0.5:65536,power=100
 //	bhssjam -jam jam=reactive,delay=256,sense=1024,power=100
 //
 // The -jam flag takes a jammer spec (jammer.ParseSpec grammar) naming any

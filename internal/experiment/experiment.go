@@ -172,9 +172,9 @@ func (t Trial) PacketLossDetail(snrDB float64, pointSeed uint64) (plr, meanLock 
 		noise.SetObserver(&met.Chan)
 	}
 	// The receiver front-end impairment chain, applied to the composite
-	// signal just before decoding. Stage state (oscillator phase, clock
-	// drift, dropout runs) persists across the point's frames, as it
-	// would on hardware; the point seed keeps it deterministic.
+	// signal just before decoding. Stage state (oscillator phase, phase
+	// noise walk, resampler position) persists across the point's frames,
+	// as it would on hardware; the point seed keeps it deterministic.
 	var front *impair.Chain
 	if t.Scale.Impair != "" {
 		front, err = impair.NewFromSpec(t.Scale.Impair, cfg.SampleRate, pointSeed^0x3c3c3c3c)

@@ -96,7 +96,7 @@ func vectors(t *testing.T) []struct {
 	// the spec grammar, so these hashes also pin ParseSpec→Build end to end.
 	for _, spec := range []string{
 		"jam=reactive,delay=256,sense=512,power=10",
-		"jam=multitone,tones=4,delay=256,sense=512,power=10",
+		"jam=multitone,delay=256,sense=512,power=10",
 		"jam=adaptive,delay=256,sense=512,power=10",
 	} {
 		kind := strings.TrimPrefix(strings.SplitN(spec, ",", 2)[0], "jam=")

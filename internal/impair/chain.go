@@ -16,7 +16,6 @@ type Chain struct {
 	//bhss:scratch
 	ping, pong, out []complex128
 	met             *obs.ImpairMetrics
-	lastDropped     int64
 }
 
 // NewChain assembles the given stages in order. Callers normally go
@@ -80,16 +79,6 @@ func (c *Chain) ProcessAppend(dst, src []complex128) []complex128 {
 	}
 	if c.met != nil {
 		c.met.Out.Add(int64(len(dst)))
-		var dropped int64
-		for _, st := range c.stages {
-			if d, ok := st.(*dropoutStage); ok {
-				dropped += d.dropped
-			}
-		}
-		if delta := dropped - c.lastDropped; delta > 0 {
-			c.met.Dropped.Add(delta)
-		}
-		c.lastDropped = dropped
 		c.met.ChainNS.ObserveSince(sw)
 	}
 	return dst

@@ -1,9 +1,8 @@
 package impair
 
-// clockStage models the sample-clock offset and drift between the
+// clockStage models the static sample-clock offset between the
 // transmitter's DAC and the receiver's ADC: the stream is resampled by a
-// rate that starts at 1 + ppm·1e-6 and drifts linearly (ppm/s at the
-// configured sample rate), using a cubic-Lagrange fractional-delay
+// rate of 1 + ppm·1e-6, using a cubic-Lagrange fractional-delay
 // interpolator in Farrow structure — the standard software-radio resampler
 // (e.g. GNU Radio's fractional resampler), here with 4 taps.
 //
@@ -13,11 +12,7 @@ package impair
 // ppm means the receiver's clock runs fast, so the signal appears
 // stretched: the stage emits slightly more samples than it consumes.
 type clockStage struct {
-	drift            float64 // step increment per output sample (clock drift)
-	minStep, maxStep float64
-
-	// step is the current input step per output sample, 1/(1+ppm·1e-6) at
-	// construction.
+	// step is the input step per output sample, 1/(1+ppm·1e-6).
 	step float64
 	// pos is the absolute fractional read position in input-stream units
 	// and base the absolute input index of work[0]. Keeping both absolute
@@ -30,18 +25,10 @@ type clockStage struct {
 	work []complex128 // carried history + current block
 }
 
-// newClock returns a resampler for the given static offset (ppm) and drift
-// rate (ppm per second at fsHz samples per second).
-func newClock(ppm, driftPPMPerSec, fsHz float64) *clockStage {
+// newClock returns a resampler for the given static offset in ppm.
+func newClock(ppm float64) *clockStage {
 	return &clockStage{
 		step: 1 / (1 + ppm*1e-6),
-		// d(ppm)/dt = drift  =>  per output sample the rate changes by
-		// drift·1e-6/fs; fold it into the step directly (first-order).
-		drift: -driftPPMPerSec * 1e-6 / fsHz,
-		// Clamp the accumulated drift to ±1000 ppm so a long stream cannot
-		// run the resampler to a standstill or a runaway.
-		minStep: 1 / (1 + 1000e-6),
-		maxStep: 1 / (1 - 1000e-6),
 		// The cubic interpolator reads work[i-1 .. i+2] around i =
 		// floor(pos). Seed the history with one zero sample (the silence
 		// before the stream) and start at pos = 1: the first output lands
@@ -79,12 +66,6 @@ func (s *clockStage) ProcessAppend(dst, src []complex128) []complex128 {
 		mu := pos - float64(ip)
 		dst = append(dst, lagrange4(work[i-1], work[i], work[i+1], work[i+2], mu))
 		pos += step
-		step += s.drift
-		if step < s.minStep {
-			step = s.minStep
-		} else if step > s.maxStep {
-			step = s.maxStep
-		}
 	}
 	// Carry the samples the interpolator may still need: everything from
 	// floor(pos)-1 onward.
@@ -99,6 +80,5 @@ func (s *clockStage) ProcessAppend(dst, src []complex128) []complex128 {
 	s.work = work[:n]
 	s.pos = pos
 	s.base = base + discard
-	s.step = step
 	return dst
 }

@@ -12,13 +12,13 @@ import (
 func FuzzParseSpec(f *testing.F) {
 	f.Add("")
 	f.Add("cfo=2e3,ppm=20,phnoise=-80,quant=8")
-	f.Add("mpath=0:0:0+7:-6:45,drop=0.001:30,seed=42")
-	f.Add("cfo=-1.5e3,phase=0.7,drift=0.25,iqgain=0.5,iqphase=-2,dc=0.01:-0.02,clip=1.2")
+	f.Add("quant=6,phnoise=-70,ppm=80,cfo=8e3")
+	f.Add("cfo=-1.5e3,phnoise=0,ppm=-0.25,quant=1")
 	f.Add("cfo=NaN")
 	f.Add("quant=99,ppm=1e9")
 	f.Add("=,=,=")
-	f.Add("mpath=1:2:3+4:5:6+7:8:9+10:11:12")
-	f.Add("mpath=1:0:2222220+2:-1e21:1e-7") // exponents must not split echoes
+	f.Add("ppm=1000,quant=24")
+	f.Add("cfo=1e-300,phnoise=-1e21,ppm=-1000")
 	f.Fuzz(func(t *testing.T, spec string) {
 		cfg, err := ParseSpec(spec)
 		if err != nil {

@@ -19,10 +19,8 @@ var mildSpecs = []string{
 	"ppm=2",
 	"phnoise=-100",
 	"quant=12",
-	"iqgain=0.1,iqphase=0.5",
-	"dc=0.001:0.001",
-	"cfo=100,phnoise=-100,quant=12,iqgain=0.1",
-	"mpath=0:0:0+3:-25:40,cfo=100",
+	"cfo=100,phnoise=-100,quant=12",
+	"cfo=100,ppm=2,phnoise=-100,quant=12",
 }
 
 // TestPropertyMildImpairmentRoundTrip is the headline property: for random
@@ -78,12 +76,11 @@ func TestPropertyMildImpairmentRoundTrip(t *testing.T) {
 }
 
 // TestPropertySeedDeterminism: two chains built from the same spec and
-// seed produce bit-identical output, for every stochastic stage kind.
+// seed produce bit-identical output, alone and in a full chain.
 func TestPropertySeedDeterminism(t *testing.T) {
 	specs := []string{
 		"phnoise=-80",
-		"drop=0.001:200",
-		"cfo=2e3,ppm=20,phnoise=-80,quant=8,drop=0.0005:100",
+		"cfo=2e3,ppm=20,phnoise=-80,quant=8",
 	}
 	sig := testBurst(t, 8192)
 	for _, spec := range specs {
@@ -113,7 +110,7 @@ func TestPropertySeedDeterminism(t *testing.T) {
 // loudly if parallelism (and with it nondeterministic float reduction
 // order) ever sneaks into a stage.
 func TestPropertyGOMAXPROCSInvariance(t *testing.T) {
-	const spec = "cfo=2e3,ppm=20,phnoise=-80,iqgain=0.5,iqphase=2,dc=0.01:0.02,quant=8,drop=0.001:100,mpath=0:0:0+5:-20:30"
+	const spec = "cfo=2e3,ppm=20,phnoise=-80,quant=8"
 	sig := testBurst(t, 16384)
 	run := func(procs int) []complex128 {
 		prev := runtime.GOMAXPROCS(procs)
@@ -151,7 +148,7 @@ func TestPropertyIdentityEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain, err := impair.NewFromSpec("cfo=0,phase=0,ppm=0,drift=0,iqgain=0,iqphase=0,dc=0:0,quant=0,drop=0:0", cfg.SampleRate, 1)
+	chain, err := impair.NewFromSpec("cfo=0,ppm=0,quant=0", cfg.SampleRate, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

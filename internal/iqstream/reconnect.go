@@ -19,13 +19,16 @@ const (
 	DefaultBackoffBase = 50 * time.Millisecond
 	// DefaultBackoffMax caps the exponential growth.
 	DefaultBackoffMax = 5 * time.Second
-	// DefaultBackoffMultiplier is the per-attempt growth factor.
-	DefaultBackoffMultiplier = 2.0
-	// DefaultBackoffJitter is the ± fraction of deterministic jitter.
-	DefaultBackoffJitter = 0.2
 	// DefaultMaxAttempts bounds the dial attempts of one (re)connect
 	// cycle.
 	DefaultMaxAttempts = 8
+)
+
+// The backoff's shape: each delay doubles the last, scaled by a factor in
+// [1−backoffJitter, 1+backoffJitter].
+const (
+	backoffMultiplier = 2.0
+	backoffJitter     = 0.2
 )
 
 // ErrStreamGap is returned by ReconnectingClient.Recv exactly once after a
@@ -39,21 +42,15 @@ var ErrClientClosed = errors.New("iqstream: client closed")
 
 // ReconnectConfig parameterizes a ReconnectingClient's retry behaviour.
 // Backoff is exponential with deterministic, seeded jitter: delay k is
-// min(BackoffMax, BackoffBase·Multiplier^k) scaled by a uniform factor in
-// [1−Jitter, 1+Jitter] drawn from internal/prng, so two clients with
-// different seeds never thundering-herd the hub in lockstep while a given
-// (seed, fault schedule) still replays exactly.
+// min(BackoffMax, BackoffBase·2^k) scaled by a uniform factor in
+// [0.8, 1.2] drawn from internal/prng, so two clients with different seeds
+// never thundering-herd the hub in lockstep while a given (seed, fault
+// schedule) still replays exactly.
 type ReconnectConfig struct {
 	// BackoffBase is the first retry delay (0 = DefaultBackoffBase).
 	BackoffBase time.Duration
 	// BackoffMax caps the delay growth (0 = DefaultBackoffMax).
 	BackoffMax time.Duration
-	// Multiplier is the exponential growth factor (0 =
-	// DefaultBackoffMultiplier; values < 1 are rejected).
-	Multiplier float64
-	// Jitter is the ± fraction applied to each delay, in [0, 1)
-	// (0 = DefaultBackoffJitter; negative disables jitter).
-	Jitter float64
 	// MaxAttempts bounds the dial attempts of one (re)connect cycle
 	// before the error is surfaced (0 = DefaultMaxAttempts; negative
 	// means retry forever).
@@ -119,21 +116,6 @@ func dialReconnecting(addr, handshake string, cfg ReconnectConfig) (*Reconnectin
 	if cfg.BackoffMax < cfg.BackoffBase {
 		return nil, fmt.Errorf("iqstream: backoff max %v below base %v", cfg.BackoffMax, cfg.BackoffBase)
 	}
-	if cfg.Multiplier == 0 {
-		cfg.Multiplier = DefaultBackoffMultiplier
-	}
-	if cfg.Multiplier < 1 || math.IsNaN(cfg.Multiplier) || math.IsInf(cfg.Multiplier, 0) {
-		return nil, fmt.Errorf("iqstream: backoff multiplier %v must be >= 1 and finite", cfg.Multiplier)
-	}
-	if cfg.Jitter == 0 {
-		cfg.Jitter = DefaultBackoffJitter
-	}
-	if cfg.Jitter < 0 {
-		cfg.Jitter = 0
-	}
-	if cfg.Jitter >= 1 || math.IsNaN(cfg.Jitter) {
-		return nil, fmt.Errorf("iqstream: backoff jitter %v must be in [0, 1)", cfg.Jitter)
-	}
 	if cfg.MaxAttempts == 0 {
 		cfg.MaxAttempts = DefaultMaxAttempts
 	}
@@ -163,13 +145,11 @@ func dialReconnecting(addr, handshake string, cfg ReconnectConfig) (*Reconnectin
 // backoffDelay returns the delay before dial attempt number attempt
 // (0-based), jittered deterministically from the configured seed.
 func (rc *ReconnectingClient) backoffDelay(attempt int) time.Duration {
-	d := float64(rc.cfg.BackoffBase) * math.Pow(rc.cfg.Multiplier, float64(attempt))
+	d := float64(rc.cfg.BackoffBase) * math.Pow(backoffMultiplier, float64(attempt))
 	if m := float64(rc.cfg.BackoffMax); d > m {
 		d = m
 	}
-	if j := rc.cfg.Jitter; j > 0 {
-		d *= 1 + j*(2*rc.rng.Float64()-1)
-	}
+	d *= 1 + backoffJitter*(2*rc.rng.Float64()-1)
 	return time.Duration(d)
 }
 

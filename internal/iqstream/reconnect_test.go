@@ -12,15 +12,12 @@ import (
 
 // TestBackoffScheduleDeterministic pins the jittered backoff schedule: the
 // same seed yields the same delays, a different seed yields different
-// ones, and every delay respects base·mult^k scaled by ±jitter and the
-// max cap.
+// ones, and every delay respects base·2^k scaled by ±20% and the max cap.
 func TestBackoffScheduleDeterministic(t *testing.T) {
 	mk := func(seed uint64) []time.Duration {
 		rc := &ReconnectingClient{cfg: ReconnectConfig{
 			BackoffBase: 100 * time.Millisecond,
 			BackoffMax:  2 * time.Second,
-			Multiplier:  2,
-			Jitter:      0.2,
 		}}
 		rc.rng = prng.New(seed)
 		var out []time.Duration
@@ -59,8 +56,6 @@ func TestReconnectConfigValidation(t *testing.T) {
 	bad := []ReconnectConfig{
 		{BackoffBase: -time.Second},
 		{BackoffBase: time.Second, BackoffMax: time.Millisecond},
-		{Multiplier: 0.5},
-		{Jitter: 1.5},
 	}
 	for i, cfg := range bad {
 		if _, err := DialRxLinkReconnecting("127.0.0.1:1", LinkOpts{}, cfg); err == nil {

@@ -12,8 +12,8 @@
 //
 //   - Reactive: matched band-limited AWGN at the estimated bandwidth — the
 //     classic reactive jammer of §2 (Wilhelm et al.).
-//   - Multitone: K constant-envelope tones placed on the strongest bins of
-//     the estimated chip spectrum, total power split evenly — the optimal
+//   - Multitone: four constant-envelope tones placed on the strongest bins
+//     of the estimated chip spectrum, total power split evenly — the optimal
 //     tone-placement adversary of arXiv:2602.06816 under a power budget.
 //   - Adaptive: learns the defender's hop-bandwidth distribution from its
 //     observation history and transmits a mixture of band-limited noise
@@ -337,24 +337,28 @@ func NewReactive(reactionDelay, senseWindow int, power float64, seed uint64) (*R
 	return r, nil
 }
 
-// Multitone places K constant-envelope tones on the strongest bins of the
-// estimated chip spectrum, splitting its power budget evenly — the optimal
-// power-constrained tone placement against a matched-filter receiver when
-// the spectrum is known (arXiv:2602.06816). Tones are retuned like
-// Reactive's noise: only when the estimated placement changes, applied one
-// reaction delay after the estimate matured.
+// multitoneTones is the Multitone jammer's tone count. Even the smallest
+// sense window (64 samples, a 32-bin PSD) leaves room for four picks with
+// their ±1-bin exclusion zones.
+const multitoneTones = 4
+
+// Multitone places four constant-envelope tones on the strongest bins of
+// the estimated chip spectrum, splitting its power budget evenly — the
+// optimal power-constrained tone placement against a matched-filter
+// receiver when the spectrum is known (arXiv:2602.06816). Tones are
+// retuned like Reactive's noise: only when the estimated placement
+// changes, applied one reaction delay after the estimate matured.
 type Multitone struct {
 	follower
 	d multitoneDesign
 }
 
 type multitoneDesign struct {
-	tones  int
 	target []float64
 }
 
 func (d *multitoneDesign) observe(psd []float64, bw float64) (tuning, bool) {
-	freqs := peakFreqs(psd, d.tones)
+	freqs := peakFreqs(psd, multitoneTones)
 	if len(freqs) == 0 {
 		return tuning{}, false
 	}
@@ -372,20 +376,11 @@ func (d *multitoneDesign) build(t tuning, power float64, _ uint64) Source {
 func (d *multitoneDesign) clearTuning() { d.target = d.target[:0] }
 func (d *multitoneDesign) resetState()  { d.target = d.target[:0] }
 
-// NewMultitone returns a K-tone follower jammer. tones must be >= 1 and at
-// most a quarter of the PSD resolution (senseWindow/8), so the greedy peak
-// picker always has distinct bins to place on.
-func NewMultitone(tones, reactionDelay, senseWindow int, power float64, seed uint64) (*Multitone, error) {
-	if tones < 1 {
-		return nil, fmt.Errorf("jammer: tone count %d must be >= 1", tones)
-	}
-	m := &Multitone{d: multitoneDesign{tones: tones}}
+// NewMultitone returns a four-tone follower jammer.
+func NewMultitone(reactionDelay, senseWindow int, power float64, seed uint64) (*Multitone, error) {
+	m := &Multitone{}
 	if err := m.follower.init(&m.d, reactionDelay, senseWindow, power, seed); err != nil {
 		return nil, err
-	}
-	if tones > senseWindow/8 {
-		return nil, fmt.Errorf("jammer: tone count %d exceeds sense resolution (max %d for window %d)",
-			tones, senseWindow/8, senseWindow)
 	}
 	return m, nil
 }

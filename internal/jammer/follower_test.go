@@ -134,7 +134,7 @@ func TestReactiveSilentFromScratch(t *testing.T) {
 // land inside the sensed signal's occupied band.
 func TestMultitoneSitsOnSpectralPeaks(t *testing.T) {
 	const sense = 512
-	m, err := NewMultitone(4, 0, sense, 4, 24)
+	m, err := NewMultitone(0, sense, 4, 24)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,19 +19,19 @@ func FuzzParseJamSpec(f *testing.F) {
 	seeds := []string{
 		"jam=bandlimited",
 		"jam=bandlimited,bw=0.625,power=100",
-		"jam=bandlimited,duty=0.25:1024,seed=42",
-		"jam=tone,freq=-3.5,power=2",
-		"jam=sweep,span=5,period=8192",
+		"jam=bandlimited,bw=20,power=0",
+		"jam=hopping,pattern=exponential,dwell=1",
+		"jam=hopping,pattern=parabolic,dwell=65536,power=100",
 		"jam=hopping,pattern=linear,dwell=2048",
 		"jam=reactive,delay=256,sense=1024,power=2",
 		"jam=reactive,memory=1",
-		"jam=multitone,tones=8,sense=1024",
+		"jam=multitone,sense=1024",
 		"jam=adaptive,delay=0,memory=0",
 		"jam=,bw=",
-		"jam=reactive,duty=0.5",
-		"power=2,,jam=tone",
+		"jam=reactive,bw=0.5",
+		"power=2,,jam=reactive",
 		"jam=bandlimited,bw=1e309",
-		"jam=multitone,tones=99,sense=64",
+		"jam=multitone,sense=64,delay=16777216",
 	}
 	for _, s := range seeds {
 		f.Add(s)

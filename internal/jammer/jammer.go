@@ -2,10 +2,11 @@
 // energy-unconstrained but power-budgeted adversary that emits additive
 // white Gaussian noise of an arbitrary bandwidth. Included are the
 // fixed-bandwidth AWGN jammer used for Figures 13/14, the bandwidth-hopping
-// jammer of Table 2 (reusing the defender's hop distributions), tone, sweep
-// and pulsed jammers as auxiliary interferers, and the reactive jammer that
-// senses the transmitted bandwidth and answers with a matched waveform after
-// a bounded reaction time τ — the threat BHSS is designed to defeat.
+// jammer of Table 2 (reusing the defender's hop distributions), and the
+// estimator followers of the arms race: the reactive jammer that senses the
+// transmitted bandwidth and answers with a matched waveform after a bounded
+// reaction time τ — the threat BHSS is designed to defeat — and its
+// multitone and adaptive variants.
 //
 // All frequencies and bandwidths are normalized to the sampling rate
 // (cycles per sample; two-sided band [−bw/2, +bw/2]).
@@ -156,140 +157,6 @@ func (b *Bandlimited) Emit(n int) []complex128 {
 	g := complex(b.scale, 0)
 	for i := range out {
 		out[i] *= g
-	}
-	return out
-}
-
-// Tone is a continuous-wave jammer at a single frequency.
-type Tone struct {
-	freq  float64
-	power float64
-	phase float64
-}
-
-// NewTone returns a CW jammer at the given normalized frequency and power.
-func NewTone(freq, power float64) (*Tone, error) {
-	if freq < -0.5 || freq >= 0.5 {
-		return nil, fmt.Errorf("jammer: tone frequency %v out of [-0.5, 0.5)", freq)
-	}
-	if power < 0 {
-		return nil, fmt.Errorf("jammer: negative power %v", power)
-	}
-	return &Tone{freq: freq, power: power}, nil
-}
-
-// Power returns the tone power.
-func (t *Tone) Power() float64 { return t.power }
-
-// Reset rewinds the tone to phase zero.
-func (t *Tone) Reset() { t.phase = 0 }
-
-// Emit returns the next n samples of the tone, phase-continuous. The phase
-// accumulates without modular reduction so the stream is bit-identical
-// under any chunking of Emit calls (the zoo determinism property).
-func (t *Tone) Emit(n int) []complex128 {
-	out := make([]complex128, n)
-	amp := math.Sqrt(t.power)
-	step := 2 * math.Pi * t.freq
-	ph := t.phase
-	for i := range out {
-		out[i] = complex(amp*math.Cos(ph), amp*math.Sin(ph))
-		ph += step
-	}
-	t.phase = ph
-	return out
-}
-
-// Sweep is a linear chirp jammer scanning [-span/2, span/2] over period
-// samples, a classic follower-jammer approximation.
-type Sweep struct {
-	span   float64
-	period int
-	power  float64
-	pos    int
-	phase  float64
-}
-
-// NewSweep returns a chirp jammer sweeping the given two-sided span
-// every period samples.
-func NewSweep(span float64, period int, power float64) (*Sweep, error) {
-	if span <= 0 || span > 1 {
-		return nil, fmt.Errorf("jammer: sweep span %v out of (0, 1]", span)
-	}
-	if period < 2 {
-		return nil, fmt.Errorf("jammer: sweep period %d too short", period)
-	}
-	if power < 0 {
-		return nil, fmt.Errorf("jammer: negative power %v", power)
-	}
-	return &Sweep{span: span, period: period, power: power}, nil
-}
-
-// Power returns the sweep power.
-func (s *Sweep) Power() float64 { return s.power }
-
-// Reset rewinds the chirp to the start of its sweep.
-func (s *Sweep) Reset() { s.pos, s.phase = 0, 0 }
-
-// Emit returns the next n chirp samples.
-func (s *Sweep) Emit(n int) []complex128 {
-	out := make([]complex128, n)
-	amp := math.Sqrt(s.power)
-	for i := range out {
-		frac := float64(s.pos) / float64(s.period)
-		freq := -s.span/2 + s.span*frac
-		s.phase += 2 * math.Pi * freq
-		out[i] = complex(amp*math.Cos(s.phase), amp*math.Sin(s.phase))
-		s.pos++
-		if s.pos == s.period {
-			s.pos = 0
-		}
-	}
-	return out
-}
-
-// Pulsed gates an inner jammer on and off, emitting during the first
-// onFraction of every period (a duty-cycled jammer).
-type Pulsed struct {
-	inner  Source
-	period int
-	on     int
-	pos    int
-}
-
-// NewPulsed wraps a jammer with an on/off duty cycle.
-func NewPulsed(inner Source, onFraction float64, period int) (*Pulsed, error) {
-	if onFraction < 0 || onFraction > 1 {
-		return nil, fmt.Errorf("jammer: duty cycle %v out of [0, 1]", onFraction)
-	}
-	if period < 1 {
-		return nil, fmt.Errorf("jammer: period %d must be >= 1", period)
-	}
-	return &Pulsed{inner: inner, period: period, on: int(onFraction * float64(period))}, nil
-}
-
-// Power returns the duty-cycle-weighted average power.
-func (p *Pulsed) Power() float64 {
-	return p.inner.Power() * float64(p.on) / float64(p.period)
-}
-
-// Reset rewinds the gate and the inner jammer.
-func (p *Pulsed) Reset() {
-	p.pos = 0
-	p.inner.Reset()
-}
-
-// Emit returns the next n samples, zero while gated off.
-func (p *Pulsed) Emit(n int) []complex128 {
-	out := p.inner.Emit(n)
-	for i := range out {
-		if p.pos >= p.on {
-			out[i] = 0
-		}
-		p.pos++
-		if p.pos == p.period {
-			p.pos = 0
-		}
 	}
 	return out
 }

@@ -125,92 +125,6 @@ func TestBandlimitedZeroPower(t *testing.T) {
 	}
 }
 
-func TestTone(t *testing.T) {
-	j, err := NewTone(0.125, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := j.Emit(1 << 12)
-	if p := dsp.Power(x); math.Abs(p-2)/2 > 1e-9 {
-		t.Fatalf("tone power %v, want 2", p)
-	}
-	// Spectral peak at the right bin.
-	spec := dsp.FFT(append([]complex128(nil), x[:1024]...))
-	if peak := dsp.ArgMaxAbs(spec); peak != 128 {
-		t.Fatalf("tone peak at bin %d, want 128", peak)
-	}
-	if _, err := NewTone(0.7, 1); err == nil {
-		t.Fatal("out-of-range frequency should error")
-	}
-	if _, err := NewTone(0, -1); err == nil {
-		t.Fatal("negative power should error")
-	}
-}
-
-func TestTonePhaseContinuity(t *testing.T) {
-	a, _ := NewTone(0.01, 1)
-	b, _ := NewTone(0.01, 1)
-	whole := a.Emit(200)
-	part := append(b.Emit(77), b.Emit(123)...)
-	for i := range whole {
-		if d := whole[i] - part[i]; math.Hypot(real(d), imag(d)) > 1e-9 {
-			t.Fatalf("tone discontinuity at %d", i)
-		}
-	}
-}
-
-func TestSweepCoversBand(t *testing.T) {
-	j, err := NewSweep(0.8, 4096, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := j.Emit(1 << 14)
-	if p := dsp.Power(x); math.Abs(p-1) > 1e-9 {
-		t.Fatalf("sweep power %v, want 1", p)
-	}
-	bw := measureBW(x, t)
-	if bw < 0.5 {
-		t.Fatalf("sweep occupied bandwidth %v, want ~0.8", bw)
-	}
-	if _, err := NewSweep(0, 100, 1); err == nil {
-		t.Fatal("zero span should error")
-	}
-	if _, err := NewSweep(0.5, 1, 1); err == nil {
-		t.Fatal("period 1 should error")
-	}
-	if _, err := NewSweep(0.5, 100, -1); err == nil {
-		t.Fatal("negative power should error")
-	}
-}
-
-func TestPulsedDutyCycle(t *testing.T) {
-	inner, _ := NewBandlimited(1, 2, 3)
-	j, err := NewPulsed(inner, 0.25, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := j.Emit(100000)
-	zero := 0
-	for _, v := range x {
-		if v == 0 {
-			zero++
-		}
-	}
-	frac := float64(zero) / float64(len(x))
-	if math.Abs(frac-0.75) > 0.01 {
-		t.Fatalf("off fraction %v, want 0.75", frac)
-	}
-	if math.Abs(j.Power()-0.5) > 1e-9 {
-		t.Fatalf("average power %v, want 0.5", j.Power())
-	}
-	if _, err := NewPulsed(inner, 2, 10); err == nil {
-		t.Fatal("duty > 1 should error")
-	}
-	if _, err := NewPulsed(inner, 0.5, 0); err == nil {
-		t.Fatal("period 0 should error")
-	}
-}
-
 func TestHoppingJammerChangesBandwidth(t *testing.T) {
 	dist, err := hop.NewDistribution(hop.Linear, []float64{10, 0.15625})
 	if err != nil {

@@ -50,44 +50,6 @@ func zoo() []zooEntry {
 			warmup:   2048,
 		},
 		{
-			name: "tone",
-			build: func(t *testing.T) Source {
-				j, err := NewTone(0.125, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return j
-			},
-			powerTol: 1e-9,
-		},
-		{
-			name: "sweep",
-			build: func(t *testing.T) Source {
-				j, err := NewSweep(0.8, 4096, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return j
-			},
-			powerTol: 1e-9,
-		},
-		{
-			name: "pulsed",
-			build: func(t *testing.T) Source {
-				inner, err := NewBandlimited(0.5, 3, 12)
-				if err != nil {
-					t.Fatal(err)
-				}
-				j, err := NewPulsed(inner, 0.25, 1024)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return j
-			},
-			powerTol: 0.15,
-			warmup:   2048,
-		},
-		{
 			name: "hopping",
 			build: func(t *testing.T) Source {
 				j, err := NewHopping(mustDist(), 20, 2048, 3, 13)
@@ -114,7 +76,7 @@ func zoo() []zooEntry {
 		{
 			name: "multitone",
 			build: func(t *testing.T) Source {
-				j, err := NewMultitone(4, 256, 512, 3, 15)
+				j, err := NewMultitone(256, 512, 3, 15)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -40,13 +40,11 @@ type CacheMetrics struct {
 // NumImpairStages is the number of impairment stage kinds; it must match
 // impair.NumKinds (pinned by a test in internal/impair, which cannot be
 // imported here without a cycle).
-const NumImpairStages = 8
+const NumImpairStages = 4
 
 // impairStageNames mirrors the impair package's Kind spec keys, in Kind
 // order (also pinned by the internal/impair test).
-var impairStageNames = [NumImpairStages]string{
-	"mpath", "cfo", "phnoise", "clock", "iq", "dc", "quant", "drop",
-}
+var impairStageNames = [NumImpairStages]string{"cfo", "phnoise", "clock", "quant"}
 
 // ImpairStageName returns the snapshot name suffix for impairment stage
 // kind i ("" when out of range); internal/impair's tests pin these against
@@ -63,8 +61,6 @@ type ImpairMetrics struct {
 	// In and Out total the samples entering and leaving the chain; they
 	// differ when a clock-skew stage resamples.
 	In, Out Counter
-	// Dropped counts samples zeroed by dropout stages.
-	Dropped Counter
 	// Stage counts samples entering each stage kind, indexed by
 	// impair.Kind.
 	Stage [NumImpairStages]Counter
@@ -302,7 +298,6 @@ func (p *Pipeline) snapshot(withSpans bool) Snapshot {
 	c("chan.jam_samples", &p.Chan.JamSamples)
 	c("impair.in", &p.Impair.In)
 	c("impair.out", &p.Impair.Out)
-	c("impair.dropped", &p.Impair.Dropped)
 	for i := range p.Impair.Stage {
 		c("impair.stage."+impairStageNames[i], &p.Impair.Stage[i])
 	}

@@ -1,39 +1,11 @@
 package obs
 
 import (
-	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
-	"runtime"
-	"runtime/debug"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
-
-// Format selects the snapshot writer's on-disk encoding.
-type Format int
-
-const (
-	// FormatJSONL writes one JSON snapshot per line (SnapshotLight layout).
-	FormatJSONL Format = iota
-	// FormatCSV writes a header row of metric names, then one value row per
-	// snapshot. The column set is fixed at the first write.
-	FormatCSV
-)
-
-// ParseFormat maps the -obs-format flag values "jsonl" and "csv".
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "jsonl":
-		return FormatJSONL, nil
-	case "csv":
-		return FormatCSV, nil
-	}
-	return 0, fmt.Errorf("obs: unknown snapshot format %q (want jsonl or csv)", s)
-}
 
 // Header is the one-time self-description record stamped ahead of a
 // snapshot stream: the build and run identity a reader needs to interpret
@@ -44,7 +16,7 @@ type Header struct {
 	// Schema is the snapshot layout version (SnapshotSchema).
 	Schema int `json:"schema"`
 	// GitRev is the source revision, "-dirty"-suffixed for modified trees
-	// and "unknown" when the binary carries no VCS stamp.
+	// and "unknown" when the producer cannot tell.
 	GitRev    string `json:"git_rev"`
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
@@ -56,53 +28,15 @@ type Header struct {
 	Seed uint64 `json:"seed"`
 }
 
-// NewHeader fills a Header from the running binary: the VCS revision via
-// runtime/debug.ReadBuildInfo (a `go build` of a clean checkout stamps it;
-// `go run` builds carry none and yield "unknown" — callers with a stronger
-// rev source may overwrite GitRev), the Go version, and GOOS/GOARCH.
-func NewHeader(seed uint64, simdMode string) Header {
-	h := Header{
-		Schema:    SnapshotSchema,
-		GitRev:    "unknown",
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		SIMD:      simdMode,
-		Seed:      seed,
-	}
-	if info, ok := debug.ReadBuildInfo(); ok {
-		rev, dirty := "", false
-		for _, s := range info.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				rev = s.Value
-			case "vcs.modified":
-				dirty = s.Value == "true"
-			}
-		}
-		if rev != "" {
-			if dirty {
-				rev += "-dirty"
-			}
-			h.GitRev = rev
-		}
-	}
-	return h
-}
-
 // SnapshotWriter periodically serializes a pipeline's SnapshotLight to an
-// io.Writer as JSONL or CSV. It is a reporting component: it allocates
-// freely and must not be called from hot paths. Write/Start/Stop are safe
-// for concurrent use with each other and with metric recording.
+// io.Writer as JSONL, one snapshot per line. It is a reporting component:
+// it allocates freely and must not be called from hot paths.
+// Write/Start/Stop are safe for concurrent use with each other and with
+// metric recording.
 type SnapshotWriter struct {
 	mu       sync.Mutex
 	w        io.Writer
-	format   Format
 	pipeline *Pipeline
-
-	// csvCols pins the CSV column names after the header row is emitted so
-	// later rows stay aligned even if global metrics register mid-run.
-	csvCols []string
 
 	// header, when set, is written once ahead of the first snapshot.
 	header    *Header
@@ -112,10 +46,8 @@ type SnapshotWriter struct {
 	done chan struct{}
 }
 
-// SetHeader arranges for h to be written once before the first snapshot:
-// as a {"header": {...}} line in JSONL mode, and as a `# key=value ...`
-// comment line (encoding/csv readers skip it with Comment = '#') ahead of
-// the column row in CSV mode. Call before Start or the first Write; a
+// SetHeader arranges for h to be written once, as a {"header": {...}}
+// line, before the first snapshot. Call before Start or the first Write; a
 // header set after output began is ignored.
 func (s *SnapshotWriter) SetHeader(h Header) {
 	s.mu.Lock()
@@ -127,8 +59,8 @@ func (s *SnapshotWriter) SetHeader(h Header) {
 }
 
 // NewSnapshotWriter returns a writer emitting p's snapshots to w.
-func NewSnapshotWriter(w io.Writer, format Format, p *Pipeline) *SnapshotWriter {
-	return &SnapshotWriter{w: w, format: format, pipeline: p}
+func NewSnapshotWriter(w io.Writer, p *Pipeline) *SnapshotWriter {
+	return &SnapshotWriter{w: w, pipeline: p}
 }
 
 // Write serializes one snapshot now.
@@ -142,13 +74,7 @@ func (s *SnapshotWriter) write(snap Snapshot) error {
 	if err := s.writeHeader(); err != nil {
 		return err
 	}
-	switch s.format {
-	case FormatCSV:
-		return s.writeCSV(snap)
-	default:
-		enc := json.NewEncoder(s.w)
-		return enc.Encode(snap)
-	}
+	return json.NewEncoder(s.w).Encode(snap)
 }
 
 // writeHeader emits the pending one-time header record, if any.
@@ -157,78 +83,9 @@ func (s *SnapshotWriter) writeHeader() error {
 		return nil
 	}
 	s.headerOut = true
-	switch s.format {
-	case FormatCSV:
-		_, err := fmt.Fprintf(s.w,
-			"# bhss-obs schema=%d git_rev=%s go=%s goos=%s goarch=%s simd=%s seed=%d\n",
-			s.header.Schema, csvHeaderField(s.header.GitRev), csvHeaderField(s.header.GoVersion),
-			csvHeaderField(s.header.GOOS), csvHeaderField(s.header.GOARCH),
-			csvHeaderField(s.header.SIMD), s.header.Seed)
-		return err
-	default:
-		return json.NewEncoder(s.w).Encode(struct {
-			Header *Header `json:"header"`
-		}{Header: s.header})
-	}
-}
-
-// csvHeaderField keeps the comment line single-line and space-delimited
-// whatever the build info contains.
-func csvHeaderField(v string) string {
-	return strings.Map(func(r rune) rune {
-		switch r {
-		case ' ', '\n', '\r', '\t':
-			return '_'
-		}
-		return r
-	}, v)
-}
-
-func (s *SnapshotWriter) writeCSV(snap Snapshot) error {
-	cw := csv.NewWriter(s.w)
-	if s.csvCols == nil {
-		s.csvCols = append(s.csvCols, "uptime_ns")
-		for _, c := range snap.Counters {
-			s.csvCols = append(s.csvCols, c.Name)
-		}
-		for _, g := range snap.Gauges {
-			s.csvCols = append(s.csvCols, g.Name)
-		}
-		for _, h := range snap.Histograms {
-			s.csvCols = append(s.csvCols,
-				h.Name+".count", h.Name+".mean", h.Name+".p50", h.Name+".p90", h.Name+".p99", h.Name+".max")
-		}
-		if err := cw.Write(s.csvCols); err != nil {
-			return err
-		}
-	}
-	// Values are matched to the pinned columns by name so a snapshot with
-	// extra late-registered metrics still writes an aligned row.
-	vals := make(map[string]string, len(s.csvCols))
-	vals["uptime_ns"] = strconv.FormatInt(snap.UptimeNS, 10)
-	for _, c := range snap.Counters {
-		vals[c.Name] = strconv.FormatInt(c.Value, 10)
-	}
-	for _, g := range snap.Gauges {
-		vals[g.Name] = strconv.FormatFloat(g.Value, 'g', -1, 64)
-	}
-	for _, h := range snap.Histograms {
-		vals[h.Name+".count"] = strconv.FormatInt(h.Count, 10)
-		vals[h.Name+".mean"] = strconv.FormatFloat(h.Mean, 'g', -1, 64)
-		vals[h.Name+".p50"] = strconv.FormatInt(h.P50, 10)
-		vals[h.Name+".p90"] = strconv.FormatInt(h.P90, 10)
-		vals[h.Name+".p99"] = strconv.FormatInt(h.P99, 10)
-		vals[h.Name+".max"] = strconv.FormatInt(h.Max, 10)
-	}
-	row := make([]string, len(s.csvCols))
-	for i, col := range s.csvCols {
-		row[i] = vals[col]
-	}
-	if err := cw.Write(row); err != nil {
-		return err
-	}
-	cw.Flush()
-	return cw.Error()
+	return json.NewEncoder(s.w).Encode(struct {
+		Header *Header `json:"header"`
+	}{Header: s.header})
 }
 
 // Start launches a goroutine writing one snapshot every interval until Stop.

@@ -2,29 +2,16 @@ package obs
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"strings"
 	"testing"
 )
 
-func TestParseFormat(t *testing.T) {
-	if f, err := ParseFormat("jsonl"); err != nil || f != FormatJSONL {
-		t.Fatalf("jsonl -> %v, %v", f, err)
-	}
-	if f, err := ParseFormat("csv"); err != nil || f != FormatCSV {
-		t.Fatalf("csv -> %v, %v", f, err)
-	}
-	if _, err := ParseFormat("xml"); err == nil {
-		t.Fatal("xml accepted")
-	}
-}
-
 func TestSnapshotWriterJSONL(t *testing.T) {
 	p := NewPipeline()
 	p.Tx.Frames.Add(5)
 	var buf bytes.Buffer
-	w := NewSnapshotWriter(&buf, FormatJSONL, p)
+	w := NewSnapshotWriter(&buf, p)
 	if err := w.Write(); err != nil {
 		t.Fatal(err)
 	}
@@ -56,52 +43,10 @@ func TestSnapshotWriterJSONL(t *testing.T) {
 	}
 }
 
-func TestSnapshotWriterCSV(t *testing.T) {
-	p := NewPipeline()
-	p.Rx.Bursts.Inc()
-	var buf bytes.Buffer
-	w := NewSnapshotWriter(&buf, FormatCSV, p)
-	if err := w.Write(); err != nil {
-		t.Fatal(err)
-	}
-	p.Rx.Bursts.Inc()
-	if err := w.Write(); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3 (header + 2 snapshots)", len(rows))
-	}
-	header := rows[0]
-	if header[0] != "uptime_ns" {
-		t.Fatalf("first column = %q, want uptime_ns", header[0])
-	}
-	col := -1
-	for i, name := range header {
-		if name == "rx.bursts" {
-			col = i
-		}
-	}
-	if col < 0 {
-		t.Fatal("rx.bursts column missing")
-	}
-	if rows[1][col] != "1" || rows[2][col] != "2" {
-		t.Fatalf("rx.bursts rows = %q, %q; want 1, 2", rows[1][col], rows[2][col])
-	}
-	for i := 1; i < len(rows); i++ {
-		if len(rows[i]) != len(header) {
-			t.Fatalf("row %d width %d != header width %d", i, len(rows[i]), len(header))
-		}
-	}
-}
-
 func TestSnapshotWriterJSONLHeader(t *testing.T) {
 	p := NewPipeline()
 	var buf bytes.Buffer
-	w := NewSnapshotWriter(&buf, FormatJSONL, p)
+	w := NewSnapshotWriter(&buf, p)
 	w.SetHeader(Header{Schema: SnapshotSchema, GitRev: "abc123", GoVersion: "go1.22",
 		GOOS: "linux", GOARCH: "amd64", SIMD: "avx2", Seed: 7})
 	if err := w.Write(); err != nil {
@@ -137,49 +82,10 @@ func TestSnapshotWriterJSONLHeader(t *testing.T) {
 	}
 }
 
-func TestSnapshotWriterCSVHeader(t *testing.T) {
-	p := NewPipeline()
-	var buf bytes.Buffer
-	w := NewSnapshotWriter(&buf, FormatCSV, p)
-	w.SetHeader(NewHeader(42, "off"))
-	if err := w.Write(); err != nil {
-		t.Fatal(err)
-	}
-	first, _, _ := strings.Cut(buf.String(), "\n")
-	if !strings.HasPrefix(first, "# bhss-obs schema=1 ") {
-		t.Fatalf("comment header = %q", first)
-	}
-	for _, want := range []string{"git_rev=", "go=go", "goarch=", "simd=off", "seed=42"} {
-		if !strings.Contains(first, want) {
-			t.Fatalf("comment header missing %q: %q", want, first)
-		}
-	}
-	// A '#'-aware CSV reader must still parse the stream cleanly.
-	r := csv.NewReader(&buf)
-	r.Comment = '#'
-	rows, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0][0] != "uptime_ns" {
-		t.Fatalf("rows = %d, first col %q; want column header + 1 snapshot", len(rows), rows[0][0])
-	}
-}
-
-func TestNewHeaderFillsBuildIdentity(t *testing.T) {
-	h := NewHeader(3, "avx2")
-	if h.Schema != SnapshotSchema || h.Seed != 3 || h.SIMD != "avx2" {
-		t.Fatalf("header = %+v", h)
-	}
-	if h.GoVersion == "" || h.GOOS == "" || h.GOARCH == "" || h.GitRev == "" {
-		t.Fatalf("build identity incomplete: %+v", h)
-	}
-}
-
 func TestSnapshotWriterStop(t *testing.T) {
 	p := NewPipeline()
 	var buf bytes.Buffer
-	w := NewSnapshotWriter(&buf, FormatJSONL, p)
+	w := NewSnapshotWriter(&buf, p)
 	// Stop without Start still emits the final snapshot.
 	if err := w.Stop(); err != nil {
 		t.Fatal(err)

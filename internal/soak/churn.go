@@ -18,13 +18,16 @@ import (
 // second of wall clock, so the churn soak can run under the race detector
 // in CI on every push.
 const (
-	DefaultChurnWorkers  = 8
-	DefaultChurnRounds   = 26
-	DefaultChurnLinkPool = 8
-	DefaultChurnChaos    = "latency=1:1,reset=0.05,trunc=0.1,short=0.3"
-	defaultChurnBlock    = 256
-	measuredChurnLink    = 99 // outside the churn pool, never shared
-	churnSettleTimeout   = 10 * time.Second
+	DefaultChurnWorkers = 8
+	DefaultChurnRounds  = 26
+	// churnLinkPool is how many link IDs (1..churnLinkPool) the churners
+	// share, so admissions and evictions of the same ID race.
+	churnLinkPool = 8
+	// churnChaos parameterizes the fault proxy some sessions dial through.
+	churnChaos         = "latency=1:1,reset=0.05,trunc=0.1,short=0.3"
+	defaultChurnBlock  = 256
+	measuredChurnLink  = 99 // outside the churn pool, never shared
+	churnSettleTimeout = 10 * time.Second
 )
 
 // ChurnConfig parameterizes one churn soak run.
@@ -36,12 +39,6 @@ type ChurnConfig struct {
 	Workers int
 	// Rounds is sessions per worker (0 = default).
 	Rounds int
-	// LinkPool is how many link IDs (1..LinkPool) the churners share, so
-	// admissions and evictions of the same ID race (0 = default).
-	LinkPool int
-	// ChaosSpec parameterizes the fault proxy some sessions dial through
-	// (iqstream.ParseChaosSpec grammar; empty = DefaultChurnChaos).
-	ChaosSpec string
 	// Metrics, when non-nil, receives the run's hub counters.
 	Metrics *obs.Pipeline
 	// Logf receives progress events; nil silences them.
@@ -83,12 +80,6 @@ func Churn(cfg ChurnConfig) (ChurnReport, error) {
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = DefaultChurnRounds
 	}
-	if cfg.LinkPool <= 0 {
-		cfg.LinkPool = DefaultChurnLinkPool
-	}
-	if cfg.ChaosSpec == "" {
-		cfg.ChaosSpec = DefaultChurnChaos
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -116,7 +107,7 @@ func Churn(cfg ChurnConfig) (ChurnReport, error) {
 	addr := hub.Addr().String()
 
 	proxy, err := iqstream.NewChaosProxyFromSpec(
-		"127.0.0.1:0", addr, cfg.ChaosSpec, cfg.Seed, logf)
+		"127.0.0.1:0", addr, churnChaos, cfg.Seed, logf)
 	if err != nil {
 		return ChurnReport{}, fmt.Errorf("churn: proxy: %w", err)
 	}
@@ -205,7 +196,7 @@ func Churn(cfg ChurnConfig) (ChurnReport, error) {
 			rng := prng.New(cfg.Seed ^ (uint64(w)+1)*0x9e3779b97f4a7c15)
 			block := make([]complex128, defaultChurnBlock)
 			for round := 0; round < cfg.Rounds; round++ {
-				link := uint32(1 + rng.Intn(cfg.LinkPool))
+				link := uint32(1 + rng.Intn(churnLinkPool))
 				o := iqstream.LinkOpts{Link: link}
 				switch rng.Intn(6) {
 				case 0: // clean transmitter session

@@ -26,7 +26,7 @@ const (
 	DefaultLinkRate      = 100e3
 	DefaultSimSeconds    = 30.0
 	DefaultTimeout       = 120 * time.Second
-	DefaultPayload       = "bandwidth hopping spread spectrum soak frame"
+	soakPayload          = "bandwidth hopping spread spectrum soak frame"
 	defaultHubBlock      = 4096
 	defaultTxPacing      = 20 * time.Millisecond
 	defaultDrainGrace    = 2 * time.Second
@@ -43,13 +43,8 @@ type Config struct {
 	// grammar); empty runs a transparent proxy.
 	ChaosSpec string
 	// SimSeconds is the amount of simulated traffic to push, in seconds
-	// at LinkRate (0 = DefaultSimSeconds).
+	// at DefaultLinkRate (0 = DefaultSimSeconds).
 	SimSeconds float64
-	// LinkRate is the nominal soak link rate in samples per second used
-	// for the simulated-time accounting (0 = DefaultLinkRate).
-	LinkRate float64
-	// Payload is the per-frame payload (nil = DefaultPayload).
-	Payload []byte
 	// Timeout bounds the wall-clock run (0 = DefaultTimeout).
 	Timeout time.Duration
 	// Metrics, when non-nil, receives the run's hub and client counters;
@@ -87,18 +82,13 @@ func (r Report) String() string {
 // hits. A non-nil error means the harness itself failed to run, not that
 // frames were lost — loss is the Report's business.
 func Run(cfg Config) (Report, error) {
-	if cfg.LinkRate <= 0 {
-		cfg.LinkRate = DefaultLinkRate
-	}
 	if cfg.SimSeconds <= 0 {
 		cfg.SimSeconds = DefaultSimSeconds
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultTimeout
 	}
-	if cfg.Payload == nil {
-		cfg.Payload = []byte(DefaultPayload)
-	}
+	payload := []byte(soakPayload)
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -164,15 +154,15 @@ func Run(cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("soak: probe transmitter: %w", err)
 	}
-	targetSamples := int64(cfg.SimSeconds * cfg.LinkRate)
+	targetSamples := int64(cfg.SimSeconds * DefaultLinkRate)
 	var lengths []int
 	maxBurst := 0
 	for total := int64(0); total < targetSamples || len(lengths) == 0; {
-		n, err := probe.BurstLength(len(cfg.Payload))
+		n, err := probe.BurstLength(len(payload))
 		if err != nil {
 			return Report{}, fmt.Errorf("soak: burst length: %w", err)
 		}
-		if _, err := probe.EncodeFrame(cfg.Payload); err != nil {
+		if _, err := probe.EncodeFrame(payload); err != nil {
 			return Report{}, fmt.Errorf("soak: probe encode: %w", err)
 		}
 		lengths = append(lengths, n)
@@ -212,7 +202,7 @@ func Run(cfg Config) (Report, error) {
 	go func() {
 		defer close(txDone)
 		for i := 0; i < frames; i++ {
-			burst, err := tx.EncodeFrame(cfg.Payload)
+			burst, err := tx.EncodeFrame(payload)
 			if err != nil {
 				logf("soak: encode frame %d: %v", i, err)
 				return
@@ -308,7 +298,7 @@ func Run(cfg Config) (Report, error) {
 	rep.FramesSent = frames
 	rep.FramesLost = frames - rep.FramesReceived
 	rep.SamplesSent = samplesSent.Load()
-	rep.SimSeconds = float64(rep.SamplesSent) / cfg.LinkRate
+	rep.SimSeconds = float64(rep.SamplesSent) / DefaultLinkRate
 	rep.Reconnects = met.Net.Reconnects.Load()
 	rep.StreamGaps = met.Net.StreamGaps.Load()
 	rep.Reacquired = met.Net.Reacquired.Load()
