@@ -14,22 +14,27 @@ import (
 // floor under a strong in-band tone, deterministic so every call takes the
 // same path.
 func excisionSegment(sps int) []complex128 {
-	src := prng.New(9)
 	seg := make([]complex128, 16384)
-	freq := 0.5 / float64(sps)
+	toneSegment(seg, prng.New(9), 0.5/float64(sps), 30)
+	return seg
+}
+
+// toneSegment fills seg with a weak noise floor under a tone of the given
+// frequency (cycles/sample) and amplitude.
+func toneSegment(seg []complex128, src *prng.Source, freq, amp float64) {
 	for i := range seg {
 		th := 2 * math.Pi * freq * float64(i)
-		seg[i] = src.ComplexNorm()*complex(0.1, 0) + complex(30*math.Cos(th), 30*math.Sin(th))
+		seg[i] = src.ComplexNorm()*complex(0.1, 0) + complex(amp*math.Cos(th), amp*math.Sin(th))
 	}
-	return seg
 }
 
 // TestHotPathZeroAlloc asserts the steady-state zero-allocation contract of
 // the receiver's per-hop hot path: spectrum estimation plus excision-filter
-// selection (estimateHop) and filtering (filterHop). The first call designs
-// and caches the notch filter and grows the receiver scratch; every call
-// after that must allocate nothing — with and without a metrics pipeline
-// attached, since obs recording rides inside the hot path.
+// selection (estimateHop) and filtering (filterHop). The first call builds
+// the notch convolver for the hop's PSD size and grows the receiver
+// scratch; every call after that must allocate nothing — with and without a
+// metrics pipeline attached, since obs recording rides inside the hot path —
+// including when the jammer moves and changes level on every hop.
 func TestHotPathZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -66,6 +71,29 @@ func TestHotPathZeroAlloc(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
+
+			// A non-stationary jammer: every call sees an in-band tone of a
+			// new frequency and level, so the notch design changes every hop.
+			moving := make([]complex128, len(seg))
+			src := prng.New(10)
+			calls, missed := 0, 0
+			alloctest.AssertZero(t, "Receiver.filterHop+estimateHop, moving tone", func() {
+				calls++
+				u := math.Mod(float64(calls)*0.6180339887498949, 1)
+				v := math.Mod(float64(calls)*0.7548776662466927, 1)
+				freq := (1.2*u - 0.6) / float64(sps)
+				toneSegment(moving, src, freq, 10+30*v)
+				d, c, _ := r.estimateHop(moving, sps)
+				if d != FilterExcision {
+					missed++
+				}
+				if _, err := r.filterHop(moving, sps, d, c); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if missed > 0 {
+				t.Fatalf("%d of %d moving-tone hops did not take the excision branch", missed, calls)
+			}
 			if tc.observer != nil {
 				snap := tc.observer.SnapshotLight()
 				var estimated int64

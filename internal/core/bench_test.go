@@ -5,10 +5,12 @@ import (
 	"testing"
 )
 
-// BenchmarkFilterDesignCache measures the steady-state cost of obtaining the
-// excision filter for a stationary jammer: after the first design, every hop
-// must hit the quantized-fingerprint cache and allocate nothing.
-func BenchmarkFilterDesignCache(b *testing.B) {
+// BenchmarkFilterDesign measures one excision hop's design: smoothing,
+// quantization, the in-place notch design and the transform of its taps
+// into the receiver's convolver. The jammer moves and changes level every
+// iteration, so consecutive hops never share a design, and the design must
+// allocate nothing.
+func BenchmarkFilterDesign(b *testing.B) {
 	r, err := NewReceiver(DefaultConfig(1))
 	if err != nil {
 		b.Fatal(err)
@@ -22,42 +24,22 @@ func BenchmarkFilterDesignCache(b *testing.B) {
 		// narrow jammer — the canonical excision scenario.
 		raw[i] = 1 + 0.05*math.Sin(float64(7*i))
 	}
-	raw[40], raw[41], raw[42] = 900, 1000, 900
 	ctx := hopFilterCtx{raw: raw, shape: shape, refN: 1}
-	if f, err := r.notchFilter(sps, ctx); err != nil || f == nil {
-		b.Fatalf("no filter designed: %v", err)
+	jam := func(c int, level float64) {
+		raw[c], raw[c+1], raw[c+2] = 0.9*level, level, 0.9*level
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if f, err := r.notchFilter(sps, ctx); err != nil || f == nil {
-			b.Fatalf("no filter: %v", err)
-		}
-	}
-}
-
-// BenchmarkFilterDesignUncached designs the same filter from scratch each
-// time, for comparison against the cached path.
-func BenchmarkFilterDesignUncached(b *testing.B) {
-	r, err := NewReceiver(DefaultConfig(1))
-	if err != nil {
+	jam(40, 1000)
+	if _, err := r.notchFilter(ctx); err != nil {
 		b.Fatal(err)
 	}
-	sps := r.spsTab[len(r.spsTab)-1]
-	const k = 256
-	shape := r.pulseShapeGain(sps, k)
-	raw := make([]float64, k)
-	for i := range raw {
-		raw[i] = 1 + 0.05*math.Sin(float64(7*i))
-	}
-	raw[40], raw[41], raw[42] = 900, 1000, 900
-	ctx := hopFilterCtx{raw: raw, shape: shape, refN: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clear(r.notchCache)
-		if f, err := r.notchFilter(sps, ctx); err != nil || f == nil {
-			b.Fatalf("no filter: %v", err)
+		c := 8 + i%32
+		jam(c, float64(500+i%512))
+		if _, err := r.notchFilter(ctx); err != nil {
+			b.Fatal(err)
 		}
+		jam(c, 1)
 	}
 }

@@ -118,11 +118,13 @@ type Receiver struct {
 	// welchCache holds one reusable PSD estimator per segment length, so
 	// per-hop spectral analysis allocates nothing in steady state.
 	welchCache map[int]*spectral.Reusable
-	// notchCache memoizes excision filter designs per (sps, FFT size,
-	// quantized PSD fingerprint): successive hops facing a stationary
-	// jammer reuse both the taps and their pre-computed frequency-domain
-	// transform instead of redesigning per hop.
-	notchCache map[notchKey]*dsp.FIR
+	// notchConv holds one excision convolver per PSD size. Every excision
+	// hop designs its notch into receiver scratch and loads the taps with
+	// SetTaps, so the design allocates nothing whatever the jammer does.
+	notchConv map[int]*dsp.OverlapSave
+	// desp despreads the header and the burst; it is reseeded with the
+	// frame's scrambler seed before each use.
+	desp *dsss.Despreader
 
 	// met is the optional observer; nil skips all recording. Recording
 	// never touches sample data, so decode output is identical either way.
@@ -148,20 +150,6 @@ func (r *Receiver) SetObserver(p *obs.Pipeline) {
 	}
 }
 
-// notchKey identifies one cached excision design. The fingerprint hashes
-// which bins exceed the shaped target and by how much (quantized to
-// quarter-octaves relative to the reference level), which is exactly the
-// information the notch design depends on.
-type notchKey struct {
-	sps, k int
-	fp     uint64
-}
-
-// maxNotchCache bounds the design cache; a jammer agile enough to produce
-// more distinct fingerprints than this defeats caching anyway, so the whole
-// cache is dropped and rebuilt.
-const maxNotchCache = 64
-
 // rxScratch holds the working buffers DecodeBurst reuses across hops and
 // bursts, keeping the steady-state decode path off the allocator. Every
 // field is overwritten by the next hop/burst; views must not outlive a call
@@ -174,6 +162,8 @@ type rxScratch struct {
 	//bhss:scratch
 	target, qpsd []float64 // notch target and quantized PSD
 	//bhss:scratch
+	spec, taps []complex128 // notch design: magnitude/inverse DFT and taps
+	//bhss:scratch
 	filtered []complex128 // filterHop output
 	//bhss:scratch
 	tracked []complex128 // carrier-loop working copy
@@ -181,6 +171,10 @@ type rxScratch struct {
 	chips []complex128 // accumulated chip estimates
 	//bhss:scratch
 	corr []complex128 // acquisition correlation
+	//bhss:scratch
+	symbols []int // despread symbol decisions
+	//bhss:scratch
+	metrics []float64 // despread correlation metrics
 }
 
 // NewReceiver returns a receiver for the configuration. Construct it from
@@ -196,7 +190,8 @@ func NewReceiver(cfg Config) (*Receiver, error) {
 		lpfCache:   map[int]*dsp.FIR{},
 		shapeCache: map[[2]int][]float64{},
 		welchCache: map[int]*spectral.Reusable{},
-		notchCache: map[notchKey]*dsp.FIR{},
+		notchConv:  map[int]*dsp.OverlapSave{},
+		desp:       dsss.NewDespreader(0),
 	}
 	if cfg.EnableFilter {
 		// "We pre-compute the taps of all possible low-pass filters in
@@ -234,6 +229,14 @@ func (r *Receiver) welch(k int) (*spectral.Reusable, error) {
 func resizeFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+// resizeComplex is resizeFloats for complex samples.
+func resizeComplex(s []complex128, n int) []complex128 {
+	if cap(s) < n {
+		return make([]complex128, n)
 	}
 	return s[:n]
 }
@@ -458,32 +461,32 @@ func (r *Receiver) filterHop(seg []complex128, sps int, decision FilterDecision,
 		//bhss:allow(hotpath) FIR designs and their overlap-save convolvers are memoized per sps; allocates only on cache miss
 		r.scratch.filtered = r.lowPass(sps).Convolver().ApplySame(r.scratch.filtered[:0], seg)
 	case FilterExcision:
-		//bhss:allow(hotpath) notch designs are memoized by quantized-spectrum hash (scratch grows amortized); allocates only on cache miss
-		f, err := r.notchFilter(sps, ctx)
+		//bhss:allow(hotpath) the design writes into receiver scratch (grown amortized); a convolver is built only on first sight of a PSD size
+		conv, err := r.notchFilter(ctx)
 		if err != nil {
 			return nil, err
 		}
-		r.scratch.filtered = f.Convolver().ApplySame(r.scratch.filtered[:0], seg)
+		r.scratch.filtered = conv.ApplySame(r.scratch.filtered[:0], seg)
 	default:
 		return seg, nil
 	}
 	return r.scratch.filtered, nil
 }
 
-// notchFilter returns the excision filter for the hop: a notch-floor
-// variant of the eq. (3) whitening filter with a shaped target — each bin
-// is allowed the signal's expected level at that frequency (refN · |G(f)|²)
-// and anything above is jamming, pushed well below it.
+// notchFilter designs the excision filter for the hop and returns the
+// convolver it is loaded in: a notch-floor variant of the eq. (3) whitening
+// filter with a shaped target — each bin is allowed the signal's expected
+// level at that frequency (refN · |G(f)|²) and anything above is jamming,
+// pushed well below it.
 //
-// Designs are memoized: the over-target bins are quantized to
-// quarter-octaves relative to the reference level and hashed, so successive
-// hops facing a stationary jammer hit the cache and reuse both the taps and
-// their frequency-domain transform. The quantized spectrum (not the raw
-// one) also feeds the design on a miss, making cached and freshly designed
-// filters identical by construction. The notch magnitude and the threshold
-// test depend only on the bin/reference power *ratio*, so a cached design
-// remains exact when the absolute signal level changes between hops.
-func (r *Receiver) notchFilter(sps int, ctx hopFilterCtx) (*dsp.FIR, error) {
+// Every excision hop designs afresh from its own PSD, as §6.1 does (only the
+// low-pass bank is precomputed). The over-target bins are quantized to
+// quarter-octaves relative to the reference level before the design, so
+// notch depths move in 0.75 dB steps; the golden vectors and the quick
+// anchors pin that design. The design and its taps live in receiver
+// scratch, and the taps are transformed into the one convolver kept per PSD
+// size, so a jammer that changes every hop costs no allocation.
+func (r *Receiver) notchFilter(ctx hopFilterCtx) (*dsp.OverlapSave, error) {
 	k := len(ctx.raw)
 	// Design-grade smoothing: lighter than the detection smoothing so the
 	// notch stays as narrow as the jammer.
@@ -495,58 +498,42 @@ func (r *Receiver) notchFilter(sps int, ctx hopFilterCtx) (*dsp.FIR, error) {
 	for i := range target {
 		target[i] = ctx.refN * ctx.shape[i]
 	}
-	if ctx.refN <= 0 {
-		// Degenerate reference (no measurable signal): nothing to anchor
-		// a fingerprint on, design directly from the estimate.
-		if r.met != nil {
-			r.met.Cache.NotchMiss.Inc()
-			defer r.met.RecordStage(obs.StageRxFilterDesign, obs.Start())
+	// A degenerate reference (no measurable signal) leaves nothing to
+	// quantize against, so that design reads the estimate directly.
+	design := psd
+	if ctx.refN > 0 {
+		r.scratch.qpsd = resizeFloats(r.scratch.qpsd, k)
+		design = r.scratch.qpsd
+		for i, p := range psd {
+			design[i] = 0 // below target: passes with unit gain either way
+			if p > excisionPeakRatio*target[i] {
+				e := math.Round(4 * math.Log2(p/ctx.refN))
+				design[i] = ctx.refN * math.Exp2(e/4)
+			}
 		}
-		return dsp.ShapedNotchFIR(psd, target, excisionPeakRatio)
-	}
-	r.scratch.qpsd = resizeFloats(r.scratch.qpsd, k)
-	qpsd := r.scratch.qpsd
-	const (
-		fnvOffset = 0xcbf29ce484222325
-		fnvPrime  = 0x100000001b3
-	)
-	fp := uint64(fnvOffset)
-	for i, p := range psd {
-		qpsd[i] = 0 // below target: passes with unit gain either way
-		if p > excisionPeakRatio*target[i] {
-			e := math.Round(4 * math.Log2(p/ctx.refN))
-			qpsd[i] = ctx.refN * math.Exp2(e/4)
-			fp = (fp ^ uint64(i)) * fnvPrime
-			fp = (fp ^ uint64(int64(e)+1024)) * fnvPrime
-		}
-	}
-	key := notchKey{sps: sps, k: k, fp: fp}
-	if f, ok := r.notchCache[key]; ok {
-		if r.met != nil {
-			r.met.Cache.NotchHit.Inc()
-		}
-		return f, nil
 	}
 	var dsw obs.Stopwatch
 	if r.met != nil {
 		r.met.Cache.NotchMiss.Inc()
 		dsw = obs.Start()
 	}
-	f, err := dsp.ShapedNotchFIR(qpsd, target, excisionPeakRatio)
+	r.scratch.spec = resizeComplex(r.scratch.spec, k)
+	taps, err := dsp.ShapedNotchInto(r.scratch.taps[:0], r.scratch.spec, design, target, excisionPeakRatio)
 	if r.met != nil {
 		r.met.RecordStage(obs.StageRxFilterDesign, dsw)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if len(r.notchCache) >= maxNotchCache {
-		if r.met != nil {
-			r.met.Cache.NotchEvict.Add(int64(len(r.notchCache)))
-		}
-		clear(r.notchCache)
+	r.scratch.taps = taps
+	conv, ok := r.notchConv[k]
+	if !ok {
+		conv = dsp.NewOverlapSave(taps)
+		r.notchConv[k] = conv
+		return conv, nil
 	}
-	r.notchCache[key] = f
-	return f, nil
+	conv.SetTaps(taps)
+	return conv, nil
 }
 
 // signalQuantile is the in-band PSD quantile used as the "signal level"
@@ -790,18 +777,19 @@ func (r *Receiver) finishBurst(stats *RxStats, chips []complex128, loop *trackin
 		}
 	}
 	whole := len(chips) / dsss.ComplexChipsPerSymbol * dsss.ComplexChipsPerSymbol
-	despreader := dsss.NewDespreader(scramblerSeed)
+	r.desp.Reset(scramblerSeed)
 	var ssw obs.Stopwatch
 	if r.met != nil {
 		ssw = obs.Start()
 	}
-	symbols, metrics, err := despreader.Despread(chips[:whole])
+	symbols, metrics, err := r.desp.DespreadInto(r.scratch.symbols, r.scratch.metrics, chips[:whole])
 	if r.met != nil {
 		r.met.RecordStage(obs.StageRxDespread, ssw)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	r.scratch.symbols, r.scratch.metrics = symbols, metrics
 	var metricSum float64
 	for _, m := range metrics {
 		metricSum += m
@@ -821,7 +809,8 @@ func (r *Receiver) finishBurst(stats *RxStats, chips []complex128, loop *trackin
 // tried). When the length byte is unreadable the maximum frame length is
 // assumed and the CRC check rejects the frame downstream.
 func (r *Receiver) resolveHeader(chips []complex128, scramblerSeed uint64) (complex128, int) {
-	headerChips := chips[:frame.HeaderSymbols*dsss.ComplexChipsPerSymbol]
+	var buf [frame.HeaderSymbols * dsss.ComplexChipsPerSymbol]complex128
+	headerChips := chips[:len(buf)]
 	rotations := []complex128{1}
 	if r.cfg.TrackingLoops {
 		rotations = []complex128{1, complex(0, 1), -1, complex(0, -1)}
@@ -830,16 +819,16 @@ func (r *Receiver) resolveHeader(chips []complex128, scramblerSeed uint64) (comp
 	bestRot := complex(1, 0)
 	bestScore := math.Inf(-1)
 	bestTotal := maxSymbols
-	buf := make([]complex128, len(headerChips))
 	for _, rot := range rotations {
 		for i, c := range headerChips {
 			buf[i] = c * rot
 		}
-		d := dsss.NewDespreader(scramblerSeed)
-		syms, metrics, err := d.Despread(buf)
+		r.desp.Reset(scramblerSeed)
+		syms, metrics, err := r.desp.DespreadInto(r.scratch.symbols, r.scratch.metrics, buf[:])
 		if err != nil {
 			continue
 		}
+		r.scratch.symbols, r.scratch.metrics = syms, metrics
 		// Majority of the preamble symbols must be zero; the first one
 		// or two may be lost while the loop pulls in.
 		nPre := frame.PreambleBytes * frame.SymbolsPerByte

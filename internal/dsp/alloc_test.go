@@ -20,6 +20,23 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	var dst []complex128
 	alloctest.AssertZero(t, "OverlapSave.ApplyFull", func() { dst = o.ApplyFull(dst[:0], sig) })
 	alloctest.AssertZero(t, "OverlapSave.ApplySame", func() { dst = o.ApplySame(dst[:0], sig) })
+	h2 := randSignal(129, 7)
+	alloctest.AssertZero(t, "OverlapSave.SetTaps", func() { o.SetTaps(h2) })
+
+	jam := make([]float64, 256)
+	for i := range jam {
+		jam[i] = 1 + 0.05*float64(i%5)
+	}
+	jam[40], jam[41], jam[42] = 900, 1000, 900
+	target := flat(len(jam), 1)
+	spec := make([]complex128, len(jam))
+	var taps []complex128
+	alloctest.AssertZero(t, "ShapedNotchInto", func() {
+		var err error
+		if taps, err = ShapedNotchInto(taps[:0], spec, jam, target, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
 
 	a := randSignal(2048, 4)
 	b := randSignal(2048, 5)

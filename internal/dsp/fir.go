@@ -215,17 +215,18 @@ func WhiteningFIR(psd []float64, floor float64) (*FIR, error) {
 		maxP = 1
 	}
 	clamp := maxP * floor
-	mag := make([]float64, k)
+	spec := make([]complex128, k)
 	for i, p := range psd {
 		if p < clamp {
 			p = clamp
 		}
-		mag[i] = 1 / math.Sqrt(p)
+		spec[i] = complex(1/math.Sqrt(p), 0)
 	}
-	f, err := linearPhaseFromMagnitude(mag)
+	taps, err := linearPhaseInto(nil, spec)
 	if err != nil {
 		return nil, err
 	}
+	f := NewFIR(taps)
 	// Normalize so the median pass-band gain is ~1, keeping the overall
 	// signal level stable.
 	resp := f.FrequencyResponse(k)
@@ -242,38 +243,40 @@ func WhiteningFIR(psd []float64, floor float64) (*FIR, error) {
 	return f, nil
 }
 
-// linearPhaseFromMagnitude builds an exactly linear-phase FIR whose
-// magnitude response approximates the given K-point target (un-shifted bin
-// order). The target may be asymmetric in ±f (a one-sided jammer notch), so
-// the taps are complex but Hermitian around the center (h[c+d] =
+// linearPhaseInto turns the K-point magnitude target held in spec's real
+// parts (un-shifted bin order) into the taps of an exactly linear-phase FIR,
+// written into taps' storage (grown only when its capacity is short) and
+// returned. The target may be asymmetric in ±f (a one-sided jammer notch),
+// so the taps are complex but Hermitian around the center (h[c+d] =
 // conj(h[c-d])), which keeps the frequency response real — zero phase up to
 // an integer delay. The zero-phase impulse response from the inverse DFT is
 // rotated so its peak sits at the integer center c = (L-1)/2 with L = K-1
 // (odd) taps — the alignment OverlapSave.ApplySame compensates exactly.
 // (A direct e^{-jπ(K-1)k/K} phase term as written in eq. (3) puts the delay
 // at the half-sample (K-1)/2, which an integer-aligned convolution cannot
-// undo without distortion.)
-func linearPhaseFromMagnitude(mag []float64) (*FIR, error) {
-	k := len(mag)
+// undo without distortion.) For a power-of-two K the inverse DFT runs in
+// place in spec and the call allocates nothing once taps has capacity;
+// other sizes transform into a new buffer.
+func linearPhaseInto(taps, spec []complex128) ([]complex128, error) {
+	k := len(spec)
 	if k < 3 {
 		return nil, fmt.Errorf("dsp: magnitude response needs >= 3 bins, got %d", k)
 	}
-	h := make([]complex128, k)
-	for i, m := range mag {
-		h[i] = complex(m, 0)
-	}
-	h0 := IFFT(h) // zero-phase: h0[-n] = conj(h0[n]) for a real target
+	h0 := IFFT(spec) // zero-phase: h0[-n] = conj(h0[n]) for a real target
 	L := k - 1
 	if L%2 == 0 {
 		L--
 	}
 	c := (L - 1) / 2
-	taps := make([]complex128, L)
+	if cap(taps) < L {
+		taps = make([]complex128, L)
+	}
+	taps = taps[:L]
 	for i := range taps {
 		idx := ((i-c)%k + k) % k
 		taps[i] = h0[idx]
 	}
-	return NewFIR(taps), nil
+	return taps, nil
 }
 
 // SmoothPSDInto writes into dst a circularly smoothed copy of a PSD: a
@@ -347,9 +350,26 @@ const notchDepth = 16
 // never mistaken for interference while a jammer hiding under it still
 // gets cut. len(target) must equal len(psd), and threshold must be > 1.
 //
+// It is the allocating form of ShapedNotchInto.
+func ShapedNotchFIR(psd, target []float64, threshold float64) (*FIR, error) {
+	taps, err := ShapedNotchInto(nil, make([]complex128, len(psd)), psd, target, threshold)
+	if err != nil {
+		return nil, err
+	}
+	return NewFIR(taps), nil
+}
+
+// ShapedNotchInto designs ShapedNotchFIR's taps into caller storage, for a
+// receiver that designs a fresh notch on every excision hop: spec must
+// hold len(psd) bins and receives the magnitude target, then (for a
+// power-of-two len(psd)) its inverse DFT; the linear-phase taps are written
+// into taps' storage (grown only when its capacity is short) and returned.
+// For a power-of-two len(psd) the call allocates nothing once taps has
+// capacity.
+//
 // The design runs per hop on live estimates, so bad input returns an error
 // instead of panicking the streaming path.
-func ShapedNotchFIR(psd, target []float64, threshold float64) (*FIR, error) {
+func ShapedNotchInto(taps, spec []complex128, psd, target []float64, threshold float64) ([]complex128, error) {
 	k := len(psd)
 	if k == 0 {
 		return nil, fmt.Errorf("dsp: notch filter needs a non-empty PSD")
@@ -357,19 +377,22 @@ func ShapedNotchFIR(psd, target []float64, threshold float64) (*FIR, error) {
 	if len(target) != k {
 		return nil, fmt.Errorf("dsp: notch target has %d bins for a %d-bin PSD", len(target), k)
 	}
+	if len(spec) != k {
+		return nil, fmt.Errorf("dsp: notch design scratch has %d bins for a %d-bin PSD", len(spec), k)
+	}
 	if threshold <= 1 {
 		return nil, fmt.Errorf("dsp: notch threshold %v must be > 1", threshold)
 	}
-	mag := make([]float64, k)
 	for i, p := range psd {
-		mag[i] = 1
+		m := 1.0
 		t := target[i]
 		if t <= 0 {
 			t = 1e-12
 		}
 		if p > threshold*t {
-			mag[i] = math.Sqrt(t / (notchDepth * p))
+			m = math.Sqrt(t / (notchDepth * p))
 		}
+		spec[i] = complex(m, 0)
 	}
-	return linearPhaseFromMagnitude(mag)
+	return linearPhaseInto(taps, spec)
 }

@@ -83,7 +83,7 @@ func sameBits(t *testing.T, name string, got, want []complex128) {
 	for i := range want {
 		if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
 			math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
-			t.Fatalf("%s: output %d = %v, complex-tap loop gives %v", name, i, got[i], want[i])
+			t.Fatalf("%s: output %d = %v, want %v", name, i, got[i], want[i])
 		}
 	}
 }

@@ -106,6 +106,9 @@ func TestNotchFIRRejectsBadInput(t *testing.T) {
 			t.Fatalf("case %d: expected error", i)
 		}
 	}
+	if _, err := ShapedNotchInto(nil, make([]complex128, 2), []float64{1, 1, 1}, []float64{1, 1, 1}, 4); err == nil {
+		t.Fatal("design scratch shorter than the PSD: expected error")
+	}
 }
 
 func TestShapedNotchFIRRespectsTarget(t *testing.T) {
@@ -153,17 +156,18 @@ func TestLinearPhaseFromMagnitudeGroupDelay(t *testing.T) {
 	// filter must remain exactly linear-phase, i.e. an impulse passes
 	// with only the (L-1)/2 delay that ApplySame compensates.
 	const k = 128
-	mag := make([]float64, k)
-	for i := range mag {
-		mag[i] = 1
+	spec := make([]complex128, k)
+	for i := range spec {
+		spec[i] = 1
 	}
 	for i := 20; i < 25; i++ {
-		mag[i] = 0.01
+		spec[i] = 0.01
 	}
-	f, err := linearPhaseFromMagnitude(mag)
+	taps, err := linearPhaseInto(nil, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := NewFIR(taps)
 	if f.Len()%2 != 1 {
 		t.Fatalf("tap count %d should be odd", f.Len())
 	}
@@ -190,7 +194,7 @@ func TestLinearPhaseFromMagnitudeGroupDelay(t *testing.T) {
 }
 
 func TestLinearPhaseFromMagnitudeRejectsShortInput(t *testing.T) {
-	if _, err := linearPhaseFromMagnitude([]float64{1, 2}); err == nil {
+	if _, err := linearPhaseInto(nil, []complex128{1, 2}); err == nil {
 		t.Fatal("short magnitude should be rejected")
 	}
 }

@@ -62,15 +62,31 @@ func NewOverlapSaveSize(taps []complex128, fftLen int) (*OverlapSave, error) {
 		plan:  PlanFFT(fftLen),
 		block: make([]complex128, fftLen),
 	}
+	o.SetTaps(taps)
+	return o, nil
+}
+
+// SetTaps replaces the convolver's taps with another set of the same
+// length, transforming them into the existing frequency-domain table. The
+// result is bit-identical to a fresh NewOverlapSaveSize at this block size,
+// and the call allocates nothing, so a receiver that designs a new filter
+// per hop can keep one convolver.
+//
+//bhss:hotpath
+func (o *OverlapSave) SetTaps(taps []complex128) {
+	if len(taps) != o.k {
+		//bhss:allow(panicpolicy) zero-alloc contract: a tap count other than the convolver's is a caller bug, like copy() with bad bounds
+		panic("dsp: OverlapSave.SetTaps tap count mismatch")
+	}
 	copy(o.hFT, taps)
+	clear(o.hFT[o.k:])
 	o.plan.Forward(o.hFT)
 	// Folding the inverse transform's 1/N into H saves a full output pass
 	// per block.
-	invN := complex(1/float64(fftLen), 0)
+	invN := complex(1/float64(len(o.hFT)), 0)
 	for i := range o.hFT {
 		o.hFT[i] *= invN
 	}
-	return o, nil
 }
 
 // convolveBlock runs one overlap-save block over o.block in place: forward

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -54,4 +55,30 @@ func TestNewOverlapSaveSizeValidates(t *testing.T) {
 	if _, err := NewOverlapSaveSize(nil, 32); err == nil {
 		t.Fatal("expected error for empty taps")
 	}
+}
+
+// TestOverlapSaveSetTapsMatchesFresh pins SetTaps to construction: a
+// convolver that held other taps first transforms and filters bit for bit
+// like a fresh NewOverlapSave of the new taps.
+func TestOverlapSaveSetTapsMatchesFresh(t *testing.T) {
+	x := randSignal(5000, 11)
+	for _, nh := range []int{1, 33, 255} {
+		reused := NewOverlapSave(randSignal(nh, 12))
+		_ = reused.ApplySame(nil, x) // dirty the block scratch too
+		h := randSignal(nh, 13)
+		reused.SetTaps(h)
+		fresh := NewOverlapSave(h)
+		name := fmt.Sprintf("%d taps", nh)
+		sameBits(t, name+" transform", reused.hFT, fresh.hFT)
+		sameBits(t, name+" output", reused.ApplySame(nil, x), fresh.ApplySame(nil, x))
+	}
+}
+
+func TestOverlapSaveSetTapsRejectsOtherLength(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetTaps with a different tap count did not panic")
+		}
+	}()
+	NewOverlapSave(randSignal(16, 1)).SetTaps(randSignal(17, 2))
 }

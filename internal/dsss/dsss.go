@@ -82,6 +82,11 @@ func (s *Spreader) SpreadAppend(dst []complex128, symbols []int) ([]complex128, 
 type Despreader struct {
 	rows [][]complex128
 	scr  *pn.Scrambler
+	// buf holds one symbol's descrambled chips. A local array would move
+	// to the heap on every call: simd.CorrReal calls its kernel through a
+	// dispatch variable, so escape analysis assumes the chips leak.
+	//bhss:scratch
+	buf [ComplexChipsPerSymbol]complex128
 }
 
 // NewDespreader returns a despreader synchronized to the same seed as the
@@ -90,26 +95,39 @@ func NewDespreader(seed uint64) *Despreader {
 	return &Despreader{rows: sharedRows(), scr: pn.NewScrambler(seed)}
 }
 
+// Reset restarts the despreader's scrambler from seed, leaving it as
+// NewDespreader(seed) would, so one despreader can serve frame after frame.
+func (d *Despreader) Reset(seed uint64) {
+	d.scr.Reseed(seed)
+}
+
 // Despread consumes len(chips)/16 symbols worth of chip estimates and
 // returns the hard symbol decisions together with the per-symbol correlation
 // metric (the winning correlator's real output, normalized so a noise-free
 // matched symbol scores ~16). Chips beyond the last whole symbol are an
 // error: the framing layer always produces whole symbols.
 func (d *Despreader) Despread(chips []complex128) ([]int, []float64, error) {
+	return d.DespreadInto(nil, nil, chips)
+}
+
+// DespreadInto is Despread writing the decisions and metrics into the
+// storage of symbols and metrics, each grown only when its capacity is
+// short, for callers that reuse both across frames.
+func (d *Despreader) DespreadInto(symbols []int, metrics []float64, chips []complex128) ([]int, []float64, error) {
 	if len(chips)%ComplexChipsPerSymbol != 0 {
 		return nil, nil, fmt.Errorf("dsss: %d chips is not a whole number of symbols", len(chips))
 	}
 	n := len(chips) / ComplexChipsPerSymbol
-	symbols := make([]int, n)
-	metrics := make([]float64, n)
-	var buf [ComplexChipsPerSymbol]complex128
+	symbols = resize(symbols, n)
+	metrics = resize(metrics, n)
+	buf := d.buf[:]
 	for i := 0; i < n; i++ {
-		copy(buf[:], chips[i*ComplexChipsPerSymbol:(i+1)*ComplexChipsPerSymbol])
+		copy(buf, chips[i*ComplexChipsPerSymbol:(i+1)*ComplexChipsPerSymbol])
 		// Descramble: the overlay is ±1, so applying it again removes it.
-		d.scr.Apply(buf[:])
+		d.scr.Apply(buf)
 		best, bestMetric := 0, negInf
 		for sym, row := range d.rows {
-			acc := simd.CorrReal(buf[:], row)
+			acc := simd.CorrReal(buf, row)
 			if acc > bestMetric {
 				bestMetric = acc
 				best = sym
@@ -119,6 +137,15 @@ func (d *Despreader) Despread(chips []complex128) ([]int, []float64, error) {
 		metrics[i] = bestMetric
 	}
 	return symbols, metrics, nil
+}
+
+// resize returns a slice of length n, reusing s's storage when it is large
+// enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 const negInf = -1e308

@@ -207,3 +207,42 @@ func BenchmarkDespread(b *testing.B) {
 		}
 	}
 }
+
+// TestDespreadIntoResetMatchesFresh pins the reused-despreader path the
+// receiver runs: one despreader, Reset to each frame's seed and despreading
+// into the previous call's storage, decides and scores every symbol bit for
+// bit like a fresh NewDespreader, including after a call of another length.
+func TestDespreadIntoResetMatchesFresh(t *testing.T) {
+	src := prng.New(5)
+	reused := NewDespreader(0)
+	var syms []int
+	var mets []float64
+	for frame, n := range []int{12, 40, 3, 40, 1} {
+		seed := uint64(1000 + frame)
+		symbols := make([]int, n)
+		for i := range symbols {
+			symbols[i] = src.Intn(16)
+		}
+		chips, _ := NewSpreader(seed).Spread(symbols)
+		for i := range chips {
+			chips[i] += src.ComplexNorm()
+		}
+		want, wantMet, err := NewDespreader(seed).Despread(chips)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused.Reset(seed)
+		if syms, mets, err = reused.DespreadInto(syms, mets, chips); err != nil {
+			t.Fatal(err)
+		}
+		if len(syms) != n || len(mets) != n {
+			t.Fatalf("frame %d: %d symbols and %d metrics, want %d", frame, len(syms), len(mets), n)
+		}
+		for i := range want {
+			if syms[i] != want[i] || math.Float64bits(mets[i]) != math.Float64bits(wantMet[i]) {
+				t.Fatalf("frame %d symbol %d: got %d (%v), fresh despreader %d (%v)",
+					frame, i, syms[i], mets[i], want[i], wantMet[i])
+			}
+		}
+	}
+}

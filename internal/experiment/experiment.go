@@ -191,19 +191,19 @@ func (t Trial) PacketLossDetail(snrDB float64, pointSeed uint64) (plr, meanLock 
 	gain := math.Sqrt(t.Scale.NoiseVar) * stats.AmplitudeFromDB(snrDB)
 	lost := 0
 	lockSum := 0.0
-	// The receive buffer is reused across frames: each frame copies the
-	// burst in and applies channel effects in place, so the trial loop
-	// stays off the allocator in steady state.
+	// The receive buffer is reused across frames: each frame is encoded
+	// straight into it and channel effects apply in place, so the trial
+	// loop stays off the allocator in steady state.
 	var rxSamples, impaired []complex128
 	for i := 0; i < t.Scale.Frames; i++ {
 		for b := range payload {
 			payload[b] = byte(src.Uint64())
 		}
-		burst, err := tx.EncodeFrame(payload)
+		burst, err := tx.EncodeFrameInto(rxSamples[:0], payload)
 		if err != nil {
 			return 0, 0, err
 		}
-		rxSamples = append(rxSamples[:0], burst.Samples...)
+		rxSamples = burst.Samples
 		if gain != 1 {
 			for k := range rxSamples {
 				rxSamples[k] *= complex(gain, 0)

@@ -1,7 +1,7 @@
 // Package obs is the pipeline's zero-allocation observability layer:
 // atomic counters and gauges, lock-free power-of-two-bucket histograms, and
 // a ring-buffer span tracer with monotonic-clock stage timing. It exists so
-// the performance work of PR 1 (plan/notch caches, zero-alloc hot paths) and
+// the performance work (FFT plan and filter caches, zero-alloc hot paths) and
 // the per-hop control decisions of §4.2 are visible at runtime — which
 // filter branch fired, how long each stage took, how often the caches hit —
 // without perturbing the DSP: recording never touches sample data, and every

@@ -28,8 +28,10 @@ type CacheMetrics struct {
 	// WelchHit/WelchMiss cover the per-segment-length reusable Welch
 	// estimator cache.
 	WelchHit, WelchMiss Counter
-	// NotchHit/NotchMiss cover the fingerprinted excision-design cache;
-	// NotchEvict counts designs dropped when the cache is cleared.
+	// NotchMiss counts excision designs: the receiver designs every
+	// excision hop's notch afresh, in place, so nothing is cached.
+	// NotchHit and NotchEvict stay 0; they remain only because the
+	// benchmark module still reads them.
 	NotchHit, NotchMiss, NotchEvict Counter
 	// LowPassHit/LowPassMiss cover the per-bandwidth channel-select FIRs.
 	LowPassHit, LowPassMiss Counter

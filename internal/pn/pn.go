@@ -110,6 +110,11 @@ func NewScrambler(seed uint64) *Scrambler {
 	return &Scrambler{src: prng.New(seed)}
 }
 
+// Reseed restarts the overlay from seed, as NewScrambler(seed) would.
+func (s *Scrambler) Reseed(seed uint64) {
+	s.src.Reseed(seed)
+}
+
 // Apply multiplies the chips in place by the next scrambling values.
 func (s *Scrambler) Apply(chips []complex128) {
 	for i := range chips {

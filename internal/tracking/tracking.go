@@ -139,59 +139,88 @@ func (c *Costas) LockQuality() float64 {
 // per sample with the QPSK decision-directed error
 // e = sign(I)·Q − sign(Q)·I.
 //
+// The loop state lives in locals for the whole call. The decision signs
+// come from the textbook comparisons but are applied as sign-bit masks, so
+// the compiler emits conditional moves: on noise those decisions are coin
+// flips a branch would mispredict. The sample magnitude is hypot, a Go copy
+// of math.Hypot's assembly. Output and state are bit-identical to the
+// branching loop over math.Hypot.
+//
 //bhss:hotpath
 func (c *Costas) Process(x []complex128) {
 	maxW := 2 * math.Pi * c.MaxFreq
+	alpha, beta := c.alpha, c.beta
+	phase, freq, avgMag, errEMA := c.phase, c.freq, c.avgMag, c.errEMA
 	for i, v := range x {
-		y := v * derotor(c.phase)
+		y := v * derotor(phase)
 		x[i] = y
 		ii, qq := real(y), imag(y)
-		var err float64
-		if ii >= 0 {
-			err = qq
-		} else {
-			err = -qq
+		// err = ±qq − (±ii): negating a float flips its sign bit, and
+		// a − b is exactly a + (−b).
+		var negQ, negI uint64
+		if !(ii >= 0) {
+			negQ = signBit
 		}
 		if qq >= 0 {
-			err -= ii
-		} else {
-			err += ii
+			negI = signBit
 		}
+		err := math.Float64frombits(math.Float64bits(qq)^negQ) + math.Float64frombits(math.Float64bits(ii)^negI)
 		// Normalize by the average amplitude to keep the loop gain
 		// signal-level independent without amplifying low-envelope
 		// samples.
-		mag := math.Hypot(ii, qq)
-		if c.avgMag == 0 {
-			c.avgMag = mag
+		mag := hypot(ii, qq)
+		if avgMag == 0 {
+			avgMag = mag
 		} else {
-			c.avgMag += 0.01 * (mag - c.avgMag)
+			avgMag += 0.01 * (mag - avgMag)
 		}
-		if c.avgMag > 1e-12 {
-			err /= c.avgMag
+		if avgMag > 1e-12 {
+			err /= avgMag
 		}
 		if err > 2 {
 			err = 2
 		} else if err < -2 {
 			err = -2
 		}
-		if err >= 0 {
-			c.errEMA += lockRate * (err - c.errEMA)
-		} else {
-			c.errEMA += lockRate * (-err - c.errEMA)
+		errEMA += lockRate * (math.Abs(err) - errEMA)
+		freq += beta * err
+		if freq > maxW {
+			freq = maxW
+		} else if freq < -maxW {
+			freq = -maxW
 		}
-		c.freq += c.beta * err
-		if c.freq > maxW {
-			c.freq = maxW
-		} else if c.freq < -maxW {
-			c.freq = -maxW
-		}
-		c.phase += c.freq + c.alpha*err
-		if c.phase > math.Pi {
-			c.phase -= 2 * math.Pi
-		} else if c.phase < -math.Pi {
-			c.phase += 2 * math.Pi
+		phase += freq + alpha*err
+		if phase > math.Pi {
+			phase -= 2 * math.Pi
+		} else if phase < -math.Pi {
+			phase += 2 * math.Pi
 		}
 	}
+	c.phase, c.freq, c.avgMag, c.errEMA = phase, freq, avgMag, errEMA
+}
+
+const signBit = 1 << 63
+
+// hypot is math.Hypot's amd64 assembly written in Go: max·√(1 +
+// (min/max)²) over the magnitudes, +Inf when either input is infinite, NaN
+// when either is NaN otherwise, and 0 for two zeros. On amd64 math.Hypot is
+// an assembly function, which a Go caller reaches through an ABI wrapper
+// that passes the arguments and result through memory; this is a plain
+// register-ABI call.
+func hypot(p, q float64) float64 {
+	p, q = math.Abs(p), math.Abs(q)
+	if !(p <= math.MaxFloat64 && q <= math.MaxFloat64) {
+		if math.IsInf(p, 1) || math.IsInf(q, 1) {
+			return math.Inf(1)
+		}
+		return math.NaN()
+	}
+	hi, lo := max(p, q), min(p, q)
+	if hi == 0 {
+		return 0
+	}
+	r := lo / hi
+	return hi * math.Sqrt(1+r*r)
 }
 
 // derotor returns e^(−iφ) as complex(cos, sin) from math.Sincos(−φ). It is
