@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"bhss/internal/alloctest"
@@ -107,6 +109,53 @@ func TestHotPathZeroAlloc(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPreambleSyncDecodeReusesCapture pins the PreambleSync decode's reuse
+// of its capture-sized buffers: once warm, the bytes a decode allocates do
+// not grow with the capture. Appending the burst's length in silence to the
+// capture must add less than half a copy of those samples; a decode that
+// copies the capture from the burst start adds a whole copy. The per-burst
+// preamble template and its correlator still allocate, by template length.
+func TestPreambleSyncDecodeReusesCapture(t *testing.T) {
+	cfg := DefaultConfig(3)
+	cfg.Sync = PreambleSync
+	tx, rx := mustPair(t, cfg)
+	payload := bytes.Repeat([]byte("bhss"), 8)
+	burst, err := tx.EncodeFrame(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture := func(trailing int) []complex128 {
+		c := make([]complex128, 500+len(burst.Samples)+trailing)
+		copy(c[500:], burst.Samples)
+		return c
+	}
+	short, long := capture(0), capture(len(burst.Samples))
+	decode := func(c []complex128) {
+		rx.frame = 0 // both captures carry frame 0
+		got, _, err := rx.DecodeBurst(c)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("decode: %q, %v", got, err)
+		}
+	}
+	decode(long) // grows the receiver's scratch to the longer capture
+	bytesPerDecode := func(c []complex128) int64 {
+		const runs = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			decode(c)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	shortBytes, longBytes := bytesPerDecode(short), bytesPerDecode(long)
+	extra := int64(len(long)-len(short)) * 16
+	if longBytes-shortBytes >= extra/2 {
+		t.Fatalf("a warm decode allocates %d bytes for a %d-sample capture and %d for one %d samples longer: it copies the capture",
+			shortBytes, len(short), longBytes, len(long)-len(short))
 	}
 }
 

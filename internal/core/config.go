@@ -24,6 +24,7 @@ import (
 	"math"
 
 	"bhss/internal/hop"
+	"bhss/internal/pulse"
 )
 
 // SyncMode selects how the receiver aligns to a burst.
@@ -97,46 +98,49 @@ func DefaultConfig(seed uint64) Config {
 	}
 }
 
-// normalize fills in defaults and derives the per-bandwidth samples-per-chip
-// table. It returns the validated distribution.
-func (c *Config) normalize() (hop.Distribution, []int, error) {
+// normalize fills in defaults and derives the per-bandwidth tables, both
+// indexed like the distribution's bandwidths: samples per chip, and the chip
+// pulse g(αt) at that rate. It returns the validated distribution.
+func (c *Config) normalize() (hop.Distribution, []int, [][]float64, error) {
 	if c.SampleRate <= 0 {
-		return hop.Distribution{}, nil, fmt.Errorf("core: sample rate %v must be positive", c.SampleRate)
+		return hop.Distribution{}, nil, nil, fmt.Errorf("core: sample rate %v must be positive", c.SampleRate)
 	}
 	if len(c.Bandwidths) == 0 {
-		return hop.Distribution{}, nil, fmt.Errorf("core: empty bandwidth set")
+		return hop.Distribution{}, nil, nil, fmt.Errorf("core: empty bandwidth set")
 	}
 	if c.SymbolsPerHop < 1 {
-		return hop.Distribution{}, nil, fmt.Errorf("core: SymbolsPerHop %d must be >= 1", c.SymbolsPerHop)
+		return hop.Distribution{}, nil, nil, fmt.Errorf("core: SymbolsPerHop %d must be >= 1", c.SymbolsPerHop)
 	}
 	if c.FilterTaps == 0 {
 		c.FilterTaps = defaultFilterTaps
 	}
 	if c.FilterTaps < 3 {
-		return hop.Distribution{}, nil, fmt.Errorf("core: FilterTaps %d too small", c.FilterTaps)
+		return hop.Distribution{}, nil, nil, fmt.Errorf("core: FilterTaps %d too small", c.FilterTaps)
 	}
 	var dist hop.Distribution
 	if c.Distribution != nil {
 		dist = *c.Distribution
 		if err := dist.Validate(); err != nil {
-			return hop.Distribution{}, nil, err
+			return hop.Distribution{}, nil, nil, err
 		}
 	} else {
 		var err error
 		dist, err = hop.NewDistribution(c.Pattern, c.Bandwidths)
 		if err != nil {
-			return hop.Distribution{}, nil, err
+			return hop.Distribution{}, nil, nil, err
 		}
 	}
 	sps := make([]int, len(dist.Bandwidths))
+	taps := make([][]float64, len(dist.Bandwidths))
 	for i, bw := range dist.Bandwidths {
 		ratio := c.SampleRate / bw
 		rounded := int(math.Round(ratio))
 		if rounded < 1 || math.Abs(ratio-float64(rounded)) > 1e-6 {
-			return hop.Distribution{}, nil, fmt.Errorf(
+			return hop.Distribution{}, nil, nil, fmt.Errorf(
 				"core: bandwidth %v MHz does not divide the sample rate %v (need integer samples/chip)", bw, c.SampleRate)
 		}
 		sps[i] = rounded
+		taps[i] = pulse.Taps(rounded)
 	}
-	return dist, sps, nil
+	return dist, sps, taps, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"bhss/internal/channel"
 	"bhss/internal/dsp"
+	"bhss/internal/dsss"
 	"bhss/internal/hop"
 	"bhss/internal/jammer"
 )
@@ -42,6 +43,44 @@ func TestPulseShapeGainProperties(t *testing.T) {
 		again := rx.pulseShapeGain(sps, k)
 		if &again[0] != &shape[0] {
 			t.Fatalf("sps=%d: shape not cached", sps)
+		}
+	}
+}
+
+// TestWelchSegmentIsPowerOfTwo pins the invariant the spectral estimator
+// relies on: for every bandwidth of the default hop set, a range of filter
+// tap budgets and every hop length a frame can carry, the receiver analyzes
+// the hop with a power-of-two Welch segment in [16, psdSegmentCap], or with
+// none at all (FilterNone) below 16. The estimator rejects any other size,
+// and estimateHop would then turn estimation off for the hop without an
+// error, so the test also checks that the hop was estimated.
+func TestWelchSegmentIsPowerOfTwo(t *testing.T) {
+	for _, taps := range []int{3, 65, 129, 1025, 2049, 4097} {
+		cfg := DefaultConfig(1)
+		cfg.FilterTaps = taps
+		rx, err := NewReceiver(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sps := range rx.spsTab {
+			for n := 1; n <= cfg.SymbolsPerHop; n++ {
+				seg := make([]complex128, n*dsss.ComplexChipsPerSymbol*sps)
+				channel.NewAWGN(1, uint64(len(seg))).Add(seg)
+				k := welchSegment(sps, len(seg), taps)
+				decision, _, _ := rx.estimateHop(seg, sps)
+				if k < 16 {
+					if decision != FilterNone {
+						t.Fatalf("taps %d, sps %d, %d symbols: segment %d but decision %v", taps, sps, n, k, decision)
+					}
+					continue
+				}
+				if k&(k-1) != 0 || k > psdSegmentCap {
+					t.Fatalf("taps %d, sps %d, %d symbols: segment %d is not a power of two in [16, %d]", taps, sps, n, k, psdSegmentCap)
+				}
+				if _, ok := rx.welchCache[k]; !ok {
+					t.Fatalf("taps %d, sps %d, %d symbols: the hop was not estimated with %d-sample segments", taps, sps, n, k)
+				}
+			}
 		}
 	}
 }

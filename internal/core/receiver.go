@@ -110,9 +110,10 @@ type Receiver struct {
 	cfg    Config
 	dist   hop.Distribution
 	spsTab []int
-	frame  uint64
+	// pulseTab holds each bandwidth's chip pulse, indexed like spsTab.
+	pulseTab [][]float64
+	frame    uint64
 
-	pulseCache map[int][]float64
 	lpfCache   map[int]*dsp.FIR
 	shapeCache map[[2]int][]float64
 	// welchCache holds one reusable PSD estimator per segment length, so
@@ -170,6 +171,10 @@ type rxScratch struct {
 	//bhss:scratch
 	chips []complex128 // accumulated chip estimates
 	//bhss:scratch
+	aligned []complex128 // PreambleSync: the capture from the burst start, de-rotated
+	//bhss:scratch
+	rev []complex128 // acquisition template, time-reversed and conjugated
+	//bhss:scratch
 	corr []complex128 // acquisition correlation
 	//bhss:scratch
 	symbols []int // despread symbol decisions
@@ -180,13 +185,12 @@ type rxScratch struct {
 // NewReceiver returns a receiver for the configuration. Construct it from
 // the same Config as the transmitter.
 func NewReceiver(cfg Config) (*Receiver, error) {
-	dist, spsTab, err := cfg.normalize()
+	dist, spsTab, pulseTab, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
 	r := &Receiver{
-		cfg: cfg, dist: dist, spsTab: spsTab,
-		pulseCache: map[int][]float64{},
+		cfg: cfg, dist: dist, spsTab: spsTab, pulseTab: pulseTab,
 		lpfCache:   map[int]*dsp.FIR{},
 		shapeCache: map[[2]int][]float64{},
 		welchCache: map[int]*spectral.Reusable{},
@@ -248,15 +252,6 @@ func (r *Receiver) FrameCounter() uint64 { return r.frame }
 // is known to be lost before reaching the receiver, to stay in lockstep).
 func (r *Receiver) SkipFrame() { r.frame++ }
 
-func (r *Receiver) pulseTaps(sps int) []float64 {
-	if g, ok := r.pulseCache[sps]; ok {
-		return g
-	}
-	g := pulse.Taps(sps)
-	r.pulseCache[sps] = g
-	return g
-}
-
 // lowPass returns the cached channel-select filter for a hop bandwidth.
 func (r *Receiver) lowPass(sps int) *dsp.FIR {
 	if f, ok := r.lpfCache[sps]; ok {
@@ -299,26 +294,7 @@ func (r *Receiver) estimateHop(seg []complex128, sps int) (FilterDecision, hopFi
 		defer r.met.RecordStage(obs.StageRxEstimate, obs.Start())
 	}
 	report := HopReport{SamplesPerChip: sps}
-	// Resolution adapts to the hop: aim for ~32 bins across the signal
-	// band (in-band bins = K * 1.5/sps) so an in-band notch can be much
-	// narrower than the band, bounded by psdSegmentCap, the filter tap
-	// budget (the notch has K-1 taps) and the hop length.
-	k := dsp.NextPow2(32 * sps)
-	if k < 256 {
-		k = 256
-	}
-	if k > psdSegmentCap {
-		k = psdSegmentCap
-	}
-	for k > r.cfg.FilterTaps+1 {
-		k >>= 1
-	}
-	// Insist on at least ~3 half-overlapped Welch segments: a single
-	// periodogram's per-bin scatter (even smoothed) is indistinguishable
-	// from narrow-band structure.
-	for k > len(seg)/2 {
-		k >>= 1
-	}
+	k := welchSegment(sps, len(seg), r.cfg.FilterTaps)
 	if k < 16 {
 		return FilterNone, hopFilterCtx{}, report
 	}
@@ -365,17 +341,11 @@ func (r *Receiver) estimateHop(seg []complex128, sps int) (FilterDecision, hopFi
 	shape := r.pulseShapeGain(sps, k)
 	normBins := r.scratch.norm[:0]
 	half := signalBW / 2
-	// For power-of-two k the reciprocal multiply rounds identically to the
-	// per-bin division it replaces (1/k is an exact power of two).
-	pow2 := k&(k-1) == 0
+	// k is a power of two, so 1/k is exact and the reciprocal multiply
+	// rounds identically to a per-bin division.
 	invK := 1 / float64(k)
 	for i, p := range detect {
-		var f float64
-		if pow2 {
-			f = float64(i) * invK
-		} else {
-			f = float64(i) / float64(k)
-		}
+		f := float64(i) * invK
 		if f >= 0.5 {
 			f -= 1
 		}
@@ -404,6 +374,34 @@ func (r *Receiver) estimateHop(seg []complex128, sps int) (FilterDecision, hopFi
 	}
 }
 
+// welchSegment returns the Welch segment length for a hop of hopLen samples
+// at sps samples per chip under a filterTaps budget: a power of two no larger
+// than psdSegmentCap. Below 16 the hop is too short to estimate and takes
+// FilterNone.
+func welchSegment(sps, hopLen, filterTaps int) int {
+	// Resolution adapts to the hop: aim for ~32 bins across the signal
+	// band (in-band bins = K * 1.5/sps) so an in-band notch can be much
+	// narrower than the band, bounded by psdSegmentCap, the filter tap
+	// budget (the notch has K-1 taps) and the hop length.
+	k := dsp.NextPow2(32 * sps)
+	if k < 256 {
+		k = 256
+	}
+	if k > psdSegmentCap {
+		k = psdSegmentCap
+	}
+	for k > filterTaps+1 {
+		k >>= 1
+	}
+	// Insist on at least ~3 half-overlapped Welch segments: a single
+	// periodogram's per-bin scatter (even smoothed) is indistinguishable
+	// from narrow-band structure.
+	for k > hopLen/2 {
+		k >>= 1
+	}
+	return k
+}
+
 // pulseShapeGain returns (and caches) the expected power spectrum of the
 // hop's chip pulse over k FFT bins: |G(f)|² with unit peak, floored at 5%
 // so out-of-band bins keep a usable excision target.
@@ -418,12 +416,11 @@ func (r *Receiver) pulseShapeGain(sps, k int) []float64 {
 	if r.met != nil {
 		r.met.Cache.ShapeMiss.Inc()
 	}
-	taps := r.pulseTaps(sps)
 	buf := make([]complex128, k)
-	for i, t := range taps {
+	for i, t := range pulse.Taps(sps) {
 		buf[i%k] += complex(t, 0)
 	}
-	dsp.FFT(buf)
+	dsp.PlanFFT(k).Forward(buf)
 	shape := make([]float64, k)
 	var peak float64
 	for i, v := range buf {
@@ -648,9 +645,9 @@ func (r *Receiver) decodeBurst(stats *RxStats, samples []complex128) ([]byte, er
 		}
 		stats.AcquisitionOffset = offset
 		stats.CFO = cfo
-		aligned := append([]complex128(nil), samples[offset:]...)
-		dsp.Mix(aligned, -cfo, -phase)
-		samples = aligned
+		r.scratch.aligned = append(r.scratch.aligned[:0], samples[offset:]...)
+		dsp.Mix(r.scratch.aligned, -cfo, -phase)
+		samples = r.scratch.aligned
 	}
 
 	sched, err := hop.NewSchedule(r.dist, deriveSeed(r.cfg.Seed, fr, purposeHopPlan), r.cfg.SymbolsPerHop)
@@ -744,7 +741,7 @@ func (r *Receiver) decodeBurst(stats *RxStats, samples []complex128) ([]byte, er
 		if r.met != nil {
 			dsw = obs.Start()
 		}
-		chips = pulse.DemodulateAppend(chips, seg, r.pulseTaps(sps), 0)
+		chips = pulse.DemodulateAppend(chips, seg, r.pulseTab[bwIdx], 0)
 		if r.met != nil {
 			r.met.RecordStage(obs.StageRxDemod, dsw)
 		}
@@ -887,7 +884,8 @@ func (r *Receiver) acquire(samples []complex128, fr uint64) (offset int, cfo, ph
 	// capture through fixed pow2 blocks, so long captures cost
 	// O(n log B) with a block size matched to the template instead of one
 	// giant FFT of the whole capture.
-	rev := make([]complex128, len(tmpl))
+	r.scratch.rev = resizeComplex(r.scratch.rev, len(tmpl))
+	rev := r.scratch.rev
 	for i, v := range tmpl {
 		rev[len(tmpl)-1-i] = complex(real(v), -imag(v))
 	}
@@ -937,7 +935,6 @@ func (r *Receiver) preambleTemplate(fr uint64) ([]complex128, error) {
 	symPos := 0
 	for symPos < nPre {
 		bwIdx := sched.Next()
-		sps := r.spsTab[bwIdx]
 		n := r.cfg.SymbolsPerHop
 		if symPos+n > nPre {
 			n = nPre - symPos
@@ -947,7 +944,7 @@ func (r *Receiver) preambleTemplate(fr uint64) ([]complex128, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, pulse.Modulate(chips, r.pulseTaps(sps))...)
+		out = append(out, pulse.Modulate(chips, r.pulseTab[bwIdx])...)
 		symPos += n
 	}
 	return out, nil

@@ -32,8 +32,6 @@ type HopSegment struct {
 type Burst struct {
 	Samples  []complex128
 	Segments []HopSegment
-	// Payload is the carried payload (diagnostic).
-	Payload []byte
 }
 
 // deriveSeed expands the pre-shared seed into independent sub-seeds for the
@@ -55,9 +53,10 @@ type Transmitter struct {
 	cfg    Config
 	dist   hop.Distribution
 	spsTab []int
-	frame  uint64
-	// pulse taps per samples-per-chip value, cached.
-	pulseCache map[int][]float64
+	// pulseTab holds each bandwidth's chip pulse, the transmitter's g(αt)
+	// table.
+	pulseTab [][]float64
+	frame    uint64
 	// met is the optional observer; nil skips all recording.
 	met *obs.Pipeline
 	// chipBuf is the per-hop chip scratch reused across EncodeFrame calls.
@@ -71,26 +70,15 @@ func (t *Transmitter) SetObserver(p *obs.Pipeline) { t.met = p }
 
 // NewTransmitter returns a transmitter for the configuration.
 func NewTransmitter(cfg Config) (*Transmitter, error) {
-	dist, spsTab, err := cfg.normalize()
+	dist, spsTab, pulseTab, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
-	return &Transmitter{cfg: cfg, dist: dist, spsTab: spsTab, pulseCache: map[int][]float64{}}, nil
+	return &Transmitter{cfg: cfg, dist: dist, spsTab: spsTab, pulseTab: pulseTab}, nil
 }
 
 // FrameCounter returns the number of frames encoded so far.
 func (t *Transmitter) FrameCounter() uint64 { return t.frame }
-
-// pulseTaps returns (and caches) the pulse shape for a samples-per-chip
-// value — the transmitter's g(αt) table.
-func (t *Transmitter) pulseTaps(sps int) []float64 {
-	if g, ok := t.pulseCache[sps]; ok {
-		return g
-	}
-	g := pulse.Taps(sps)
-	t.pulseCache[sps] = g
-	return g
-}
 
 // planHops draws the hop plan for nSymbols symbols of frame fr.
 func planHops(cfg Config, dist hop.Distribution, fr uint64, nSymbols int) ([]int, error) {
@@ -99,6 +87,17 @@ func planHops(cfg Config, dist hop.Distribution, fr uint64, nSymbols int) ([]int
 		return nil, err
 	}
 	return sched.PlanHops(nSymbols), nil
+}
+
+// burstSamples returns the length in samples of a burst of nSymbols
+// symbols sent on the hop plan.
+func (t *Transmitter) burstSamples(plan []int, nSymbols int) int {
+	total := 0
+	for i, bwIdx := range plan {
+		n := min(t.cfg.SymbolsPerHop, nSymbols-i*t.cfg.SymbolsPerHop)
+		total += n * dsss.ComplexChipsPerSymbol * t.spsTab[bwIdx]
+	}
+	return total
 }
 
 // EncodeFrame frames, spreads, scrambles and pulse-shapes one payload,
@@ -133,26 +132,17 @@ func (t *Transmitter) EncodeFrameInto(buf []complex128, payload []byte) (*Burst,
 	}
 	spreader := dsss.NewSpreader(deriveSeed(t.cfg.Seed, fr, purposeScrambler))
 
-	burst := &Burst{Payload: append([]byte(nil), payload...)}
+	burst := &Burst{}
 	// The hop plan fixes the burst length exactly, so the sample buffer is
 	// sized once and each hop modulates straight into it.
-	total := 0
-	symPos := 0
-	for _, bwIdx := range plan {
-		n := t.cfg.SymbolsPerHop
-		if symPos+n > len(symbols) {
-			n = len(symbols) - symPos
-		}
-		total += n * dsss.ComplexChipsPerSymbol * t.spsTab[bwIdx]
-		symPos += n
-	}
+	total := t.burstSamples(plan, len(symbols))
 	if cap(buf) >= total {
 		burst.Samples = buf[:0]
 	} else {
 		burst.Samples = make([]complex128, 0, total)
 	}
 	burst.Segments = make([]HopSegment, 0, len(plan))
-	symPos = 0
+	symPos := 0
 	for _, bwIdx := range plan {
 		n := t.cfg.SymbolsPerHop
 		if symPos+n > len(symbols) {
@@ -173,7 +163,7 @@ func (t *Transmitter) EncodeFrameInto(buf []complex128, payload []byte) (*Burst,
 		t.chipBuf = chips
 		sps := t.spsTab[bwIdx]
 		start := len(burst.Samples)
-		burst.Samples = pulse.ModulateAppend(burst.Samples, chips, t.pulseTaps(sps))
+		burst.Samples = pulse.ModulateAppend(burst.Samples, chips, t.pulseTab[bwIdx])
 		if t.met != nil {
 			t.met.RecordStage(obs.StageTxModulate, hsw)
 		}
@@ -205,17 +195,7 @@ func (t *Transmitter) BurstLength(payloadBytes int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	total := 0
-	symPos := 0
-	for _, bwIdx := range plan {
-		n := t.cfg.SymbolsPerHop
-		if symPos+n > nSymbols {
-			n = nSymbols - symPos
-		}
-		total += n * dsss.ComplexChipsPerSymbol * t.spsTab[bwIdx]
-		symPos += n
-	}
-	return total, nil
+	return t.burstSamples(plan, nSymbols), nil
 }
 
 // AverageBandwidth returns the expected occupied bandwidth of the

@@ -122,7 +122,8 @@ func Convolve(x, h []complex128) []complex128 {
 }
 
 // FrequencyResponse evaluates the filter's DFT H(k) at nfft equally spaced
-// frequencies (un-shifted bin ordering), per eq. (2) of the paper.
+// frequencies (un-shifted bin ordering), per eq. (2) of the paper. nfft must
+// be a power of two.
 func (f *FIR) FrequencyResponse(nfft int) []complex128 {
 	h := make([]complex128, nfft)
 	copy(h, f.taps)
@@ -133,7 +134,8 @@ func (f *FIR) FrequencyResponse(nfft int) []complex128 {
 			h[i%nfft] += t
 		}
 	}
-	return FFT(h)
+	PlanFFT(nfft).Forward(h)
+	return h
 }
 
 // LowPassFIR designs a linear-phase windowed-sinc low-pass filter with the
@@ -188,8 +190,8 @@ func LowPassForAttenuation(cutoff, attenDB, transitionWidth float64, maxTaps int
 // WhiteningFIR designs the paper's excision filter (eq. (3)): a filter whose
 // DFT magnitude is the reciprocal of the square root of the estimated power
 // spectral density, with the linear phase term e^{-jπ(K-1)k/K}. psd must hold
-// K strictly positive values in un-shifted bin order; bins at or below
-// floor*max(psd) are clamped to avoid amplifying empty bands.
+// K strictly positive values in un-shifted bin order, K a power of two >= 4;
+// bins at or below floor*max(psd) are clamped to avoid amplifying empty bands.
 //
 // The filter whitens the incoming spectrum: frequencies occupied by a
 // narrow-band jammer receive large attenuation while the rest of the band is
@@ -254,19 +256,16 @@ func WhiteningFIR(psd []float64, floor float64) (*FIR, error) {
 // (odd) taps — the alignment OverlapSave.ApplySame compensates exactly.
 // (A direct e^{-jπ(K-1)k/K} phase term as written in eq. (3) puts the delay
 // at the half-sample (K-1)/2, which an integer-aligned convolution cannot
-// undo without distortion.) For a power-of-two K the inverse DFT runs in
-// place in spec and the call allocates nothing once taps has capacity;
-// other sizes transform into a new buffer.
+// undo without distortion.) K must be a power of two >= 4, so L is odd; the
+// inverse DFT runs in place in spec and the call allocates nothing once taps
+// has capacity.
 func linearPhaseInto(taps, spec []complex128) ([]complex128, error) {
 	k := len(spec)
-	if k < 3 {
-		return nil, fmt.Errorf("dsp: magnitude response needs >= 3 bins, got %d", k)
+	if k < 4 || k&(k-1) != 0 {
+		return nil, fmt.Errorf("dsp: magnitude response needs a power-of-two bin count >= 4, got %d", k)
 	}
-	h0 := IFFT(spec) // zero-phase: h0[-n] = conj(h0[n]) for a real target
+	PlanFFT(k).Inverse(spec) // zero-phase: spec[-n] = conj(spec[n]) for a real target
 	L := k - 1
-	if L%2 == 0 {
-		L--
-	}
 	c := (L - 1) / 2
 	if cap(taps) < L {
 		taps = make([]complex128, L)
@@ -274,7 +273,7 @@ func linearPhaseInto(taps, spec []complex128) ([]complex128, error) {
 	taps = taps[:L]
 	for i := range taps {
 		idx := ((i-c)%k + k) % k
-		taps[i] = h0[idx]
+		taps[i] = spec[idx]
 	}
 	return taps, nil
 }
@@ -348,7 +347,8 @@ const notchDepth = 16
 // the desired signal. Receivers that know their own pulse spectrum pass
 // target[i] = ref * |G(f_i)|² so the signal's legitimate spectral peak is
 // never mistaken for interference while a jammer hiding under it still
-// gets cut. len(target) must equal len(psd), and threshold must be > 1.
+// gets cut. len(psd) must be a power of two >= 4, len(target) must equal it,
+// and threshold must be > 1.
 //
 // It is the allocating form of ShapedNotchInto.
 func ShapedNotchFIR(psd, target []float64, threshold float64) (*FIR, error) {
@@ -361,11 +361,10 @@ func ShapedNotchFIR(psd, target []float64, threshold float64) (*FIR, error) {
 
 // ShapedNotchInto designs ShapedNotchFIR's taps into caller storage, for a
 // receiver that designs a fresh notch on every excision hop: spec must
-// hold len(psd) bins and receives the magnitude target, then (for a
-// power-of-two len(psd)) its inverse DFT; the linear-phase taps are written
-// into taps' storage (grown only when its capacity is short) and returned.
-// For a power-of-two len(psd) the call allocates nothing once taps has
-// capacity.
+// hold len(psd) bins and receives the magnitude target, then its inverse
+// DFT; the linear-phase taps are written into taps' storage (grown only when
+// its capacity is short) and returned, so the call allocates nothing once
+// taps has capacity.
 //
 // The design runs per hop on live estimates, so bad input returns an error
 // instead of panicking the streaming path.

@@ -295,7 +295,7 @@ func TestWhiteningFIRSuppressesToneInTime(t *testing.T) {
 	psd := make([]float64, k)
 	for blk := 0; blk+k <= n; blk += k {
 		seg := append([]complex128(nil), mixed[blk:blk+k]...)
-		FFT(seg)
+		fft(seg)
 		for i, v := range seg {
 			psd[i] += real(v)*real(v) + imag(v)*imag(v)
 		}

@@ -109,6 +109,10 @@ func TestNotchFIRRejectsBadInput(t *testing.T) {
 	if _, err := ShapedNotchInto(nil, make([]complex128, 2), []float64{1, 1, 1}, []float64{1, 1, 1}, 4); err == nil {
 		t.Fatal("design scratch shorter than the PSD: expected error")
 	}
+	six := flat(6, 1)
+	if _, err := ShapedNotchInto(nil, make([]complex128, 6), six, six, 4); err == nil {
+		t.Fatal("6-bin PSD, not a power of two: expected error")
+	}
 }
 
 func TestShapedNotchFIRRespectsTarget(t *testing.T) {
@@ -216,7 +220,7 @@ func TestNotchFIREndToEndSuppressesNarrowJam(t *testing.T) {
 	psd := make([]float64, k)
 	for blk := 0; blk+k <= n; blk += k {
 		seg := append([]complex128(nil), mixed[blk:blk+k]...)
-		FFT(seg)
+		fft(seg)
 		for i, v := range seg {
 			psd[i] += real(v)*real(v) + imag(v)*imag(v)
 		}

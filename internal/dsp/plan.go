@@ -111,8 +111,8 @@ func (p *FFTPlan) Inverse(x []complex128) {
 	simd.ScaleReal(x, 1/float64(p.n))
 }
 
-// inverseUnscaled is Inverse without the 1/N pass, for callers (overlap-save,
-// Bluestein) that fold the normalization into a frequency-domain table.
+// inverseUnscaled is Inverse without the 1/N pass, for overlap-save, which
+// folds the normalization into its frequency-domain table.
 func (p *FFTPlan) inverseUnscaled(x []complex128) {
 	p.transform(x, true)
 }
@@ -166,81 +166,4 @@ func (p *FFTPlan) transform(x []complex128, inverse bool) {
 			simd.Radix4Forward(x, h, twA, twB)
 		}
 	}
-}
-
-// bluesteinPlan caches the chirp sequence and the pre-transformed chirp
-// filter for a forward Bluestein (chirp-z) DFT of one non-power-of-two size.
-type bluesteinPlan struct {
-	m     int
-	chirp []complex128 // e^{-jπk²/n}, length n
-	bFT   []complex128 // FFT of the chirp filter, 1/m folded in, length m
-	plan  *FFTPlan
-}
-
-var bluesteinCache sync.Map // int -> *bluesteinPlan
-
-func planBluestein(n int) *bluesteinPlan {
-	if v, ok := bluesteinCache.Load(n); ok {
-		return v.(*bluesteinPlan)
-	}
-	m := NextPow2(2*n + 1)
-	bp := &bluesteinPlan{m: m, plan: PlanFFT(m)}
-	bp.chirp = make([]complex128, n)
-	bp.bFT = make([]complex128, m)
-	for k := 0; k < n; k++ {
-		// Reduce k^2 mod 2n before the trig call to keep the angle small.
-		kk := (int64(k) * int64(k)) % int64(2*n)
-		ang := -math.Pi * float64(kk) / float64(n)
-		c := complex(math.Cos(ang), math.Sin(ang))
-		bp.chirp[k] = c
-		conj := complex(real(c), -imag(c))
-		bp.bFT[k] = conj
-		if k > 0 {
-			bp.bFT[m-k] = conj
-		}
-	}
-	bp.plan.Forward(bp.bFT)
-	invM := complex(1/float64(m), 0)
-	for i := range bp.bFT {
-		bp.bFT[i] *= invM
-	}
-	v, _ := bluesteinCache.LoadOrStore(n, bp)
-	return v.(*bluesteinPlan)
-}
-
-// bluestein computes an arbitrary-length DFT as a convolution via
-// power-of-two FFTs (chirp-z transform), using the memoized per-size plan.
-// The inverse direction is the conjugate of the forward transform of the
-// conjugated input (the caller applies 1/N).
-func bluestein(x []complex128, inverse bool) []complex128 {
-	n := len(x)
-	bp := planBluestein(n)
-	a := make([]complex128, bp.m)
-	if inverse {
-		for k, c := range bp.chirp {
-			v := x[k]
-			a[k] = complex(real(v), -imag(v)) * c
-		}
-	} else {
-		for k, c := range bp.chirp {
-			a[k] = x[k] * c
-		}
-	}
-	bp.plan.Forward(a)
-	for i, b := range bp.bFT {
-		a[i] *= b
-	}
-	bp.plan.inverseUnscaled(a)
-	out := make([]complex128, n)
-	if inverse {
-		for k, c := range bp.chirp {
-			v := a[k] * c
-			out[k] = complex(real(v), -imag(v))
-		}
-	} else {
-		for k, c := range bp.chirp {
-			out[k] = a[k] * c
-		}
-	}
-	return out
 }

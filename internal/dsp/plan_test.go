@@ -42,20 +42,6 @@ func TestFFTPlanInverseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLargeNonPow2FFTMatchesNaive(t *testing.T) {
-	// Bluestein path at sizes past the trivial ones, including a prime.
-	for _, n := range []int{384, 500, 769} {
-		x := randSignal(n, uint64(n)+29)
-		want := dftNaive(x)
-		got := FFT(append([]complex128(nil), x...))
-		for k := range want {
-			if !cEq(got[k], want[k], 1e-8*float64(n)) {
-				t.Fatalf("n=%d bin %d: got %v want %v", n, k, got[k], want[k])
-			}
-		}
-	}
-}
-
 func TestNewFFTPlanRejectsBadSizes(t *testing.T) {
 	for _, n := range []int{-4, 0, 3, 6, 12, 1000} {
 		if _, err := NewFFTPlan(n); err == nil {

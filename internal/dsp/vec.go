@@ -1,9 +1,9 @@
 // Package dsp implements the digital signal processing substrate the BHSS
-// system is built on: complex vector arithmetic, FFTs, spectral windows,
-// FIR filter design (the low-pass and excision filters of the paper's
-// eqs. (3)–(4)), overlap-save convolution and frequency mixing. Everything
-// is written against the standard library only; the blocks mirror what the
-// paper's GNU Radio flowgraph instantiated.
+// system is built on: complex vector arithmetic, power-of-two FFTs, spectral
+// windows, FIR filter design (the low-pass and excision filters of the
+// paper's eqs. (3)–(4)), overlap-save convolution and frequency mixing.
+// Everything is written against the standard library only; the blocks mirror
+// what the paper's GNU Radio flowgraph instantiated.
 package dsp
 
 import (

@@ -72,7 +72,7 @@ func TestMixShiftsSpectrum(t *testing.T) {
 	}
 	Mix(x, 0.25, 0)
 	// Now all energy should live at bin n/4.
-	y := FFT(x)
+	y := fft(x)
 	peak := ArgMaxAbs(y)
 	if peak != n/4 {
 		t.Fatalf("mixed tone at bin %d, want %d", peak, n/4)

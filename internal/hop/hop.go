@@ -185,23 +185,6 @@ func (d Distribution) AverageThroughput(spreadingFactor float64) float64 {
 	return d.AverageBandwidth() / spreadingFactor
 }
 
-// HoppingRange returns max(B)/min(B) of the bandwidth set.
-func (d Distribution) HoppingRange() float64 {
-	if len(d.Bandwidths) == 0 {
-		return 0
-	}
-	min, max := d.Bandwidths[0], d.Bandwidths[0]
-	for _, b := range d.Bandwidths {
-		if b < min {
-			min = b
-		}
-		if b > max {
-			max = b
-		}
-	}
-	return max / min
-}
-
 // Schedule draws a seed-synchronized sequence of hop decisions. Transmitter
 // and receiver construct Schedules from the same seed and see identical hop
 // sequences — the receiver-side bandwidth synchronization of Figure 6.

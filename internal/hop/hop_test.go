@@ -114,16 +114,6 @@ func TestAverageThroughputMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestHoppingRange(t *testing.T) {
-	d, _ := NewDistribution(Linear, DefaultBandwidths())
-	if r := d.HoppingRange(); math.Abs(r-64) > 1e-9 {
-		t.Fatalf("hopping range %v, want 64", r)
-	}
-	if (Distribution{}).HoppingRange() != 0 {
-		t.Fatal("empty distribution range should be 0")
-	}
-}
-
 func TestFixedSelectsMaxBandwidth(t *testing.T) {
 	d, _ := NewDistribution(Fixed, []float64{2, 10, 5})
 	if d.Probs[1] != 1 {

@@ -4,9 +4,10 @@
 // Welch's methods; the receiver runs Welch's), band power and
 // occupied-bandwidth estimation.
 //
-// All PSDs are returned in *un-shifted* FFT bin order (bin 0 = DC) so they
-// can be fed directly to dsp.WhiteningFIR, whose eq. (3) design expects that
-// ordering. Use dsp.FFTShiftFloat for display ordering.
+// All PSDs have a power-of-two number of bins in *un-shifted* FFT bin order
+// (bin 0 = DC) so they can be fed directly to dsp.WhiteningFIR, whose
+// eq. (3) design expects that ordering. Use dsp.FFTShiftFloat for display
+// ordering.
 package spectral
 
 import (
@@ -21,7 +22,8 @@ import (
 // with 50% overlap, the configuration most GNU Radio deployments default
 // to.
 type Estimator struct {
-	// SegmentLength is the FFT size K of each periodogram segment.
+	// SegmentLength is the FFT size K of each periodogram segment, a power
+	// of two.
 	SegmentLength int
 }
 
@@ -35,9 +37,10 @@ func Welch(segmentLength int) Estimator {
 // value equals the average signal power (sum over bins / K = power),
 // i.e. white noise of power P yields a flat PSD of height P.
 //
-// An error is returned when x is shorter than one segment. Callers that
-// estimate one segment length in a loop should build a Reusable once and
-// call PSDInto, which performs no allocation.
+// An error is returned when the segment length is not a positive power of
+// two or x is shorter than one segment. Callers that estimate one segment
+// length in a loop should build a Reusable once and call PSDInto, which
+// performs no allocation.
 func (e Estimator) PSD(x []complex128) ([]float64, error) {
 	r, err := e.Reusable()
 	if err != nil {
@@ -58,7 +61,7 @@ type Reusable struct {
 	est      Estimator
 	win      []float64
 	winPower float64
-	plan     *dsp.FFTPlan // power-of-two fast path; nil otherwise
+	plan     *dsp.FFTPlan
 	met      *obs.PSDMetrics
 	//bhss:scratch
 	seg []complex128
@@ -72,28 +75,26 @@ func (r *Reusable) SetObserver(m *obs.PSDMetrics) { r.met = m }
 // window and FFT plan.
 func (e Estimator) Reusable() (*Reusable, error) {
 	k := e.SegmentLength
-	if k <= 0 {
-		return nil, fmt.Errorf("spectral: segment length %d must be positive", k)
+	if k <= 0 || k&(k-1) != 0 {
+		return nil, fmt.Errorf("spectral: segment length %d must be a positive power of two", k)
 	}
 	r := &Reusable{
-		est: e,
-		win: dsp.Hamming.Coefficients(k, 0),
-		seg: make([]complex128, k),
+		est:  e,
+		win:  dsp.Hamming.Coefficients(k, 0),
+		plan: dsp.PlanFFT(k),
+		seg:  make([]complex128, k),
 	}
 	// Window power normalization: divide by sum(w^2) so the estimate is
 	// unbiased for white signals regardless of taper.
 	for _, w := range r.win {
 		r.winPower += w * w
 	}
-	if k&(k-1) == 0 {
-		r.plan = dsp.PlanFFT(k)
-	}
 	return r, nil
 }
 
 // PSDInto estimates the PSD of x into dst (len(dst) must be SegmentLength),
 // with the same scaling as Estimator.PSD. Steady-state calls allocate
-// nothing when the segment length is a power of two.
+// nothing.
 //
 //bhss:hotpath
 func (r *Reusable) PSDInto(dst []float64, x []complex128) error {
@@ -115,14 +116,8 @@ func (r *Reusable) PSDInto(dst []float64, x []complex128) error {
 	segments := 0
 	for start := 0; start+k <= len(x); start += step {
 		simd.WindowInto(r.seg, x[start:start+k], r.win)
-		spec := r.seg
-		if r.plan != nil {
-			r.plan.Forward(spec)
-		} else {
-			//bhss:allow(hotpath) planless fallback: dsp.FFT memoizes its plan per size, allocating only on first use
-			spec = dsp.FFT(spec)
-		}
-		simd.Mag2Accum(dst, spec)
+		r.plan.Forward(r.seg)
+		simd.Mag2Accum(dst, r.seg)
 		segments++
 	}
 	scale := 1 / (float64(segments) * r.winPower)
@@ -191,7 +186,10 @@ func OccupiedBandwidth(psd []float64, fraction float64) float64 {
 // BandPower integrates the PSD over the two-sided band [-bw/2, +bw/2]
 // (normalized frequency) and returns the contained power. The PSD is in
 // un-shifted order with mean-bin == average-power scaling (as produced by
-// Estimator.PSD), so the result is directly comparable to dsp.Power.
+// Estimator.PSD), so the result is directly comparable to dsp.Power. For a
+// power-of-two PSD length, as every Estimator produces, 1/k is an exact power
+// of two, so the per-bin reciprocal multiply rounds exactly as a division by
+// k would.
 //
 //bhss:hotpath
 func BandPower(psd []float64, bw float64) float64 {
@@ -204,28 +202,14 @@ func BandPower(psd []float64, bw float64) float64 {
 	}
 	half := bw / 2
 	var sum float64
-	if k&(k-1) == 0 {
-		// Power-of-two k: 1/k is an exact power of two, so the reciprocal
-		// multiply rounds identically to the division it replaces.
-		invK := 1 / float64(k)
-		for i, p := range psd {
-			f := float64(i) * invK
-			if f >= 0.5 {
-				f -= 1
-			}
-			if f >= -half && f <= half {
-				sum += p
-			}
+	invK := 1 / float64(k)
+	for i, p := range psd {
+		f := float64(i) * invK
+		if f >= 0.5 {
+			f -= 1
 		}
-	} else {
-		for i, p := range psd {
-			f := float64(i) / float64(k)
-			if f >= 0.5 {
-				f -= 1
-			}
-			if f >= -half && f <= half {
-				sum += p
-			}
+		if f >= -half && f <= half {
+			sum += p
 		}
 	}
 	// Estimator.PSD scales bins so that sum(psd)/K equals the average

@@ -1,8 +1,10 @@
 package spectral
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 
 	"bhss/internal/dsp"
@@ -99,6 +101,16 @@ func TestPSDErrors(t *testing.T) {
 	}
 	if _, err := Welch(64).PSD(make([]complex128, 10)); err == nil {
 		t.Fatal("short input should error")
+	}
+	x := whiteNoise(4096, 1, 9)
+	for _, k := range []int{3, 100, 384} {
+		name := fmt.Sprintf("length %d ", k)
+		if _, err := Welch(k).Reusable(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("Welch(%d).Reusable: error %v, want one naming the segment length", k, err)
+		}
+		if _, err := Welch(k).PSD(x); err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("Welch(%d).PSD: error %v, want one naming the segment length", k, err)
+		}
 	}
 }
 

@@ -34,7 +34,7 @@ func CoarseCFOInRange(x []complex128, maxCFO float64) float64 {
 	}
 	buf := make([]complex128, n)
 	simd.Pow4Into(buf, x)
-	dsp.FFT(buf)
+	dsp.PlanFFT(n).Forward(buf)
 	limit := int(4 * maxCFO * float64(n))
 	if limit < 1 {
 		limit = 1

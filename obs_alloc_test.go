@@ -4,7 +4,7 @@ import "testing"
 
 // linkThroughputAllocBudget is the steady-state allocation budget of one
 // BenchmarkLinkThroughput round trip, observed or not.
-const linkThroughputAllocBudget = 17
+const linkThroughputAllocBudget = 16
 
 // TestLinkThroughputAllocBudget measures BenchmarkLinkThroughput's round
 // trip (EncodeFrameInto into a reused buffer, then DecodeBurst) at steady
