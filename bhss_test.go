@@ -47,32 +47,6 @@ func TestSimLinkCleanChannel(t *testing.T) {
 	}
 }
 
-// TestSimLinkRandomPhaseAndCFO: a channel that rotates every frame by a
-// random phase and a ±CFO loses every frame without the carrier loop and
-// none with it.
-func TestSimLinkRandomPhaseAndCFO(t *testing.T) {
-	ch := ChannelModel{NoiseVar: 0.01, RandomPhase: true, CFO: 9e-5, Seed: 4}
-	for _, track := range []bool{true, false} {
-		cfg := DefaultConfig(0x5eed)
-		cfg.TrackingLoops = track
-		link, err := NewSimLink(cfg, ch, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plr, err := link.Run([]byte("rotated"), 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 1.0
-		if track {
-			want = 0
-		}
-		if plr != want {
-			t.Errorf("tracking loops %v: PLR %v, want %v", track, plr, want)
-		}
-	}
-}
-
 func TestSimLinkHoppingBeatsFixedUnderJamming(t *testing.T) {
 	jammed := func(pattern Pattern, bws []float64) float64 {
 		cfg := DefaultConfig(11)

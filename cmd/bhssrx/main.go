@@ -121,29 +121,18 @@ func run() (err error) {
 		}
 	}()
 
-	// The worst-case burst: a max-length frame entirely on the narrowest
-	// bandwidth. Beyond twice that, the head of the window cannot be part
-	// of a still-incomplete burst and stale samples are dropped.
-	const worstSamples = (2*127 + 16) * 16 * 128
-	var window []complex128
-	received, lost := 0, 0
+	s := &session{rx: rx, count: *count}
 	idle := time.Duration(*idleMS) * time.Millisecond
-	// gapped marks that the stream reconnected since the last successful
-	// decode: bursts swallowed whole by the gap leave the frame counter
-	// behind the transmitter's, so idle ErrNoPreamble results are resolved
-	// by skipping frames instead of waiting forever.
-	gapped := false
 
 	log.Printf("receiving with %s hopping (seed %d)", p, *seed)
 	streamOpen := true
-	for streamOpen && (*count == 0 || received+lost < *count) {
-		attempt := false
-		idled := false
+	for streamOpen && !s.done() {
+		settled := false
 		select {
 		case ev, ok := <-events:
 			if !ok {
 				streamOpen = false
-				attempt = len(window) > 0
+				settled = true
 				break
 			}
 			if ev.gap {
@@ -151,58 +140,106 @@ func run() (err error) {
 				// split across the discontinuity. Count it lost, drop the
 				// partial window and re-arm acquisition on the fresh
 				// stream, which resumes at a wire-block boundary.
-				if len(window) > 0 {
-					lost++
-					log.Printf("stream gap: dropped %d partial samples", len(window))
-					window = window[:0]
+				if len(s.window) > 0 {
+					s.lost++
+					log.Printf("stream gap: dropped %d partial samples", len(s.window))
+					s.window = s.window[:0]
 				}
 				met.Net.Reacquired.Inc()
-				gapped = true
-				break
+				s.gapped = true
+				continue
 			}
-			window = append(window, ev.block...)
-			if len(window) >= worstSamples {
-				attempt = true
-			}
+			s.window = append(s.window, ev.block...)
 		case <-time.After(idle):
-			attempt = len(window) > 0
-			idled = true
+			settled = true
 		}
-		if !attempt {
-			continue
-		}
-		got, stats, err := rx.DecodeBurst(window)
-		switch {
-		case err == nil:
-			received++
-			gapped = false
-			fmt.Printf("frame %d: %q (metric %.1f, offset %d)\n",
-				received+lost, got, stats.MeanMetric, stats.AcquisitionOffset)
-			window = window[:0]
-		case errors.Is(err, core.ErrNoPreamble):
-			if gapped && idled {
-				// The stream has gone quiet and the expected preamble is
-				// not in it: that frame fell into the reconnect gap.
-				// Advance past it so later bursts can still acquire.
-				rx.SkipFrame()
-				lost++
-				log.Printf("frame lost in stream gap (counter now %d)", rx.FrameCounter())
-				break
-			}
-			// No burst here yet; cap the window so it cannot grow
-			// without bound on a silent-but-noisy channel.
-			if len(window) > 2*worstSamples {
-				window = append(window[:0:0], window[len(window)-worstSamples:]...)
-			}
-		default:
-			lost++
-			log.Printf("frame lost: %v", err)
-			window = window[:0]
-		}
+		s.decodeWindow(settled)
 	}
-	fmt.Printf("received %d frames, lost %d\n", received, lost)
+	fmt.Printf("received %d frames, lost %d\n", s.received, s.lost)
 	if n := client.Reconnects(); n > 0 {
 		fmt.Printf("link: %d reconnects, %d stream gaps\n", n, met.Net.StreamGaps.Load())
 	}
 	return nil
+}
+
+// worstSamples is the worst-case burst: a max-length frame entirely on the
+// narrowest bandwidth. A window that long holds any burst that starts at its
+// head; beyond twice that, the head cannot be part of a still-incomplete
+// burst and stale samples are dropped.
+const worstSamples = (2*127 + 16) * 16 * 128
+
+// session is the receive loop's decode state: the capture window and the
+// frame tallies.
+type session struct {
+	rx *core.Receiver
+	// count is how many frames to receive before reporting (0 = forever).
+	count          int
+	window         []complex128
+	received, lost int
+	// gapped marks that the stream reconnected since the last successful
+	// decode: bursts swallowed whole by the gap leave the frame counter
+	// behind the transmitter's, so idle ErrNoPreamble results are
+	// resolved by skipping frames instead of waiting forever.
+	gapped bool
+}
+
+// done reports whether the session has accounted for count frames.
+func (s *session) done() bool {
+	return s.count > 0 && s.received+s.lost >= s.count
+}
+
+// decodeWindow decodes the bursts at the head of the window in frame order.
+// settled reports that no samples are arriving (the stream idled or
+// closed), so the window holds every burst it will; otherwise a decode is
+// attempted only once the window could hold a whole burst. The hub streams
+// bursts back to back, so after each decoded burst exactly its samples are
+// dropped and the next frame is tried on what remains.
+func (s *session) decodeWindow(settled bool) {
+	for len(s.window) > 0 && (settled || len(s.window) >= worstSamples) && !s.done() {
+		got, stats, err := s.rx.DecodeBurst(s.window)
+		switch {
+		case err == nil:
+			s.received++
+			s.gapped = false
+			fmt.Printf("frame %d: %q (metric %.1f, offset %d)\n",
+				s.received+s.lost, got, stats.MeanMetric, stats.AcquisitionOffset)
+			s.window = consume(s.window, stats.AcquisitionOffset+stats.BurstSamples)
+		case errors.Is(err, core.ErrNoPreamble):
+			if s.gapped && settled {
+				// The stream has gone quiet and the expected preamble is
+				// not in it: that frame fell into the reconnect gap.
+				// Advance past it so later bursts can still acquire.
+				s.rx.SkipFrame()
+				s.lost++
+				log.Printf("frame lost in stream gap (counter now %d)", s.rx.FrameCounter())
+				return
+			}
+			// No burst here yet; cap the window so it cannot grow
+			// without bound on a silent-but-noisy channel.
+			if len(s.window) > 2*worstSamples {
+				s.window = consume(s.window, len(s.window)-worstSamples)
+			}
+			return
+		case errors.Is(err, core.ErrNonFiniteInput):
+			// Nothing in this window can be decoded.
+			s.lost++
+			log.Printf("frame lost: %v", err)
+			s.window = s.window[:0]
+		default:
+			// Acquired but failed to decode. Drop only just past the
+			// acquisition point: the next burst may follow closely, and
+			// the frame counter has moved on to its preamble.
+			s.lost++
+			log.Printf("frame lost: %v", err)
+			s.window = consume(s.window, stats.AcquisitionOffset+1)
+		}
+	}
+}
+
+// consume drops the first n samples of the window in place, so the
+// backing array is reused instead of regrown every burst.
+func consume(window []complex128, n int) []complex128 {
+	n = min(n, len(window))
+	rest := copy(window, window[n:])
+	return window[:rest]
 }

@@ -2,16 +2,15 @@
 // connected transmitter, jammer and receiver over SMA coax, attenuators and
 // a T-connector (Figure 12) and argue the result "can be modeled as additive
 // white Gaussian noise (AWGN) channels"; this package implements exactly
-// that: attenuation and AWGN. Callers sum ports with dsp.AddTo, rotate by
-// an oscillator offset with dsp.Mix, and apply receiver front-end
-// impairments with internal/impair.
+// that: AWGN. Callers sum ports with dsp.AddTo, rotate by an oscillator
+// offset with dsp.Mix, and apply receiver front-end impairments with
+// internal/impair.
 package channel
 
 import (
 	"fmt"
 	"math"
 
-	"bhss/internal/dsp"
 	"bhss/internal/obs"
 	"bhss/internal/prng"
 )
@@ -60,10 +59,4 @@ func (a *AWGN) Add(x []complex128) {
 		a.met.NoiseSamples.Add(int64(len(x)))
 		a.met.MixNS.ObserveSince(sw)
 	}
-}
-
-// Attenuate scales x in place by the given attenuation in dB (positive
-// values reduce power), modeling the inline attenuators of the testbed.
-func Attenuate(x []complex128, dB float64) {
-	dsp.Scale(x, math.Pow(10, -dB/20))
 }

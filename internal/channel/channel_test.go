@@ -89,18 +89,6 @@ func TestAWGNPanicsOnNegativeVariance(t *testing.T) {
 	NewAWGN(-1, 0)
 }
 
-func TestAttenuateAndGain(t *testing.T) {
-	x := constSignal(10, 1)
-	Attenuate(x, 20) // -20 dB -> amplitude 0.1
-	if math.Abs(real(x[0])-0.1) > 1e-12 {
-		t.Fatalf("attenuated amplitude %v, want 0.1", x[0])
-	}
-	Attenuate(x, -20) // negative attenuation is gain
-	if math.Abs(real(x[0])-1) > 1e-12 {
-		t.Fatalf("gain did not undo attenuation: %v", x[0])
-	}
-}
-
 func TestEndToEndSNR(t *testing.T) {
 	// A unit-power signal over a link with 10 dB SNR: measured SNR within
 	// tolerance.

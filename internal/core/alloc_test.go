@@ -5,9 +5,12 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"bhss/internal/alloctest"
+	"bhss/internal/dsss"
+	"bhss/internal/frame"
 	"bhss/internal/obs"
 	"bhss/internal/prng"
 )
@@ -117,7 +120,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 // not grow with the capture. Appending the burst's length in silence to the
 // capture must add less than half a copy of those samples; a decode that
 // copies the capture from the burst start adds a whole copy. The per-burst
-// preamble template and its correlator still allocate, by template length.
+// preamble correlator still allocates, by template length.
 func TestPreambleSyncDecodeReusesCapture(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.Sync = PreambleSync
@@ -217,62 +220,115 @@ func TestDecodeBurstStatsReuse(t *testing.T) {
 }
 
 // TestDecodeObserverParity asserts that attaching a metrics pipeline never
-// perturbs the DSP: payload bytes and every RxStats field must be identical
-// with the observer on and off, and the observer must actually have counted
-// the burst.
+// perturbs the DSP, in both sync modes: payload bytes and every RxStats field
+// must be identical with the observer on and off, and the observer must
+// actually have counted the burst. A receiver rebuilds the PreambleSync
+// template with the transmitter's modulator, and that must not be recorded
+// as transmitter work.
 func TestDecodeObserverParity(t *testing.T) {
-	cfg := DefaultConfig(21)
-	payload := []byte("observer parity")
-	tx, err := NewTransmitter(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, sync := range []SyncMode{IdealSync, PreambleSync} {
+		cfg := DefaultConfig(21)
+		cfg.Sync = sync
+		payload := []byte("observer parity")
+		tx, err := NewTransmitter(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		burst, err := tx.EncodeFrame(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		capture := burst.Samples
+		if sync == PreambleSync {
+			capture = append(make([]complex128, 300), burst.Samples...)
+		}
+
+		plain, err := NewReceiver(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotPlain, statsPlain, err := plain.DecodeBurst(capture)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		observed, err := NewReceiver(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		met := obs.NewPipeline()
+		observed.SetObserver(met)
+		gotObs, statsObs, err := observed.DecodeBurst(capture)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if string(gotPlain) != string(payload) || string(gotObs) != string(payload) {
+			t.Fatalf("sync %d: payload mismatch: plain %q, observed %q", sync, gotPlain, gotObs)
+		}
+		if !reflect.DeepEqual(statsPlain, statsObs) {
+			t.Fatalf("sync %d: observer perturbed stats:\nplain    %+v\nobserved %+v", sync, statsPlain, statsObs)
+		}
+
+		if got := met.Rx.Bursts.Load(); got != 1 {
+			t.Fatalf("sync %d: rx.bursts = %d, want 1", sync, got)
+		}
+		if got := met.Rx.Decoded.Load(); got != 1 {
+			t.Fatalf("sync %d: rx.decoded = %d, want 1", sync, got)
+		}
+		if got := met.Rx.Hops.Load(); got != int64(len(statsObs.Hops)) {
+			t.Fatalf("sync %d: rx.hops = %d, want %d", sync, got, len(statsObs.Hops))
+		}
+		var decisions int64
+		for i := range met.Rx.Decision {
+			decisions += met.Rx.Decision[i].Load()
+		}
+		if decisions != int64(len(statsObs.Hops)) {
+			t.Fatalf("sync %d: decision counters sum to %d, want %d", sync, decisions, len(statsObs.Hops))
+		}
+		for _, st := range []obs.Stage{obs.StageTxEncode, obs.StageTxSpread, obs.StageTxModulate} {
+			if n := met.StageNS[st].Count(); n != 0 {
+				t.Fatalf("sync %d: a receiver-only pipeline recorded %d transmitter stage %d spans", sync, n, st)
+			}
+		}
 	}
+}
+
+// TestLinkEndAllocs pins each link end's allocations per frame once warm.
+// Both ends key a frame by reseeding the hop source and the spreader they
+// keep, so a warm EncodeFrameInto into a large enough buffer allocates only
+// the Burst, its Segments and frame.Encode's two slices, and a warm
+// IdealSync DecodeBurst only frame.Decode's three.
+func TestLinkEndAllocs(t *testing.T) {
+	const encodeAllocs, decodeAllocs = 4, 3
+	cfg := DefaultConfig(1)
+	tx, rx := mustPair(t, cfg)
+	payload := bytes.Repeat([]byte("alloc pin "), 4)
+	worst := frame.EncodedSymbols(len(payload)) * dsss.ComplexChipsPerSymbol * slices.Max(tx.spsTab)
+	buf := make([]complex128, 0, worst)
+	encode := func() {
+		if _, err := tx.EncodeFrameInto(buf, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encode()
+	if n := testing.AllocsPerRun(50, encode); n > encodeAllocs {
+		t.Fatalf("a warm EncodeFrameInto allocates %v times, want at most %d", n, encodeAllocs)
+	}
+
 	burst, err := tx.EncodeFrame(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	plain, err := NewReceiver(cfg)
-	if err != nil {
-		t.Fatal(err)
+	fr := tx.FrameCounter() - 1
+	decode := func() {
+		rx.frame = fr
+		if got, _, err := rx.DecodeBurst(burst.Samples); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("decode: %q, %v", got, err)
+		}
 	}
-	gotPlain, statsPlain, err := plain.DecodeBurst(burst.Samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	observed, err := NewReceiver(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	met := obs.NewPipeline()
-	observed.SetObserver(met)
-	gotObs, statsObs, err := observed.DecodeBurst(burst.Samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if string(gotPlain) != string(payload) || string(gotObs) != string(payload) {
-		t.Fatalf("payload mismatch: plain %q, observed %q", gotPlain, gotObs)
-	}
-	if !reflect.DeepEqual(statsPlain, statsObs) {
-		t.Fatalf("observer perturbed stats:\nplain    %+v\nobserved %+v", statsPlain, statsObs)
-	}
-
-	if got := met.Rx.Bursts.Load(); got != 1 {
-		t.Fatalf("rx.bursts = %d, want 1", got)
-	}
-	if got := met.Rx.Decoded.Load(); got != 1 {
-		t.Fatalf("rx.decoded = %d, want 1", got)
-	}
-	if got := met.Rx.Hops.Load(); got != int64(len(statsObs.Hops)) {
-		t.Fatalf("rx.hops = %d, want %d", got, len(statsObs.Hops))
-	}
-	var decisions int64
-	for i := range met.Rx.Decision {
-		decisions += met.Rx.Decision[i].Load()
-	}
-	if decisions != int64(len(statsObs.Hops)) {
-		t.Fatalf("decision counters sum to %d, want %d", decisions, len(statsObs.Hops))
+	decode()
+	if n := testing.AllocsPerRun(50, decode); n > decodeAllocs {
+		t.Fatalf("a warm DecodeBurst allocates %v times, want at most %d", n, decodeAllocs)
 	}
 }

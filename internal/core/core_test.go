@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"bhss/internal/channel"
@@ -11,6 +13,7 @@ import (
 	"bhss/internal/hop"
 	"bhss/internal/impair"
 	"bhss/internal/jammer"
+	"bhss/internal/prng"
 	"bhss/internal/spectral"
 )
 
@@ -115,20 +118,30 @@ func TestBurstStructure(t *testing.T) {
 	}
 }
 
+// TestBurstLengthMatchesEncode: BurstLength predicts the next burst's length
+// frame after frame, and replaying the hop plan for it leaves the bursts
+// identical to those of a transmitter that never asks.
 func TestBurstLengthMatchesEncode(t *testing.T) {
 	cfg := DefaultConfig(3)
 	tx, _ := mustPair(t, cfg)
+	plain, _ := mustPair(t, cfg)
 	payload := []byte("predict me")
-	want, err := tx.BurstLength(len(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	burst, err := tx.EncodeFrame(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(burst.Samples) != want {
-		t.Fatalf("BurstLength %d, actual %d", want, len(burst.Samples))
+	for i := 0; i < 3; i++ {
+		want := tx.BurstLength(len(payload))
+		burst, err := tx.EncodeFrame(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(burst.Samples) != want {
+			t.Fatalf("frame %d: BurstLength %d, actual %d", i, want, len(burst.Samples))
+		}
+		ref, err := plain.EncodeFrame(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(burst.Samples, ref.Samples) {
+			t.Fatalf("frame %d: BurstLength perturbed the burst", i)
+		}
 	}
 }
 
@@ -183,6 +196,45 @@ func TestRoundTripWithNoise(t *testing.T) {
 	}
 	if ok < frames-1 {
 		t.Fatalf("only %d/%d frames decoded at 10 dB SNR", ok, frames)
+	}
+}
+
+// TestRandomPhaseAndCFO: a channel that rotates every frame by a random
+// phase and a ±CFO, as free-running oscillators do, loses every frame
+// without the carrier loop and none with it.
+func TestRandomPhaseAndCFO(t *testing.T) {
+	const frames = 10
+	payload := []byte("rotated")
+	for _, track := range []bool{true, false} {
+		cfg := DefaultConfig(0x5eed)
+		cfg.TrackingLoops = track
+		tx, rx := mustPair(t, cfg)
+		src := prng.New(4)
+		noise := channel.NewAWGN(0.01, 4^0x5eed)
+		lost := 0
+		for i := 0; i < frames; i++ {
+			burst, err := tx.EncodeFrame(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			phase := 2 * math.Pi * src.Float64()
+			cfo := 9e-5
+			if src.Bit() == 1 {
+				cfo = -cfo
+			}
+			dsp.Mix(burst.Samples, cfo, phase)
+			noise.Add(burst.Samples)
+			if got, _, err := rx.DecodeBurst(burst.Samples); err != nil || !bytes.Equal(got, payload) {
+				lost++
+			}
+		}
+		want := frames
+		if track {
+			want = 0
+		}
+		if lost != want {
+			t.Errorf("tracking loops %v: lost %d of %d frames, want %d", track, lost, frames, want)
+		}
 	}
 }
 
@@ -370,6 +422,49 @@ func TestPreambleSyncAcquisition(t *testing.T) {
 	}
 }
 
+// TestPreambleSyncBackToBackBursts: a capture holding three bursts back to
+// back decodes burst by burst. Each decode reports the burst's extent from
+// its acquisition point, and dropping exactly that much leaves the next
+// burst at the head of what remains.
+func TestPreambleSyncBackToBackBursts(t *testing.T) {
+	cfg := DefaultConfig(57)
+	cfg.Sync = PreambleSync
+	tx, rx := mustPair(t, cfg)
+	const lead = 250
+	capture := make([]complex128, lead)
+	var payloads [][]byte
+	var lengths []int
+	for i := 0; i < 3; i++ {
+		payload := []byte(fmt.Sprintf("burst %d of three", i))
+		burst, err := tx.EncodeFrame(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, payload)
+		lengths = append(lengths, len(burst.Samples))
+		capture = append(capture, burst.Samples...)
+	}
+	channel.NewAWGN(0.005, 12).Add(capture)
+	for i, payload := range payloads {
+		got, stats, err := rx.DecodeBurst(capture)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("burst %d: %q, %v", i, got, err)
+		}
+		wantOffset := 0
+		if i == 0 {
+			wantOffset = lead
+		}
+		if stats.AcquisitionOffset != wantOffset || stats.BurstSamples != lengths[i] {
+			t.Fatalf("burst %d: offset %d and extent %d, want %d and %d",
+				i, stats.AcquisitionOffset, stats.BurstSamples, wantOffset, lengths[i])
+		}
+		capture = capture[stats.AcquisitionOffset+stats.BurstSamples:]
+	}
+	if len(capture) != 0 {
+		t.Fatalf("%d samples left after the last burst", len(capture))
+	}
+}
+
 func TestPreambleSyncRejectsNoiseOnlyCapture(t *testing.T) {
 	cfg := DefaultConfig(56)
 	cfg.Sync = PreambleSync
@@ -430,6 +525,8 @@ func TestConfigValidation(t *testing.T) {
 		{SampleRate: 20, Bandwidths: []float64{10}},
 		{SampleRate: 20, Bandwidths: []float64{3}, SymbolsPerHop: 4}, // 20/3 not integer
 		{SampleRate: 20, Bandwidths: []float64{10}, SymbolsPerHop: 4, FilterTaps: 2},
+		{SampleRate: 20, Bandwidths: []float64{10}, SymbolsPerHop: 4, // probabilities sum to 0.5
+			Distribution: &hop.Distribution{Bandwidths: []float64{10}, Probs: []float64{0.5}}},
 	}
 	for i, c := range bad {
 		if _, err := NewTransmitter(c); err == nil {

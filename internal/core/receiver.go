@@ -10,7 +10,6 @@ import (
 	"bhss/internal/dsp/simd"
 	"bhss/internal/dsss"
 	"bhss/internal/frame"
-	"bhss/internal/hop"
 	"bhss/internal/obs"
 	"bhss/internal/pulse"
 	"bhss/internal/spectral"
@@ -66,6 +65,10 @@ type RxStats struct {
 	MeanMetric float64
 	// AcquisitionOffset is the detected burst start (PreambleSync only).
 	AcquisitionOffset int
+	// BurstSamples is how many samples from AcquisitionOffset the decode
+	// walked: the burst's extent when it decoded, so a streaming receiver
+	// knows where the next burst may start.
+	BurstSamples int
 	// CFO is the estimated carrier offset in cycles/sample
 	// (PreambleSync only).
 	CFO float64
@@ -86,6 +89,7 @@ func (s *RxStats) Reset() {
 	s.Hops = s.Hops[:0]
 	s.MeanMetric = 0
 	s.AcquisitionOffset = 0
+	s.BurstSamples = 0
 	s.CFO = 0
 	s.CarrierFreq = 0
 	s.CarrierLock = 0
@@ -107,12 +111,7 @@ var (
 
 // Receiver is the BHSS receiver of Figure 6.
 type Receiver struct {
-	cfg    Config
-	dist   hop.Distribution
-	spsTab []int
-	// pulseTab holds each bandwidth's chip pulse, indexed like spsTab.
-	pulseTab [][]float64
-	frame    uint64
+	linkState
 
 	lpfCache   map[int]*dsp.FIR
 	shapeCache map[[2]int][]float64
@@ -173,6 +172,8 @@ type rxScratch struct {
 	//bhss:scratch
 	aligned []complex128 // PreambleSync: the capture from the burst start, de-rotated
 	//bhss:scratch
+	tmpl []complex128 // PreambleSync: the frame's preamble waveform
+	//bhss:scratch
 	rev []complex128 // acquisition template, time-reversed and conjugated
 	//bhss:scratch
 	corr []complex128 // acquisition correlation
@@ -185,12 +186,12 @@ type rxScratch struct {
 // NewReceiver returns a receiver for the configuration. Construct it from
 // the same Config as the transmitter.
 func NewReceiver(cfg Config) (*Receiver, error) {
-	dist, spsTab, pulseTab, err := cfg.normalize()
+	l, err := newLinkState(cfg)
 	if err != nil {
 		return nil, err
 	}
 	r := &Receiver{
-		cfg: cfg, dist: dist, spsTab: spsTab, pulseTab: pulseTab,
+		linkState:  l,
 		lpfCache:   map[int]*dsp.FIR{},
 		shapeCache: map[[2]int][]float64{},
 		welchCache: map[int]*spectral.Reusable{},
@@ -201,7 +202,7 @@ func NewReceiver(cfg Config) (*Receiver, error) {
 		// "We pre-compute the taps of all possible low-pass filters in
 		// advance" (§6.1) — including their frequency-domain transforms,
 		// so the first jammed hop pays no design cost either.
-		for _, sps := range spsTab {
+		for _, sps := range r.spsTab {
 			r.lowPass(sps).Convolver()
 		}
 	}
@@ -244,9 +245,6 @@ func resizeComplex(s []complex128, n int) []complex128 {
 	}
 	return s[:n]
 }
-
-// FrameCounter returns the number of frames consumed so far.
-func (r *Receiver) FrameCounter() uint64 { return r.frame }
 
 // SkipFrame advances the frame counter without decoding (call when a frame
 // is known to be lost before reaching the receiver, to stay in lockstep).
@@ -650,14 +648,12 @@ func (r *Receiver) decodeBurst(stats *RxStats, samples []complex128) ([]byte, er
 		samples = r.scratch.aligned
 	}
 
-	sched, err := hop.NewSchedule(r.dist, deriveSeed(r.cfg.Seed, fr, purposeHopPlan), r.cfg.SymbolsPerHop)
-	if err != nil {
-		return nil, err
-	}
+	r.startFrame(fr)
 	scramblerSeed := deriveSeed(r.cfg.Seed, fr, purposeScrambler)
 
 	var loop *tracking.Costas
 	if r.cfg.TrackingLoops {
+		var err error
 		loop, err = tracking.NewCostas(carrierLoopBW)
 		if err != nil {
 			return nil, err
@@ -678,7 +674,7 @@ func (r *Receiver) decodeBurst(stats *RxStats, samples []complex128) ([]byte, er
 		if collected >= maxSymbols {
 			break
 		}
-		bwIdx := sched.Next()
+		bwIdx := r.nextHop()
 		sps := r.spsTab[bwIdx]
 		nSym := r.cfg.SymbolsPerHop
 		if totalSymbols >= 0 && collected+nSym > totalSymbols {
@@ -752,6 +748,7 @@ func (r *Receiver) decodeBurst(stats *RxStats, samples []complex128) ([]byte, er
 			totalSymbols = total
 		}
 	}
+	stats.BurstSamples = samplePos
 	return r.finishBurst(stats, chips, loop, rotation, scramblerSeed)
 }
 
@@ -872,10 +869,14 @@ func peekLength(symbols []int) (int, bool) {
 // the known preamble waveform of frame fr, and estimates carrier phase and
 // a coarse CFO from the correlation (PreambleSync mode).
 func (r *Receiver) acquire(samples []complex128, fr uint64) (offset int, cfo, phase float64, err error) {
-	tmpl, err := r.preambleTemplate(fr)
+	// Everything up to the SFD is known a priori: the template is the
+	// frame's preamble as the transmitter modulates it.
+	r.startFrame(fr)
+	r.scratch.tmpl, err = r.modulate(r.scratch.tmpl[:0], nil, preambleSymbols[:], nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}
+	tmpl := r.scratch.tmpl
 	if len(samples) < len(tmpl) {
 		return 0, 0, 0, ErrNoPreamble
 	}
@@ -922,30 +923,5 @@ func (r *Receiver) acquire(samples []complex128, fr uint64) (offset int, cfo, ph
 	return best, cfo, phase, nil
 }
 
-// preambleTemplate rebuilds the transmit waveform of the preamble symbols
-// of frame fr (everything up to the SFD is known a priori).
-func (r *Receiver) preambleTemplate(fr uint64) ([]complex128, error) {
-	nPre := frame.PreambleBytes * frame.SymbolsPerByte
-	sched, err := hop.NewSchedule(r.dist, deriveSeed(r.cfg.Seed, fr, purposeHopPlan), r.cfg.SymbolsPerHop)
-	if err != nil {
-		return nil, err
-	}
-	spreader := dsss.NewSpreader(deriveSeed(r.cfg.Seed, fr, purposeScrambler))
-	var out []complex128
-	symPos := 0
-	for symPos < nPre {
-		bwIdx := sched.Next()
-		n := r.cfg.SymbolsPerHop
-		if symPos+n > nPre {
-			n = nPre - symPos
-		}
-		zeros := make([]int, n)
-		chips, err := spreader.Spread(zeros)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pulse.Modulate(chips, r.pulseTab[bwIdx])...)
-		symPos += n
-	}
-	return out, nil
-}
+// preambleSymbols are the all-zero preamble symbols that open every frame.
+var preambleSymbols [frame.PreambleBytes * frame.SymbolsPerByte]int

@@ -35,8 +35,8 @@ type Burst struct {
 }
 
 // deriveSeed expands the pre-shared seed into independent sub-seeds for the
-// scrambler and the hop schedule of one frame. Both sides call it with the
-// same frame counter, so a lost frame cannot desynchronize the next one.
+// scrambler and the hop plan of one frame. Both sides call it with the same
+// frame counter, so a lost frame cannot desynchronize the next one.
 func deriveSeed(seed uint64, counter uint64, purpose uint64) uint64 {
 	s := prng.New(seed ^ (counter * 0x9e3779b97f4a7c15) ^ (purpose * 0xbf58476d1ce4e5b9))
 	return s.Uint64()
@@ -47,21 +47,116 @@ const (
 	purposeHopPlan   = 2
 )
 
-// Transmitter is the BHSS transmitter of Figure 4: spreading, scrambling,
-// and pulse shaping with a randomly hopped pulse duration.
-type Transmitter struct {
+// linkState is the keying both link ends derive from the pre-shared seed
+// (the "Random seed" blocks of Figures 4 and 6): the validated configuration,
+// the per-bandwidth tables, the frame counter, and the hop-plan source and
+// spreader that startFrame reseeds for every frame. The transmitter modulates
+// its bursts with it and the receiver rebuilds the preamble it acquires on,
+// so the two cannot drift apart.
+type linkState struct {
 	cfg    Config
 	dist   hop.Distribution
 	spsTab []int
-	// pulseTab holds each bandwidth's chip pulse, the transmitter's g(αt)
-	// table.
+	// pulseTab holds each bandwidth's chip pulse g(αt), indexed like
+	// spsTab.
 	pulseTab [][]float64
 	frame    uint64
+	// hops draws the frame's hop plan, one bandwidth index per hop.
+	hops *prng.Source
+	// spreader carries the frame's scrambling overlay.
+	spreader *dsss.Spreader
+	// chips is the per-hop chip scratch reused across frames.
+	//bhss:scratch
+	chips []complex128
+}
+
+func newLinkState(cfg Config) (linkState, error) {
+	dist, spsTab, pulseTab, err := cfg.normalize()
+	if err != nil {
+		return linkState{}, err
+	}
+	return linkState{
+		cfg: cfg, dist: dist, spsTab: spsTab, pulseTab: pulseTab,
+		hops: prng.New(0), spreader: dsss.NewSpreader(0),
+	}, nil
+}
+
+// FrameCounter returns the number of frames encoded (transmitter) or
+// consumed (receiver) so far.
+func (l *linkState) FrameCounter() uint64 { return l.frame }
+
+// startFrame restarts the hop plan and the scrambling overlay at the start
+// of frame fr.
+func (l *linkState) startFrame(fr uint64) {
+	l.hops.Reseed(deriveSeed(l.cfg.Seed, fr, purposeHopPlan))
+	l.spreader.Reset(deriveSeed(l.cfg.Seed, fr, purposeScrambler))
+}
+
+// nextHop draws the next hop's index into the distribution's bandwidths.
+func (l *linkState) nextHop() int { return l.hops.Choose(l.dist.Probs) }
+
+// burstSamples returns the length in samples of nSymbols symbols sent from
+// the start of frame fr. It replays the frame's hop plan, so modulating the
+// frame takes a startFrame after it.
+func (l *linkState) burstSamples(fr uint64, nSymbols int) int {
+	l.startFrame(fr)
+	total := 0
+	for pos := 0; pos < nSymbols; pos += l.cfg.SymbolsPerHop {
+		n := min(l.cfg.SymbolsPerHop, nSymbols-pos)
+		total += n * dsss.ComplexChipsPerSymbol * l.spsTab[l.nextHop()]
+	}
+	return total
+}
+
+// modulate spreads, scrambles and pulse-shapes symbols hop by hop, drawing
+// each hop's bandwidth from the frame's plan, and appends the samples to
+// dst. It continues the frame from where startFrame left it. segs, when
+// non-nil, receives each hop's segment; met, when non-nil, records the hops
+// as transmitter spread and modulate stages.
+func (l *linkState) modulate(dst []complex128, segs *[]HopSegment, symbols []int, met *obs.Pipeline) ([]complex128, error) {
+	for symPos := 0; symPos < len(symbols); {
+		bwIdx := l.nextHop()
+		n := min(l.cfg.SymbolsPerHop, len(symbols)-symPos)
+		var hsw obs.Stopwatch
+		if met != nil {
+			hsw = obs.Start()
+		}
+		chips, err := l.spreader.SpreadAppend(l.chips[:0], symbols[symPos:symPos+n])
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		l.chips = chips
+		if met != nil {
+			met.RecordStage(obs.StageTxSpread, hsw)
+			hsw = obs.Start()
+		}
+		start := len(dst)
+		dst = pulse.ModulateAppend(dst, chips, l.pulseTab[bwIdx])
+		if met != nil {
+			met.RecordStage(obs.StageTxModulate, hsw)
+		}
+		if segs != nil {
+			*segs = append(*segs, HopSegment{
+				BandwidthIndex: bwIdx,
+				BandwidthMHz:   l.dist.Bandwidths[bwIdx],
+				SamplesPerChip: l.spsTab[bwIdx],
+				StartSymbol:    symPos,
+				NumSymbols:     n,
+				StartSample:    start,
+				NumSamples:     len(dst) - start,
+			})
+		}
+		symPos += n
+	}
+	return dst, nil
+}
+
+// Transmitter is the BHSS transmitter of Figure 4: spreading, scrambling,
+// and pulse shaping with a randomly hopped pulse duration.
+type Transmitter struct {
+	linkState
 	// met is the optional observer; nil skips all recording.
 	met *obs.Pipeline
-	// chipBuf is the per-hop chip scratch reused across EncodeFrame calls.
-	//bhss:scratch
-	chipBuf []complex128
 }
 
 // SetObserver attaches a metrics pipeline to the transmitter (nil detaches).
@@ -70,34 +165,11 @@ func (t *Transmitter) SetObserver(p *obs.Pipeline) { t.met = p }
 
 // NewTransmitter returns a transmitter for the configuration.
 func NewTransmitter(cfg Config) (*Transmitter, error) {
-	dist, spsTab, pulseTab, err := cfg.normalize()
+	l, err := newLinkState(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Transmitter{cfg: cfg, dist: dist, spsTab: spsTab, pulseTab: pulseTab}, nil
-}
-
-// FrameCounter returns the number of frames encoded so far.
-func (t *Transmitter) FrameCounter() uint64 { return t.frame }
-
-// planHops draws the hop plan for nSymbols symbols of frame fr.
-func planHops(cfg Config, dist hop.Distribution, fr uint64, nSymbols int) ([]int, error) {
-	sched, err := hop.NewSchedule(dist, deriveSeed(cfg.Seed, fr, purposeHopPlan), cfg.SymbolsPerHop)
-	if err != nil {
-		return nil, err
-	}
-	return sched.PlanHops(nSymbols), nil
-}
-
-// burstSamples returns the length in samples of a burst of nSymbols
-// symbols sent on the hop plan.
-func (t *Transmitter) burstSamples(plan []int, nSymbols int) int {
-	total := 0
-	for i, bwIdx := range plan {
-		n := min(t.cfg.SymbolsPerHop, nSymbols-i*t.cfg.SymbolsPerHop)
-		total += n * dsss.ComplexChipsPerSymbol * t.spsTab[bwIdx]
-	}
-	return total
+	return &Transmitter{linkState: l}, nil
 }
 
 // EncodeFrame frames, spreads, scrambles and pulse-shapes one payload,
@@ -126,57 +198,19 @@ func (t *Transmitter) EncodeFrameInto(buf []complex128, payload []byte) (*Burst,
 	fr := t.frame
 	t.frame++
 
-	plan, err := planHops(t.cfg, t.dist, fr, len(symbols))
-	if err != nil {
-		return nil, err
-	}
-	spreader := dsss.NewSpreader(deriveSeed(t.cfg.Seed, fr, purposeScrambler))
-
-	burst := &Burst{}
 	// The hop plan fixes the burst length exactly, so the sample buffer is
 	// sized once and each hop modulates straight into it.
-	total := t.burstSamples(plan, len(symbols))
-	if cap(buf) >= total {
-		burst.Samples = buf[:0]
-	} else {
+	total := t.burstSamples(fr, len(symbols))
+	burst := &Burst{Samples: buf[:0]}
+	if cap(buf) < total {
 		burst.Samples = make([]complex128, 0, total)
 	}
-	burst.Segments = make([]HopSegment, 0, len(plan))
-	symPos := 0
-	for _, bwIdx := range plan {
-		n := t.cfg.SymbolsPerHop
-		if symPos+n > len(symbols) {
-			n = len(symbols) - symPos
-		}
-		var hsw obs.Stopwatch
-		if t.met != nil {
-			hsw = obs.Start()
-		}
-		chips, err := spreader.SpreadAppend(t.chipBuf[:0], symbols[symPos:symPos+n])
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if t.met != nil {
-			t.met.RecordStage(obs.StageTxSpread, hsw)
-			hsw = obs.Start()
-		}
-		t.chipBuf = chips
-		sps := t.spsTab[bwIdx]
-		start := len(burst.Samples)
-		burst.Samples = pulse.ModulateAppend(burst.Samples, chips, t.pulseTab[bwIdx])
-		if t.met != nil {
-			t.met.RecordStage(obs.StageTxModulate, hsw)
-		}
-		burst.Segments = append(burst.Segments, HopSegment{
-			BandwidthIndex: bwIdx,
-			BandwidthMHz:   t.dist.Bandwidths[bwIdx],
-			SamplesPerChip: sps,
-			StartSymbol:    symPos,
-			NumSymbols:     n,
-			StartSample:    start,
-			NumSamples:     len(burst.Samples) - start,
-		})
-		symPos += n
+	nHops := (len(symbols) + t.cfg.SymbolsPerHop - 1) / t.cfg.SymbolsPerHop
+	burst.Segments = make([]HopSegment, 0, nHops)
+	t.startFrame(fr)
+	burst.Samples, err = t.modulate(burst.Samples, &burst.Segments, symbols, t.met)
+	if err != nil {
+		return nil, err
 	}
 	if t.met != nil {
 		t.met.Tx.Frames.Inc()
@@ -187,15 +221,10 @@ func (t *Transmitter) EncodeFrameInto(buf []complex128, payload []byte) (*Burst,
 }
 
 // BurstLength returns the number of samples EncodeFrame will produce for a
-// payload of n bytes on the next frame (it depends on the hop draw, so the
-// frame counter is consumed read-only via a copy of the schedule).
-func (t *Transmitter) BurstLength(payloadBytes int) (int, error) {
-	nSymbols := frame.EncodedSymbols(payloadBytes)
-	plan, err := planHops(t.cfg, t.dist, t.frame, nSymbols)
-	if err != nil {
-		return 0, err
-	}
-	return t.burstSamples(plan, nSymbols), nil
+// payload of n bytes on the next frame. It depends on the hop draw, so it
+// replays the next frame's hop plan without advancing the frame counter.
+func (t *Transmitter) BurstLength(payloadBytes int) int {
+	return t.burstSamples(t.frame, frame.EncodedSymbols(payloadBytes))
 }
 
 // AverageBandwidth returns the expected occupied bandwidth of the

@@ -51,14 +51,15 @@ func NewSpreader(seed uint64) *Spreader {
 	return &Spreader{rows: sharedRows(), scr: pn.NewScrambler(seed)}
 }
 
-// Spread expands symbols (each 0..15) into scrambled complex chips,
-// 16 per symbol.
-func (s *Spreader) Spread(symbols []int) ([]complex128, error) {
-	return s.SpreadAppend(make([]complex128, 0, len(symbols)*ComplexChipsPerSymbol), symbols)
+// Reset restarts the spreader's scrambler from seed, leaving it as
+// NewSpreader(seed) would, so one spreader can serve frame after frame.
+func (s *Spreader) Reset(seed uint64) {
+	s.scr.Reseed(seed)
 }
 
-// SpreadAppend is Spread appending into dst, for callers that reuse a chip
-// buffer across calls. The symbols are validated before any scrambler state
+// SpreadAppend expands symbols (each 0..15) into scrambled complex chips,
+// 16 per symbol, and appends them to dst, so callers reuse one chip buffer
+// across calls. The symbols are validated before any scrambler state
 // advances, so a failed call leaves the stream synchronous.
 //
 //bhss:hotpath

@@ -12,7 +12,7 @@ import (
 func TestSpreadDespreadRoundTrip(t *testing.T) {
 	symbols := []int{0, 1, 7, 8, 15, 3, 3, 12}
 	sp := NewSpreader(77)
-	chips, err := sp.Spread(symbols)
+	chips, err := sp.SpreadAppend(nil, symbols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,10 +36,10 @@ func TestSpreadDespreadRoundTrip(t *testing.T) {
 
 func TestSpreadRejectsBadSymbol(t *testing.T) {
 	sp := NewSpreader(1)
-	if _, err := sp.Spread([]int{16}); err == nil {
+	if _, err := sp.SpreadAppend(nil, []int{16}); err == nil {
 		t.Fatal("symbol 16 should error")
 	}
-	if _, err := sp.Spread([]int{-1}); err == nil {
+	if _, err := sp.SpreadAppend(nil, []int{-1}); err == nil {
 		t.Fatal("symbol -1 should error")
 	}
 }
@@ -54,8 +54,8 @@ func TestDespreadRejectsPartialSymbol(t *testing.T) {
 func TestScramblingMakesStreamsDiffer(t *testing.T) {
 	// Same symbols, different seeds -> different chip streams.
 	symbols := []int{5, 5, 5, 5}
-	a, _ := NewSpreader(1).Spread(symbols)
-	b, _ := NewSpreader(2).Spread(symbols)
+	a, _ := NewSpreader(1).SpreadAppend(nil, symbols)
+	b, _ := NewSpreader(2).SpreadAppend(nil, symbols)
 	same := 0
 	for i := range a {
 		if a[i] == b[i] {
@@ -71,7 +71,7 @@ func TestScramblingWhitensRepeatedSymbols(t *testing.T) {
 	// Repeating one symbol must not produce a periodic chip stream: the
 	// autocorrelation at the symbol period should be far below the peak.
 	symbols := make([]int, 64)
-	chips, _ := NewSpreader(3).Spread(symbols)
+	chips, _ := NewSpreader(3).SpreadAppend(nil, symbols)
 	peak := real(dsp.DotConj(chips, chips))
 	lag := ComplexChipsPerSymbol
 	shifted := chips[lag:]
@@ -87,7 +87,7 @@ func TestDespreadSurvivesNoise(t *testing.T) {
 	for i := range symbols {
 		symbols[i] = src.Intn(16)
 	}
-	chips, _ := NewSpreader(42).Spread(symbols)
+	chips, _ := NewSpreader(42).SpreadAppend(nil, symbols)
 	// Add noise at 0 dB SNR per chip: despreading gain should still give
 	// near-perfect decisions (metric margin ~ sqrt(16) above noise).
 	noisy := make([]complex128, len(chips))
@@ -111,7 +111,7 @@ func TestDespreadSurvivesNoise(t *testing.T) {
 
 func TestDespreadWrongSeedFails(t *testing.T) {
 	symbols := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
-	chips, _ := NewSpreader(100).Spread(symbols)
+	chips, _ := NewSpreader(100).SpreadAppend(nil, symbols)
 	got, _, err := NewDespreader(101).Despread(chips)
 	if err != nil {
 		t.Fatal(err)
@@ -129,14 +129,32 @@ func TestDespreadWrongSeedFails(t *testing.T) {
 
 func TestStreamingSpreadMatchesOneShot(t *testing.T) {
 	symbols := []int{3, 1, 4, 1, 5, 9, 2, 6}
-	whole, _ := NewSpreader(8).Spread(symbols)
+	whole, _ := NewSpreader(8).SpreadAppend(nil, symbols)
 	sp := NewSpreader(8)
-	a, _ := sp.Spread(symbols[:3])
-	b, _ := sp.Spread(symbols[3:])
+	a, _ := sp.SpreadAppend(nil, symbols[:3])
+	b, _ := sp.SpreadAppend(nil, symbols[3:])
 	part := append(a, b...)
 	for i := range whole {
 		if whole[i] != part[i] {
 			t.Fatalf("streaming spread diverges at chip %d", i)
+		}
+	}
+}
+
+// TestSpreadResetMatchesFresh: a spreader reset to a seed mid-stream spreads
+// exactly as a fresh spreader on that seed, frame after frame.
+func TestSpreadResetMatchesFresh(t *testing.T) {
+	symbols := []int{3, 1, 4, 1, 5, 9, 2, 6}
+	reused := NewSpreader(0)
+	var chips []complex128
+	for seed := uint64(1); seed <= 3; seed++ {
+		want, _ := NewSpreader(seed).SpreadAppend(nil, symbols)
+		reused.Reset(seed)
+		chips, _ = reused.SpreadAppend(chips[:0], symbols)
+		for i := range want {
+			if chips[i] != want[i] {
+				t.Fatalf("seed %d: reset spreader diverges at chip %d", seed, i)
+			}
 		}
 	}
 }
@@ -153,7 +171,7 @@ func TestQuickRoundTripRandomSymbols(t *testing.T) {
 		for i, b := range raw {
 			symbols[i] = int(b & 0x0F)
 		}
-		chips, err := NewSpreader(seed).Spread(symbols)
+		chips, err := NewSpreader(seed).SpreadAppend(nil, symbols)
 		if err != nil {
 			return false
 		}
@@ -179,7 +197,7 @@ func TestChipStreamUnitPower(t *testing.T) {
 	for i := range symbols {
 		symbols[i] = src.Intn(16)
 	}
-	chips, _ := NewSpreader(11).Spread(symbols)
+	chips, _ := NewSpreader(11).SpreadAppend(nil, symbols)
 	if p := dsp.Power(chips); math.Abs(p-1) > 1e-9 {
 		t.Fatalf("chip power %v, want 1", p)
 	}
@@ -190,7 +208,7 @@ func BenchmarkSpread(b *testing.B) {
 	sp := NewSpreader(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := sp.Spread(symbols); err != nil {
+		if _, err := sp.SpreadAppend(nil, symbols); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -198,7 +216,7 @@ func BenchmarkSpread(b *testing.B) {
 
 func BenchmarkDespread(b *testing.B) {
 	symbols := make([]int, 1024)
-	chips, _ := NewSpreader(1).Spread(symbols)
+	chips, _ := NewSpreader(1).SpreadAppend(nil, symbols)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		de := NewDespreader(1)
@@ -223,7 +241,7 @@ func TestDespreadIntoResetMatchesFresh(t *testing.T) {
 		for i := range symbols {
 			symbols[i] = src.Intn(16)
 		}
-		chips, _ := NewSpreader(seed).Spread(symbols)
+		chips, _ := NewSpreader(seed).SpreadAppend(nil, symbols)
 		for i := range chips {
 			chips[i] += src.ComplexNorm()
 		}

@@ -2,8 +2,9 @@
 // paper's §6.4.1: Linear (uniform over the bandwidth set), Exponential
 // (probability proportional to bandwidth, equalizing airtime per bandwidth)
 // and Parabolic (a maximin-robust distribution favoring the band edges,
-// derived by Monte Carlo optimization exactly as the paper describes), plus
-// a seed-synchronized hop scheduler shared by transmitter and receiver.
+// derived by Monte Carlo optimization exactly as the paper describes). Both
+// link ends draw each frame's hops from a distribution with a source seeded
+// from the pre-shared secret (internal/core).
 package hop
 
 import (
@@ -183,48 +184,6 @@ func (d Distribution) AverageThroughput(spreadingFactor float64) float64 {
 		panic("hop: spreading factor must be positive")
 	}
 	return d.AverageBandwidth() / spreadingFactor
-}
-
-// Schedule draws a seed-synchronized sequence of hop decisions. Transmitter
-// and receiver construct Schedules from the same seed and see identical hop
-// sequences — the receiver-side bandwidth synchronization of Figure 6.
-type Schedule struct {
-	dist Distribution
-	src  *prng.Source
-	// SymbolsPerHop is how many symbols each drawn bandwidth lasts.
-	SymbolsPerHop int
-}
-
-// NewSchedule returns a hop schedule for the distribution, seeded with the
-// pre-shared hop seed.
-func NewSchedule(d Distribution, seed uint64, symbolsPerHop int) (*Schedule, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if symbolsPerHop < 1 {
-		return nil, fmt.Errorf("hop: symbolsPerHop %d must be >= 1", symbolsPerHop)
-	}
-	return &Schedule{dist: d, src: prng.New(seed), SymbolsPerHop: symbolsPerHop}, nil
-}
-
-// Next draws the next hop and returns the bandwidth index into the
-// distribution's bandwidth set.
-func (s *Schedule) Next() int {
-	return s.src.Choose(s.dist.Probs)
-}
-
-// PlanHops returns the per-hop bandwidth indices needed to cover
-// totalSymbols symbols.
-func (s *Schedule) PlanHops(totalSymbols int) []int {
-	if totalSymbols <= 0 {
-		return nil
-	}
-	hops := (totalSymbols + s.SymbolsPerHop - 1) / s.SymbolsPerHop
-	out := make([]int, hops)
-	for i := range out {
-		out[i] = s.Next()
-	}
-	return out
 }
 
 // PayoffFunc scores the defender's advantage (in dB) when the signal uses

@@ -121,64 +121,6 @@ func TestFixedSelectsMaxBandwidth(t *testing.T) {
 	}
 }
 
-func TestScheduleDeterminism(t *testing.T) {
-	d, _ := NewDistribution(Linear, DefaultBandwidths())
-	a, err := NewSchedule(d, 42, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := NewSchedule(d, 42, 4)
-	for i := 0; i < 1000; i++ {
-		if a.Next() != b.Next() {
-			t.Fatalf("tx and rx schedules diverged at hop %d", i)
-		}
-	}
-}
-
-func TestScheduleMatchesDistribution(t *testing.T) {
-	d, _ := NewDistribution(Exponential, DefaultBandwidths())
-	s, _ := NewSchedule(d, 7, 4)
-	const n = 200000
-	counts := make([]float64, len(d.Probs))
-	for i := 0; i < n; i++ {
-		counts[s.Next()]++
-	}
-	for i, want := range d.Probs {
-		got := counts[i] / n
-		if math.Abs(got-want) > 0.01 {
-			t.Fatalf("empirical prob[%d] = %v, want %v", i, got, want)
-		}
-	}
-}
-
-func TestScheduleErrors(t *testing.T) {
-	d, _ := NewDistribution(Linear, DefaultBandwidths())
-	if _, err := NewSchedule(d, 1, 0); err == nil {
-		t.Fatal("symbolsPerHop 0 should error")
-	}
-	bad := Distribution{Bandwidths: []float64{1}, Probs: []float64{0.5}}
-	if _, err := NewSchedule(bad, 1, 4); err == nil {
-		t.Fatal("invalid distribution should error")
-	}
-}
-
-func TestPlanHops(t *testing.T) {
-	d, _ := NewDistribution(Linear, DefaultBandwidths())
-	s, _ := NewSchedule(d, 3, 4)
-	plan := s.PlanHops(10) // ceil(10/4) = 3 hops
-	if len(plan) != 3 {
-		t.Fatalf("plan length %d, want 3", len(plan))
-	}
-	for _, idx := range plan {
-		if idx < 0 || idx >= len(d.Bandwidths) {
-			t.Fatalf("hop index %d out of range", idx)
-		}
-	}
-	if s.PlanHops(0) != nil {
-		t.Fatal("zero symbols should plan no hops")
-	}
-}
-
 func TestOptimizeMaximinBeatsUniformOnAsymmetricGame(t *testing.T) {
 	// Payoff favoring extreme offsets (a crude stand-in for the SNR bound):
 	// advantage grows with |log(bp/bj)|.

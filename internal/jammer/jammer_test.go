@@ -180,7 +180,7 @@ func TestReactiveJammerMatchesBandwidthAfterDelay(t *testing.T) {
 	for i := range chips {
 		chips[i] = complex(src.ChipBit()*0.7, src.ChipBit()*0.7)
 	}
-	tx := pulse.Modulate(chips, pulse.Taps(16)) // bw ~ 1/16
+	tx := pulse.ModulateAppend(nil, chips, pulse.Taps(16)) // bw ~ 1/16
 	r, err := NewReactive(512, 1024, 9, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +241,7 @@ func TestReactiveMemoryJamsFromFirstSample(t *testing.T) {
 	for i := range chips {
 		chips[i] = complex(src.ChipBit()*0.7, src.ChipBit()*0.7)
 	}
-	tx := pulse.Modulate(chips, pulse.Taps(8))
+	tx := pulse.ModulateAppend(nil, chips, pulse.Taps(8))
 	r, err := NewReactive(256, 1024, 4, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +269,7 @@ func TestReactiveWithoutMemoryStaysSilentAtHead(t *testing.T) {
 	for i := range chips {
 		chips[i] = complex(src.ChipBit()*0.7, src.ChipBit()*0.7)
 	}
-	tx := pulse.Modulate(chips, pulse.Taps(8))
+	tx := pulse.ModulateAppend(nil, chips, pulse.Taps(8))
 	r, _ := NewReactive(256, 1024, 4, 9)
 	r.Jam(tx)
 	r.NewBurst()

@@ -39,15 +39,10 @@ func Taps(sps int) []float64 {
 	return g
 }
 
-// Modulate maps complex chips to samples at sps samples per chip using the
-// single-chip pulse g (len(g) == sps, from Taps).
-// The output has len(chips)*sps samples.
-func Modulate(chips []complex128, g []float64) []complex128 {
-	return ModulateAppend(make([]complex128, 0, len(chips)*len(g)), chips, g)
-}
-
-// ModulateAppend is Modulate appending into dst, for transmitters that
-// assemble a multi-hop burst into one pre-sized buffer.
+// ModulateAppend maps complex chips to samples at sps samples per chip
+// using the single-chip pulse g (len(g) == sps, from Taps) and appends the
+// len(chips)*sps samples to dst, so a transmitter assembles a multi-hop
+// burst in one pre-sized buffer.
 //
 //bhss:hotpath
 func ModulateAppend(dst []complex128, chips []complex128, g []float64) []complex128 {
@@ -63,8 +58,9 @@ func ModulateAppend(dst []complex128, chips []complex128, g []float64) []complex
 // filtering with the single-chip pulse g and sampling once per chip,
 // starting at the given sample offset, and appends them to dst, so a
 // receiver accumulates the chips of consecutive hops in one reused buffer.
-// It is the inverse of Modulate: DemodulateAppend(nil, Modulate(c, g), g, 0)
-// == c (up to floating point). Partial chips at the tail are dropped.
+// It is the inverse of ModulateAppend: DemodulateAppend(nil,
+// ModulateAppend(nil, c, g), g, 0) == c (up to floating point). Partial
+// chips at the tail are dropped.
 //
 //bhss:hotpath
 func DemodulateAppend(dst []complex128, samples []complex128, g []float64, offset int) []complex128 {

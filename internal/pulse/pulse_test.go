@@ -72,7 +72,7 @@ func TestModulateDemodulateRoundTrip(t *testing.T) {
 	for _, sps := range []int{2, 4, 8, 32, 128} {
 		g := Taps(sps)
 		chips := randomChips(50, uint64(sps))
-		samples := Modulate(chips, g)
+		samples := ModulateAppend(nil, chips, g)
 		if len(samples) != 50*sps {
 			t.Fatalf("sps=%d: %d samples, want %d", sps, len(samples), 50*sps)
 		}
@@ -91,7 +91,7 @@ func TestModulateDemodulateRoundTrip(t *testing.T) {
 func TestModulatePowerIsChipPower(t *testing.T) {
 	for _, sps := range []int{2, 16, 64} {
 		chips := randomChips(200, 7)
-		samples := Modulate(chips, Taps(sps))
+		samples := ModulateAppend(nil, chips, Taps(sps))
 		if p := dsp.Power(samples); math.Abs(p-1) > 1e-9 {
 			t.Fatalf("sps=%d: tx power %v, want 1", sps, p)
 		}
@@ -101,7 +101,7 @@ func TestModulatePowerIsChipPower(t *testing.T) {
 func TestDemodulateOffsetAndTail(t *testing.T) {
 	g := Taps(4)
 	chips := randomChips(10, 3)
-	samples := Modulate(chips, g)
+	samples := ModulateAppend(nil, chips, g)
 	// Prepend garbage; demodulate with matching offset.
 	shifted := append(make([]complex128, 3), samples...)
 	back := DemodulateAppend(nil, shifted, g, 3)
@@ -128,7 +128,7 @@ func TestDemodulateOffsetAndTail(t *testing.T) {
 func TestBandwidthScalesInverselyWithPulseDuration(t *testing.T) {
 	measure := func(sps int) float64 {
 		chips := randomChips(4096, uint64(sps)*11)
-		x := Modulate(chips, Taps(sps))
+		x := ModulateAppend(nil, chips, Taps(sps))
 		psd, err := spectral.Welch(1024).PSD(x)
 		if err != nil {
 			t.Fatal(err)
@@ -153,7 +153,7 @@ func TestQuickRoundTripArbitraryChips(t *testing.T) {
 		sps := 1 << (spsRaw % 6) // 1..32
 		g := Taps(sps)
 		chips := randomChips(17, seed)
-		back := DemodulateAppend(nil, Modulate(chips, g), g, 0)
+		back := DemodulateAppend(nil, ModulateAppend(nil, chips, g), g, 0)
 		for i := range chips {
 			if d := back[i] - chips[i]; math.Hypot(real(d), imag(d)) > 1e-9 {
 				return false
@@ -171,13 +171,13 @@ func BenchmarkModulateSps8(b *testing.B) {
 	chips := randomChips(4096, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Modulate(chips, g)
+		ModulateAppend(nil, chips, g)
 	}
 }
 
 func BenchmarkDemodulateSps8(b *testing.B) {
 	g := Taps(8)
-	samples := Modulate(randomChips(4096, 1), g)
+	samples := ModulateAppend(nil, randomChips(4096, 1), g)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		DemodulateAppend(nil, samples, g, 0)

@@ -158,10 +158,7 @@ func Run(cfg Config) (Report, error) {
 	var lengths []int
 	maxBurst := 0
 	for total := int64(0); total < targetSamples || len(lengths) == 0; {
-		n, err := probe.BurstLength(len(payload))
-		if err != nil {
-			return Report{}, fmt.Errorf("soak: burst length: %w", err)
-		}
+		n := probe.BurstLength(len(payload))
 		if _, err := probe.EncodeFrame(payload); err != nil {
 			return Report{}, fmt.Errorf("soak: probe encode: %w", err)
 		}

@@ -72,7 +72,7 @@ func TestCostasProcessMatchesReference(t *testing.T) {
 		for _, noise := range []float64{0, 0.3, 1, 10} {
 			src := prng.New(uint64(sps)*31 + uint64(noise*10))
 			chips := qpskChips(20000/sps+8, uint64(sps))
-			x := append(make([]complex128, 3), pulse.Modulate(chips, pulse.Taps(sps))...)
+			x := pulse.ModulateAppend(make([]complex128, 3), chips, pulse.Taps(sps))
 			for i := 3; i < len(x); i++ {
 				x[i] += src.ComplexNorm() * complex(noise, 0)
 			}

@@ -2,28 +2,18 @@ package bhss
 
 import (
 	"fmt"
-	"math"
 
 	"bhss/internal/channel"
 	"bhss/internal/dsp"
-	"bhss/internal/prng"
 )
 
 // ChannelModel describes the simulated medium between the transmitter and
-// receiver of a SimLink: an AWGN floor, optional attenuation of the signal
-// and optional free-running-oscillator impairments applied per frame.
+// receiver of a SimLink: an AWGN floor.
 type ChannelModel struct {
 	// NoiseVar is the AWGN variance per sample (relative to the
 	// unit-power transmit signal).
 	NoiseVar float64
-	// SignalAttenuationDB attenuates the desired signal (positive dB).
-	SignalAttenuationDB float64
-	// RandomPhase rotates each frame by an unknown uniform phase.
-	RandomPhase bool
-	// CFO applies a quasi-static carrier frequency offset of this
-	// magnitude (cycles/sample), sign randomized per frame.
-	CFO float64
-	// Seed drives the channel's randomness.
+	// Seed drives the channel's noise.
 	Seed uint64
 }
 
@@ -31,18 +21,14 @@ type ChannelModel struct {
 // an optional jammer — the one-call way to run jamming experiments against
 // the public API.
 type SimLink struct {
-	Tx      *Transmitter
-	Rx      *Receiver
-	Jammer  Jammer
-	channel ChannelModel
-	noise   *channel.AWGN
-	src     *prng.Source
-	met     *Observer
+	Tx     *Transmitter
+	Rx     *Receiver
+	Jammer Jammer
+	noise  *channel.AWGN
+	met    *Observer
 
-	// Send-path scratch, reused across frames so a steady-state link does
-	// not allocate two burst-sized buffers per Send.
-	//bhss:scratch
-	txBuf []complex128
+	// rxBuf is the burst buffer Send encodes into and the channel acts on
+	// in place, reused across frames.
 	//bhss:scratch
 	rxBuf []complex128
 }
@@ -77,41 +63,22 @@ func NewSimLink(cfg Config, ch ChannelModel, jam Jammer) (*SimLink, error) {
 		return nil, err
 	}
 	return &SimLink{
-		Tx:      tx,
-		Rx:      rx,
-		Jammer:  jam,
-		channel: ch,
-		noise:   channel.NewAWGN(ch.NoiseVar, ch.Seed^0x5eed),
-		src:     prng.New(ch.Seed),
+		Tx:     tx,
+		Rx:     rx,
+		Jammer: jam,
+		noise:  channel.NewAWGN(ch.NoiseVar, ch.Seed^0x5eed),
 	}, nil
 }
 
 // Send pushes one payload through the link and returns what the receiver
 // decoded (an error for a lost frame), with the receiver's diagnostics.
 func (l *SimLink) Send(payload []byte) ([]byte, *RxStats, error) {
-	burst, err := l.Tx.EncodeFrameInto(l.txBuf[:0], payload)
+	burst, err := l.Tx.EncodeFrameInto(l.rxBuf[:0], payload)
 	if err != nil {
 		return nil, nil, err
 	}
-	l.txBuf = burst.Samples
-	l.rxBuf = append(l.rxBuf[:0], burst.Samples...)
+	l.rxBuf = burst.Samples
 	rx := l.rxBuf
-	if l.channel.SignalAttenuationDB != 0 {
-		channel.Attenuate(rx, l.channel.SignalAttenuationDB)
-	}
-	if l.channel.RandomPhase || l.channel.CFO > 0 {
-		var phase, cfo float64
-		if l.channel.RandomPhase {
-			phase = 2 * math.Pi * l.src.Float64()
-		}
-		if l.channel.CFO > 0 {
-			cfo = l.channel.CFO
-			if l.src.Bit() == 1 {
-				cfo = -cfo
-			}
-		}
-		dsp.Mix(rx, cfo, phase)
-	}
 	if l.Jammer != nil {
 		j := l.Jammer.Emit(len(rx))
 		dsp.AddTo(rx, j)
