@@ -296,39 +296,45 @@ func TestDecodeObserverParity(t *testing.T) {
 
 // TestLinkEndAllocs pins each link end's allocations per frame once warm.
 // Both ends key a frame by reseeding the hop source and the spreader they
-// keep, so a warm EncodeFrameInto into a large enough buffer allocates only
-// the Burst, its Segments and frame.Encode's two slices, and a warm
-// IdealSync DecodeBurst only frame.Decode's three.
+// keep, and the frame codec builds only the slice it returns, so a warm
+// EncodeFrameInto into a large enough buffer allocates only the Burst, its
+// Segments and frame.Encode's symbols, and a warm IdealSync DecodeBurst only
+// frame.Decode's payload, with or without the carrier loop: the receiver
+// builds the loop once and resets it per burst, and the coarse CFO
+// estimator works in receiver scratch.
 func TestLinkEndAllocs(t *testing.T) {
-	const encodeAllocs, decodeAllocs = 4, 3
-	cfg := DefaultConfig(1)
-	tx, rx := mustPair(t, cfg)
-	payload := bytes.Repeat([]byte("alloc pin "), 4)
-	worst := frame.EncodedSymbols(len(payload)) * dsss.ComplexChipsPerSymbol * slices.Max(tx.spsTab)
-	buf := make([]complex128, 0, worst)
-	encode := func() {
-		if _, err := tx.EncodeFrameInto(buf, payload); err != nil {
+	const encodeAllocs, decodeAllocs = 3, 1
+	for _, tracking := range []bool{false, true} {
+		cfg := DefaultConfig(1)
+		cfg.TrackingLoops = tracking
+		tx, rx := mustPair(t, cfg)
+		payload := bytes.Repeat([]byte("alloc pin "), 4)
+		worst := frame.EncodedSymbols(len(payload)) * dsss.ComplexChipsPerSymbol * slices.Max(tx.spsTab)
+		buf := make([]complex128, 0, worst)
+		encode := func() {
+			if _, err := tx.EncodeFrameInto(buf, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		encode()
+		if n := testing.AllocsPerRun(50, encode); n > encodeAllocs {
+			t.Fatalf("tracking %v: a warm EncodeFrameInto allocates %v times, want at most %d", tracking, n, encodeAllocs)
+		}
+
+		burst, err := tx.EncodeFrame(payload)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	encode()
-	if n := testing.AllocsPerRun(50, encode); n > encodeAllocs {
-		t.Fatalf("a warm EncodeFrameInto allocates %v times, want at most %d", n, encodeAllocs)
-	}
-
-	burst, err := tx.EncodeFrame(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr := tx.FrameCounter() - 1
-	decode := func() {
-		rx.frame = fr
-		if got, _, err := rx.DecodeBurst(burst.Samples); err != nil || !bytes.Equal(got, payload) {
-			t.Fatalf("decode: %q, %v", got, err)
+		fr := tx.FrameCounter() - 1
+		decode := func() {
+			rx.frame = fr
+			if got, _, err := rx.DecodeBurst(burst.Samples); err != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("tracking %v: decode: %q, %v", tracking, got, err)
+			}
 		}
-	}
-	decode()
-	if n := testing.AllocsPerRun(50, decode); n > decodeAllocs {
-		t.Fatalf("a warm DecodeBurst allocates %v times, want at most %d", n, decodeAllocs)
+		decode()
+		if n := testing.AllocsPerRun(50, decode); n > decodeAllocs {
+			t.Fatalf("tracking %v: a warm DecodeBurst allocates %v times, want at most %d", tracking, n, decodeAllocs)
+		}
 	}
 }

@@ -201,7 +201,9 @@ func TestRoundTripWithNoise(t *testing.T) {
 
 // TestRandomPhaseAndCFO: a channel that rotates every frame by a random
 // phase and a ±CFO, as free-running oscillators do, loses every frame
-// without the carrier loop and none with it.
+// without the carrier loop and none with it. The receiver keeps one carrier
+// loop and resets it per burst, so its loop ends every burst exactly where
+// a fresh receiver's does.
 func TestRandomPhaseAndCFO(t *testing.T) {
 	const frames = 10
 	payload := []byte("rotated")
@@ -224,8 +226,21 @@ func TestRandomPhaseAndCFO(t *testing.T) {
 			}
 			dsp.Mix(burst.Samples, cfo, phase)
 			noise.Add(burst.Samples)
-			if got, _, err := rx.DecodeBurst(burst.Samples); err != nil || !bytes.Equal(got, payload) {
+			got, stats, err := rx.DecodeBurst(burst.Samples)
+			if err != nil || !bytes.Equal(got, payload) {
 				lost++
+			}
+			if track {
+				fresh, err := NewReceiver(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh.frame = uint64(i)
+				_, want, _ := fresh.DecodeBurst(burst.Samples)
+				if stats.CarrierFreq != want.CarrierFreq || stats.CarrierLock != want.CarrierLock {
+					t.Errorf("frame %d: carrier %v (lock %v) after earlier bursts, %v (lock %v) from a fresh receiver",
+						i, stats.CarrierFreq, stats.CarrierLock, want.CarrierFreq, want.CarrierLock)
+				}
 			}
 		}
 		want := frames

@@ -125,6 +125,9 @@ type Receiver struct {
 	// desp despreads the header and the burst; it is reseeded with the
 	// frame's scrambler seed before each use.
 	desp *dsss.Despreader
+	// loop is the carrier loop (TrackingLoops only, else nil), reset at the
+	// start of every burst.
+	loop *tracking.Costas
 
 	// met is the optional observer; nil skips all recording. Recording
 	// never touches sample data, so decode output is identical either way.
@@ -168,6 +171,8 @@ type rxScratch struct {
 	//bhss:scratch
 	tracked []complex128 // carrier-loop working copy
 	//bhss:scratch
+	cfo []complex128 // coarse CFO estimator's FFT buffer
+	//bhss:scratch
 	chips []complex128 // accumulated chip estimates
 	//bhss:scratch
 	aligned []complex128 // PreambleSync: the capture from the burst start, de-rotated
@@ -197,6 +202,11 @@ func NewReceiver(cfg Config) (*Receiver, error) {
 		welchCache: map[int]*spectral.Reusable{},
 		notchConv:  map[int]*dsp.OverlapSave{},
 		desp:       dsss.NewDespreader(0),
+	}
+	if cfg.TrackingLoops {
+		if r.loop, err = tracking.NewCostas(carrierLoopBW); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.EnableFilter {
 		// "We pre-compute the taps of all possible low-pass filters in
@@ -651,13 +661,9 @@ func (r *Receiver) decodeBurst(stats *RxStats, samples []complex128) ([]byte, er
 	r.startFrame(fr)
 	scramblerSeed := deriveSeed(r.cfg.Seed, fr, purposeScrambler)
 
-	var loop *tracking.Costas
-	if r.cfg.TrackingLoops {
-		var err error
-		loop, err = tracking.NewCostas(carrierLoopBW)
-		if err != nil {
-			return nil, err
-		}
+	loop := r.loop
+	if loop != nil {
+		loop.Reset()
 	}
 
 	chips := r.scratch.chips[:0]
@@ -719,7 +725,8 @@ func (r *Receiver) decodeBurst(stats *RxStats, samples []complex128) ([]byte, er
 				// loop's frequency. Under unsuppressed strong jamming
 				// the line drowns and the estimate is useless — part
 				// of the vulnerability the filters protect.
-				loop.SetFrequency(tracking.CoarseCFOInRange(seg, maxTrackedCFO))
+				r.scratch.cfo = resizeComplex(r.scratch.cfo, dsp.NextPow2(len(seg)))
+				loop.SetFrequency(tracking.CoarseCFOInRange(r.scratch.cfo, seg, maxTrackedCFO))
 			}
 			var tsw obs.Stopwatch
 			if r.met != nil {

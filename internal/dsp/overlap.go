@@ -1,10 +1,6 @@
 package dsp
 
-import (
-	"fmt"
-
-	"bhss/internal/dsp/simd"
-)
+import "fmt"
 
 // OverlapSave is a fast convolver for one fixed tap set: the taps are
 // transformed to the frequency domain once at construction, and inputs of
@@ -94,7 +90,10 @@ func (o *OverlapSave) SetTaps(taps []complex128) {
 // o.block[k-1:] are valid linear-convolution samples.
 func (o *OverlapSave) convolveBlock() {
 	o.plan.Forward(o.block)
-	simd.CMulTo(o.block, o.hFT)
+	block, h := o.block, o.hFT[:len(o.block)]
+	for i := range block {
+		block[i] *= h[i]
+	}
 	o.plan.inverseUnscaled(o.block)
 }
 

@@ -108,7 +108,7 @@ func (p *FFTPlan) Forward(x []complex128) {
 //bhss:hotpath
 func (p *FFTPlan) Inverse(x []complex128) {
 	p.transform(x, true)
-	simd.ScaleReal(x, 1/float64(p.n))
+	Scale(x, 1/float64(p.n))
 }
 
 // inverseUnscaled is Inverse without the 1/N pass, for overlap-save, which

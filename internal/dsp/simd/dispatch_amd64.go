@@ -31,19 +31,14 @@ func hasAVX2() bool {
 	return ebx7&avx2Bit != 0
 }
 
-func bind(Mode) {
-	cmulTo = cmulToAsm
-	scaleReal = scaleRealAsm
-	addTo = addToAsm
+func bind() {
 	windowInto = windowIntoAsm
 	mag2Accum = mag2AccumAsm
 	modulate = modulateAsm
 	firReal = firRealAsm
 	demodulate = demodulateAsm
-	dotConj = dotConjAsm
 	corrReal = corrRealAsm
 	allFinite = allFiniteAsm
-	pow4Into = pow4IntoAsm
 	span2 = span2Asm
 	unit4Fwd = unit4FwdAsm
 	unit4Inv = unit4InvAsm
@@ -53,12 +48,6 @@ func bind(Mode) {
 
 // The wrappers in kernels.go guarantee non-empty, length-matched slices
 // before these shims run, so indexing the first element is safe.
-
-func cmulToAsm(dst, src []complex128) { cmulToAVX2(&dst[0], &src[0], len(dst)) }
-
-func scaleRealAsm(x []complex128, g float64) { scaleRealAVX2(&x[0], len(x), g) }
-
-func addToAsm(dst, src []complex128) { addToAVX2(&dst[0], &src[0], len(dst)) }
 
 func windowIntoAsm(dst, x []complex128, w []float64) {
 	windowIntoAVX2(&dst[0], &x[0], &w[0], len(dst))
@@ -78,16 +67,9 @@ func demodulateAsm(out, x []complex128, g []float64, energy float64) {
 	demodulateAVX2(&out[0], &x[0], &g[0], len(out), len(g), energy)
 }
 
-func dotConjAsm(a, b []complex128) complex128 {
-	re, im := dotConjAVX2(&a[0], &b[0], len(a))
-	return complex(re, im)
-}
-
 func corrRealAsm(a, b []complex128) float64 { return corrRealAVX2(&a[0], &b[0], len(a)) }
 
 func allFiniteAsm(x []complex128) bool { return allFiniteAVX2(&x[0], len(x)) }
-
-func pow4IntoAsm(dst, src []complex128) { pow4IntoAVX2(&dst[0], &src[0], len(dst)) }
 
 func span2Asm(x []complex128) { span2AVX2(&x[0], len(x)) }
 
@@ -123,15 +105,6 @@ func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func cmulToAVX2(dst, src *complex128, n int)
-
-//go:noescape
-func scaleRealAVX2(x *complex128, n int, gain float64)
-
-//go:noescape
-func addToAVX2(dst, src *complex128, n int)
-
-//go:noescape
 func windowIntoAVX2(dst, x *complex128, w *float64, n int)
 
 //go:noescape
@@ -150,16 +123,10 @@ func boxMullerAVX2(dst *complex128, u, v *float64, n int, gain float64)
 func demodulateAVX2(out, x *complex128, taps *float64, nchips, sps int, energy float64)
 
 //go:noescape
-func dotConjAVX2(a, b *complex128, n int) (re, im float64)
-
-//go:noescape
 func corrRealAVX2(a, b *complex128, n int) float64
 
 //go:noescape
 func allFiniteAVX2(x *complex128, n int) bool
-
-//go:noescape
-func pow4IntoAVX2(dst, src *complex128, n int)
 
 //go:noescape
 func span2AVX2(x *complex128, n int)

@@ -10,24 +10,6 @@ import "math"
 // sequences; on amd64 the compiler never fuses them (no FMA contraction),
 // which is what makes exact equivalence with the assembly possible.
 
-func cmulToGeneric(dst, src []complex128) {
-	for i, b := range src {
-		dst[i] *= b
-	}
-}
-
-func scaleRealGeneric(x []complex128, g float64) {
-	for i, v := range x {
-		x[i] = complex(real(v)*g, imag(v)*g)
-	}
-}
-
-func addToGeneric(dst, src []complex128) {
-	for i, b := range src {
-		dst[i] += b
-	}
-}
-
 func windowIntoGeneric(dst, x []complex128, w []float64) {
 	for i, wv := range w {
 		v := x[i]
@@ -104,41 +86,6 @@ func demodulateGeneric(out, x []complex128, g []float64, energy float64) {
 	}
 }
 
-func dotConjGeneric(a, b []complex128) complex128 {
-	// Canonical lanes: for the real part, products ar·br and ai·bi
-	// accumulate in separate lanes split further by element parity; the
-	// imaginary part does the same with ai·br and ar·bi. The odd tail
-	// folds into the even lanes; re = (eRB+oRB)+(eIB+oIB),
-	// im = (eIR+oIR)−(eRI+oRI).
-	var eRB, eIB, oRB, oIB float64 // real-part lanes
-	var eIR, eRI, oIR, oRI float64 // imag-part lanes
-	n := len(a)
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		ar0, ai0 := real(a[i]), imag(a[i])
-		br0, bi0 := real(b[i]), imag(b[i])
-		eRB += ar0 * br0
-		eIB += ai0 * bi0
-		eIR += ai0 * br0
-		eRI += ar0 * bi0
-		ar1, ai1 := real(a[i+1]), imag(a[i+1])
-		br1, bi1 := real(b[i+1]), imag(b[i+1])
-		oRB += ar1 * br1
-		oIB += ai1 * bi1
-		oIR += ai1 * br1
-		oRI += ar1 * bi1
-	}
-	if i < n {
-		ar, ai := real(a[i]), imag(a[i])
-		br, bi := real(b[i]), imag(b[i])
-		eRB += ar * br
-		eIB += ai * bi
-		eIR += ai * br
-		eRI += ar * bi
-	}
-	return complex((eRB+oRB)+(eIB+oIB), (eIR+oIR)-(eRI+oRI))
-}
-
 func corrRealGeneric(a, b []complex128) float64 {
 	var eRB, eIB, oRB, oIB float64
 	n := len(a)
@@ -163,13 +110,6 @@ func allFiniteGeneric(x []complex128) bool {
 		}
 	}
 	return true
-}
-
-func pow4IntoGeneric(dst, src []complex128) {
-	for i, v := range src {
-		v2 := v * v
-		dst[i] = v2 * v2
-	}
 }
 
 func span2Generic(x []complex128) {

@@ -5,57 +5,19 @@ package simd
 // canonical implementation; bind() swaps in the assembly version when the
 // detected CPU supports it. BoxMuller alone calls its kernel directly.
 var (
-	cmulTo     func(dst, src []complex128)                            = cmulToGeneric
-	scaleReal  func(x []complex128, g float64)                        = scaleRealGeneric
-	addTo      func(dst, src []complex128)                            = addToGeneric
 	windowInto func(dst, x []complex128, w []float64)                 = windowIntoGeneric
 	mag2Accum  func(dst []float64, x []complex128)                    = mag2AccumGeneric
 	modulate   func(out, chips []complex128, g []float64)             = modulateGeneric
 	firReal    func(out, buf []complex128, h []float64)               = firRealGeneric
 	demodulate func(out, x []complex128, g []float64, energy float64) = demodulateGeneric
-	dotConj    func(a, b []complex128) complex128                     = dotConjGeneric
 	corrReal   func(a, b []complex128) float64                        = corrRealGeneric
 	allFinite  func(x []complex128) bool                              = allFiniteGeneric
-	pow4Into   func(dst, src []complex128)                            = pow4IntoGeneric
 	span2      func(x []complex128)                                   = span2Generic
 	unit4Fwd   func(x []complex128)                                   = unit4FwdGeneric
 	unit4Inv   func(x []complex128)                                   = unit4InvGeneric
 	radix4Fwd  func(x []complex128, h int, twA, twB []complex128)     = radix4FwdGeneric
 	radix4Inv  func(x []complex128, h int, twA, twB []complex128)     = radix4InvGeneric
 )
-
-// CMulTo multiplies dst element-wise by src: dst[i] *= src[i], over the
-// common prefix. The overlap-save frequency-domain product.
-func CMulTo(dst, src []complex128) {
-	n := len(dst)
-	if len(src) < n {
-		n = len(src)
-	}
-	if n == 0 {
-		return
-	}
-	cmulTo(dst[:n], src[:n])
-}
-
-// ScaleReal multiplies every element of x by a real gain, component-wise.
-func ScaleReal(x []complex128, g float64) {
-	if len(x) == 0 {
-		return
-	}
-	scaleReal(x, g)
-}
-
-// AddTo adds src into dst element-wise over the common prefix.
-func AddTo(dst, src []complex128) {
-	n := len(dst)
-	if len(src) < n {
-		n = len(src)
-	}
-	if n == 0 {
-		return
-	}
-	addTo(dst[:n], src[:n])
-}
 
 // WindowInto writes dst[i] = x[i] scaled component-wise by w[i] — the PSD
 // estimator's per-segment windowing. All three slices are truncated to the
@@ -151,19 +113,6 @@ func Demodulate(out, x []complex128, g []float64, energy float64) {
 	demodulate(out, x[:len(out)*sps], g, energy)
 }
 
-// DotConj returns Σ a[i]·conj(b[i]) over the common prefix, in the
-// canonical even/odd-lane accumulation order.
-func DotConj(a, b []complex128) complex128 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	if n == 0 {
-		return 0
-	}
-	return dotConj(a[:n], b[:n])
-}
-
 // CorrReal returns Σ real(a[i])·real(b[i]) + imag(a[i])·imag(b[i]) — the
 // real part of the conjugate correlation, the despreader's decision
 // metric — in the canonical even/odd-lane accumulation order.
@@ -185,21 +134,6 @@ func AllFinite(x []complex128) bool {
 		return true
 	}
 	return allFinite(x)
-}
-
-// Pow4Into writes dst[i] = (src[i]²)² over the common prefix, squaring
-// twice with the exact scalar complex-multiply rounding — the QPSK
-// modulation-stripping step of the coarse CFO estimator. dst may alias
-// src.
-func Pow4Into(dst, src []complex128) {
-	n := len(dst)
-	if len(src) < n {
-		n = len(src)
-	}
-	if n == 0 {
-		return
-	}
-	pow4Into(dst[:n], src[:n])
 }
 
 // Span2 runs the twiddle-free span-2 FFT stage in place over pairs:

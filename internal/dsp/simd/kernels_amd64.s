@@ -34,106 +34,6 @@ DATA lane2Mask<>+16(SB)/8, $0x8000000000000000
 DATA lane2Mask<>+24(SB)/8, $0x0000000000000000
 GLOBL lane2Mask<>(SB), RODATA|NOPTR, $32
 
-// func cmulToAVX2(dst, src *complex128, n int)
-// dst[i] *= src[i]: re = ar·br − ai·bi, im = ai·br + ar·bi (VADDSUBPD).
-TEXT ·cmulToAVX2(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVQ CX, DX
-	SHRQ $1, DX
-	JZ   cmtail
-
-cmloop:
-	VMOVUPD   (DI), Y0       // a = [ar0 ai0 ar1 ai1]
-	VMOVUPD   (SI), Y1       // b
-	VPERMILPD $0x0, Y1, Y2   // [br br ...]
-	VPERMILPD $0xF, Y1, Y3   // [bi bi ...]
-	VPERMILPD $0x5, Y0, Y4   // [ai ar ...]
-	VMULPD    Y2, Y0, Y5     // [ar·br ai·br ...]
-	VMULPD    Y3, Y4, Y6     // [ai·bi ar·bi ...]
-	VADDSUBPD Y6, Y5, Y5     // [ar·br−ai·bi  ai·br+ar·bi ...]
-	VMOVUPD   Y5, (DI)
-	ADDQ      $32, DI
-	ADDQ      $32, SI
-	DECQ      DX
-	JNZ       cmloop
-
-cmtail:
-	ANDQ $1, CX
-	JZ   cmdone
-	VMOVUPD   (DI), X0
-	VMOVUPD   (SI), X1
-	VPERMILPD $0x0, X1, X2
-	VPERMILPD $0x3, X1, X3
-	VPERMILPD $0x1, X0, X4
-	VMULPD    X2, X0, X5
-	VMULPD    X3, X4, X6
-	VADDSUBPD X6, X5, X5
-	VMOVUPD   X5, (DI)
-
-cmdone:
-	VZEROUPPER
-	RET
-
-// func scaleRealAVX2(x *complex128, n int, gain float64)
-// Component-wise real gain: x[i] = (re·g, im·g).
-TEXT ·scaleRealAVX2(SB), NOSPLIT, $0-24
-	MOVQ         x+0(FP), DI
-	MOVQ         n+8(FP), CX
-	VBROADCASTSD gain+16(FP), Y1
-	MOVQ         CX, DX
-	SHRQ         $1, DX
-	JZ           srtail
-
-srloop:
-	VMOVUPD (DI), Y0
-	VMULPD  Y1, Y0, Y0
-	VMOVUPD Y0, (DI)
-	ADDQ    $32, DI
-	DECQ    DX
-	JNZ     srloop
-
-srtail:
-	ANDQ $1, CX
-	JZ   srdone
-	VMOVUPD (DI), X0
-	VMULPD  X1, X0, X0
-	VMOVUPD X0, (DI)
-
-srdone:
-	VZEROUPPER
-	RET
-
-// func addToAVX2(dst, src *complex128, n int)
-TEXT ·addToAVX2(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVQ CX, DX
-	SHRQ $1, DX
-	JZ   adtail
-
-adloop:
-	VMOVUPD (DI), Y0
-	VADDPD  (SI), Y0, Y0
-	VMOVUPD Y0, (DI)
-	ADDQ    $32, DI
-	ADDQ    $32, SI
-	DECQ    DX
-	JNZ     adloop
-
-adtail:
-	ANDQ $1, CX
-	JZ   addone
-	VMOVUPD (DI), X0
-	VADDPD  (SI), X0, X0
-	VMOVUPD X0, (DI)
-
-addone:
-	VZEROUPPER
-	RET
-
 // func windowIntoAVX2(dst, x *complex128, w *float64, n int)
 // dst[i] = (re(x[i])·w[i], im(x[i])·w[i]).
 TEXT ·windowIntoAVX2(SB), NOSPLIT, $0-32
@@ -414,60 +314,6 @@ dmcombine:
 	VZEROUPPER
 	RET
 
-// func dotConjAVX2(a, b *complex128, n int) (re, im float64)
-// Canonical lanes: accA = [ar·br ai·bi]ₑ,ₒ  accB = [ai·br ar·bi]ₑ,ₒ;
-// re = (eRB+oRB)+(eIB+oIB), im = (eIR+oIR)−(eRI+oRI).
-TEXT ·dotConjAVX2(SB), NOSPLIT, $0-40
-	MOVQ   a+0(FP), SI
-	MOVQ   b+8(FP), BX
-	MOVQ   n+16(FP), CX
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	MOVQ   CX, DX
-	SHRQ   $1, DX
-	JZ     dctail
-
-dcloop:
-	VMOVUPD   (SI), Y0
-	VMOVUPD   (BX), Y1
-	VMULPD    Y1, Y0, Y2     // [ar·br ai·bi ...]
-	VADDPD    Y2, Y4, Y4
-	VPERMILPD $0x5, Y0, Y3
-	VMULPD    Y1, Y3, Y2     // [ai·br ar·bi ...]
-	VADDPD    Y2, Y5, Y5
-	ADDQ      $32, SI
-	ADDQ      $32, BX
-	DECQ      DX
-	JNZ       dcloop
-
-dctail:
-	VEXTRACTF128 $1, Y4, X6
-	VEXTRACTF128 $1, Y5, X7
-	ANDQ         $1, CX
-	JZ           dceven
-	VMOVUPD   (SI), X0
-	VMOVUPD   (BX), X1
-	VMULPD    X1, X0, X2
-	VADDPD    X2, X4, X10
-	VPERMILPD $0x1, X0, X3
-	VMULPD    X1, X3, X2
-	VADDPD    X2, X5, X11
-	JMP       dccombine
-
-dceven:
-	VMOVAPD X4, X10
-	VMOVAPD X5, X11
-
-dccombine:
-	VADDPD  X6, X10, X10
-	VADDPD  X7, X11, X11
-	VHADDPD X10, X10, X10    // re
-	VHSUBPD X11, X11, X11    // im
-	VMOVSD  X10, re+24(FP)
-	VMOVSD  X11, im+32(FP)
-	VZEROUPPER
-	RET
-
 // func corrRealAVX2(a, b *complex128, n int) float64
 TEXT ·corrRealAVX2(SB), NOSPLIT, $0-32
 	MOVQ   a+0(FP), SI
@@ -542,58 +388,6 @@ afdone:
 	ORL       DX, AX
 	TESTL     AX, AX
 	SETEQ     ret+16(FP)
-	VZEROUPPER
-	RET
-
-// func pow4IntoAVX2(dst, src *complex128, n int)
-// dst[i] = (src[i]²)², each square with exact complex-multiply rounding.
-TEXT ·pow4IntoAVX2(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVQ CX, DX
-	SHRQ $1, DX
-	JZ   p4tail
-
-p4loop:
-	VMOVUPD   (SI), Y0
-	VPERMILPD $0x0, Y0, Y1
-	VPERMILPD $0xF, Y0, Y2
-	VPERMILPD $0x5, Y0, Y3
-	VMULPD    Y1, Y0, Y4
-	VMULPD    Y2, Y3, Y5
-	VADDSUBPD Y5, Y4, Y4     // v² = v·v
-	VPERMILPD $0x0, Y4, Y1
-	VPERMILPD $0xF, Y4, Y2
-	VPERMILPD $0x5, Y4, Y3
-	VMULPD    Y1, Y4, Y5
-	VMULPD    Y2, Y3, Y6
-	VADDSUBPD Y6, Y5, Y5     // v⁴ = v²·v²
-	VMOVUPD   Y5, (DI)
-	ADDQ      $32, SI
-	ADDQ      $32, DI
-	DECQ      DX
-	JNZ       p4loop
-
-p4tail:
-	ANDQ $1, CX
-	JZ   p4done
-	VMOVUPD   (SI), X0
-	VPERMILPD $0x0, X0, X1
-	VPERMILPD $0x3, X0, X2
-	VPERMILPD $0x1, X0, X3
-	VMULPD    X1, X0, X4
-	VMULPD    X2, X3, X5
-	VADDSUBPD X5, X4, X4
-	VPERMILPD $0x0, X4, X1
-	VPERMILPD $0x3, X4, X2
-	VPERMILPD $0x1, X4, X3
-	VMULPD    X1, X4, X5
-	VMULPD    X2, X3, X6
-	VADDSUBPD X6, X5, X5
-	VMOVUPD   X5, (DI)
-
-p4done:
 	VZEROUPPER
 	RET
 

@@ -90,64 +90,10 @@ var parityLens = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64
 
 func TestActiveMode(t *testing.T) {
 	m := Active()
-	if m != Generic && m != AVX2 && m != NEON {
+	if m != Generic && m != AVX2 {
 		t.Fatalf("Active() = %d, not a known Mode", m)
 	}
 	t.Logf("dispatch mode: %v", m)
-}
-
-func TestCMulToParity(t *testing.T) {
-	rng := lcg(1)
-	for _, n := range parityLens {
-		a, b := rng.complexSlice(n), rng.complexSlice(n)
-		want := cloneC(a)
-		cmulToGeneric(want, b)
-		got := cloneC(a)
-		CMulTo(got, b)
-		sameC(t, "CMulTo", got, want)
-
-		// Aliased: dst[i] *= dst[i].
-		wantAl := cloneC(a)
-		cmulToGeneric(wantAl, wantAl)
-		gotAl := cloneC(a)
-		CMulTo(gotAl, gotAl)
-		sameC(t, "CMulTo aliased", gotAl, wantAl)
-	}
-	CMulTo(nil, nil) // no panic on empty
-}
-
-func TestScaleRealParity(t *testing.T) {
-	rng := lcg(2)
-	for _, n := range parityLens {
-		for _, g := range []float64{0.37, -2.5, 1e-300, 7.25e8} {
-			a := rng.complexSlice(n)
-			want := cloneC(a)
-			scaleRealGeneric(want, g)
-			got := cloneC(a)
-			ScaleReal(got, g)
-			sameC(t, "ScaleReal", got, want)
-		}
-	}
-	ScaleReal(nil, 2)
-}
-
-func TestAddToParity(t *testing.T) {
-	rng := lcg(3)
-	for _, n := range parityLens {
-		a, b := rng.complexSlice(n), rng.complexSlice(n)
-		want := cloneC(a)
-		addToGeneric(want, b)
-		got := cloneC(a)
-		AddTo(got, b)
-		sameC(t, "AddTo", got, want)
-
-		wantAl := cloneC(a)
-		addToGeneric(wantAl, wantAl)
-		gotAl := cloneC(a)
-		AddTo(gotAl, gotAl)
-		sameC(t, "AddTo aliased", gotAl, wantAl)
-	}
-	AddTo(nil, nil)
 }
 
 func TestWindowIntoParity(t *testing.T) {
@@ -320,22 +266,6 @@ func TestBoxMullerParity(t *testing.T) {
 	BoxMuller(nil, nil, nil, 1) // no panic on empty
 }
 
-func TestDotConjParity(t *testing.T) {
-	rng := lcg(8)
-	for _, n := range parityLens {
-		a, b := rng.complexSlice(n), rng.complexSlice(n)
-		want := dotConjGeneric(a, b)
-		got := DotConj(a, b)
-		if math.Float64bits(real(got)) != math.Float64bits(real(want)) ||
-			math.Float64bits(imag(got)) != math.Float64bits(imag(want)) {
-			t.Fatalf("DotConj: n=%d: got %v want %v (mode %v)", n, got, want, Active())
-		}
-	}
-	if DotConj(nil, nil) != 0 {
-		t.Fatal("DotConj(nil, nil) != 0")
-	}
-}
-
 func TestCorrRealParity(t *testing.T) {
 	rng := lcg(9)
 	for _, n := range parityLens {
@@ -381,25 +311,6 @@ func TestAllFiniteParity(t *testing.T) {
 	if !AllFinite(nil) {
 		t.Fatal("AllFinite(nil) should be true")
 	}
-}
-
-func TestPow4IntoParity(t *testing.T) {
-	rng := lcg(12)
-	for _, n := range parityLens {
-		src := rng.complexSlice(n)
-		want := make([]complex128, n)
-		pow4IntoGeneric(want, src)
-		got := make([]complex128, n)
-		Pow4Into(got, src)
-		sameC(t, "Pow4Into", got, want)
-
-		wantAl := cloneC(src)
-		pow4IntoGeneric(wantAl, wantAl)
-		gotAl := cloneC(src)
-		Pow4Into(gotAl, gotAl)
-		sameC(t, "Pow4Into aliased", gotAl, wantAl)
-	}
-	Pow4Into(nil, nil)
 }
 
 func TestSpan2Parity(t *testing.T) {
@@ -460,20 +371,6 @@ func TestRadix4Parity(t *testing.T) {
 }
 
 // Micro-benchmarks for the kernels the link hot path leans on.
-
-func benchComplexPair(n int) ([]complex128, []complex128) {
-	rng := lcg(99)
-	return rng.complexSlice(n), rng.complexSlice(n)
-}
-
-func BenchmarkCMulTo(b *testing.B) {
-	dst, src := benchComplexPair(4096)
-	b.SetBytes(4096 * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CMulTo(dst, src)
-	}
-}
 
 func BenchmarkMag2Accum(b *testing.B) {
 	rng := lcg(99)
@@ -538,15 +435,4 @@ func BenchmarkRadix4Forward(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Radix4Forward(x, h, twA, twB)
 	}
-}
-
-func BenchmarkDotConj(b *testing.B) {
-	a, x := benchComplexPair(4096)
-	b.SetBytes(4096 * 16)
-	b.ResetTimer()
-	var sink complex128
-	for i := 0; i < b.N; i++ {
-		sink = DotConj(a, x)
-	}
-	_ = sink
 }

@@ -6,22 +6,22 @@
 // what the paper's GNU Radio flowgraph instantiated.
 package dsp
 
-import (
-	"math"
-
-	"bhss/internal/dsp/simd"
-)
+import "math"
 
 // Scale multiplies every element of x by a real gain, in place
 // (component-wise: (re·g, im·g)).
 func Scale(x []complex128, gain float64) {
-	simd.ScaleReal(x, gain)
+	for i, v := range x {
+		x[i] = complex(real(v)*gain, imag(v)*gain)
+	}
 }
 
 // AddTo adds src into dst element-wise: dst[i] += src[i]. The slices must
 // have identical lengths; extra elements of the longer slice are ignored.
 func AddTo(dst, src []complex128) {
-	simd.AddTo(dst, src)
+	for i, b := range src[:min(len(dst), len(src))] {
+		dst[i] += b
+	}
 }
 
 // Power returns the average power (mean |x|^2) of the signal.
@@ -46,11 +46,44 @@ func Energy(x []complex128) float64 {
 }
 
 // DotConj returns sum(a[i] * conj(b[i])) over the common prefix, the complex
-// correlation inner product used by despreaders and preamble detectors.
+// correlation inner product behind the preamble detector's phase and CFO
+// estimates.
+//
+// The sum runs in a fixed blocked order, kept so that PreambleSync
+// acquisition stays bit-identical: for the real part, products ar·br and
+// ai·bi accumulate in separate lanes split further by element parity; the
+// imaginary part does the same with ai·br and ar·bi. The odd tail folds
+// into the even lanes; re = (eRB+oRB)+(eIB+oIB), im = (eIR+oIR)−(eRI+oRI).
 //
 //bhss:hotpath
 func DotConj(a, b []complex128) complex128 {
-	return simd.DotConj(a, b)
+	var eRB, eIB, oRB, oIB float64 // real-part lanes
+	var eIR, eRI, oIR, oRI float64 // imag-part lanes
+	n := min(len(a), len(b))
+	i := 0
+	for ; i+2 <= n; i += 2 {
+		ar0, ai0 := real(a[i]), imag(a[i])
+		br0, bi0 := real(b[i]), imag(b[i])
+		eRB += ar0 * br0
+		eIB += ai0 * bi0
+		eIR += ai0 * br0
+		eRI += ar0 * bi0
+		ar1, ai1 := real(a[i+1]), imag(a[i+1])
+		br1, bi1 := real(b[i+1]), imag(b[i+1])
+		oRB += ar1 * br1
+		oIB += ai1 * bi1
+		oIR += ai1 * br1
+		oRI += ar1 * bi1
+	}
+	if i < n {
+		ar, ai := real(a[i]), imag(a[i])
+		br, bi := real(b[i]), imag(b[i])
+		eRB += ar * br
+		eIB += ai * bi
+		eIR += ai * br
+		eRI += ar * bi
+	}
+	return complex((eRB+oRB)+(eIB+oIB), (eIR+oIR)-(eRI+oRI))
 }
 
 // Mix multiplies x in place by a complex exponential of the given normalized

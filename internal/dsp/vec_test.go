@@ -38,6 +38,10 @@ func TestAddTo(t *testing.T) {
 	if a[0] != 11 || a[1] != 22 || a[2] != 3 {
 		t.Fatalf("AddTo result %v", a)
 	}
+	AddTo(b, a) // a longer src: only the common prefix is added
+	if b[0] != 21 || b[1] != 42 {
+		t.Fatalf("AddTo into the shorter slice: %v", b)
+	}
 }
 
 func TestDotConj(t *testing.T) {
@@ -47,6 +51,15 @@ func TestDotConj(t *testing.T) {
 	want := complex(6, 0) // |1+i|^2 + |2|^2 = 2 + 4
 	if !cEq(got, want, 1e-12) {
 		t.Fatalf("DotConj = %v, want %v", got, want)
+	}
+
+	// The canonical lane order sums even and odd elements apart, so the
+	// 1e16 terms cancel exactly and every one survives; a sequential sum
+	// loses a one to rounding and returns 2.
+	a = []complex128{1e16, 1, -1e16, 1, 1i}
+	b = []complex128{1, 1, 1, 1, 1i}
+	if got := DotConj(a, b); got != complex(3, 0) {
+		t.Fatalf("DotConj lane order: got %v, want (3+0i)", got)
 	}
 }
 

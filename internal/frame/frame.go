@@ -59,7 +59,11 @@ func CRC16(data []byte) uint16 {
 
 // BytesToSymbols expands bytes to 4-bit symbols, low nibble first.
 func BytesToSymbols(data []byte) []int {
-	out := make([]int, 0, len(data)*SymbolsPerByte)
+	return appendSymbols(make([]int, 0, len(data)*SymbolsPerByte), data)
+}
+
+// appendSymbols appends the symbols of data to out, low nibble first.
+func appendSymbols(out []int, data []byte) []int {
 	for _, b := range data {
 		out = append(out, int(b&0x0F), int(b>>4))
 	}
@@ -73,14 +77,23 @@ func SymbolsToBytes(symbols []int) ([]byte, error) {
 		return nil, ErrTruncated
 	}
 	out := make([]byte, len(symbols)/SymbolsPerByte)
-	for i := range out {
-		lo, hi := symbols[2*i], symbols[2*i+1]
-		if lo < 0 || lo > 15 || hi < 0 || hi > 15 {
-			return nil, ErrBadSymbol
-		}
-		out[i] = byte(lo) | byte(hi)<<4
+	if err := packSymbols(out, symbols); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// packSymbols fills dst from the first len(dst)*SymbolsPerByte symbols, low
+// nibble first. It returns ErrBadSymbol if one is out of range.
+func packSymbols(dst []byte, symbols []int) error {
+	for i := range dst {
+		lo, hi := symbols[2*i], symbols[2*i+1]
+		if lo < 0 || lo > 15 || hi < 0 || hi > 15 {
+			return ErrBadSymbol
+		}
+		dst[i] = byte(lo) | byte(hi)<<4
+	}
+	return nil
 }
 
 // Encode serializes a payload into the symbol stream
@@ -90,15 +103,13 @@ func Encode(payload []byte) ([]int, error) {
 	if len(payload) > MaxPayload {
 		return nil, ErrTooLong
 	}
-	raw := make([]byte, 0, PreambleBytes+2+len(payload)+crcBytes)
-	for i := 0; i < PreambleBytes; i++ {
-		raw = append(raw, 0x00)
-	}
-	raw = append(raw, SFDByte, byte(len(payload)))
-	raw = append(raw, payload...)
+	header := [PreambleBytes + 2]byte{PreambleBytes: SFDByte, PreambleBytes + 1: byte(len(payload))}
 	crc := CRC16(payload)
-	raw = append(raw, byte(crc&0xFF), byte(crc>>8))
-	return BytesToSymbols(raw), nil
+	fcs := [crcBytes]byte{byte(crc), byte(crc >> 8)}
+	out := make([]int, 0, EncodedSymbols(len(payload)))
+	out = appendSymbols(out, header[:])
+	out = appendSymbols(out, payload)
+	return appendSymbols(out, fcs[:]), nil
 }
 
 // EncodedSymbols returns the total number of symbols Encode produces for a
@@ -114,8 +125,8 @@ func Decode(symbols []int) ([]byte, error) {
 	if len(symbols) < HeaderSymbols {
 		return nil, ErrTruncated
 	}
-	header, err := SymbolsToBytes(symbols[:HeaderSymbols])
-	if err != nil {
+	var header [HeaderSymbols / SymbolsPerByte]byte
+	if err := packSymbols(header[:], symbols); err != nil {
 		return nil, err
 	}
 	if header[PreambleBytes] != SFDByte {
@@ -129,16 +140,16 @@ func Decode(symbols []int) ([]byte, error) {
 	if len(symbols) < need {
 		return nil, ErrTruncated
 	}
-	body, err := SymbolsToBytes(symbols[HeaderSymbols:need])
-	if err != nil {
+	payload := make([]byte, n)
+	if err := packSymbols(payload, symbols[HeaderSymbols:]); err != nil {
 		return nil, err
 	}
-	payload := body[:n]
-	crcGot := uint16(body[n]) | uint16(body[n+1])<<8
-	if crcGot != CRC16(payload) {
+	var fcs [crcBytes]byte
+	if err := packSymbols(fcs[:], symbols[HeaderSymbols+n*SymbolsPerByte:]); err != nil {
+		return nil, err
+	}
+	if uint16(fcs[0])|uint16(fcs[1])<<8 != CRC16(payload) {
 		return nil, ErrBadCRC
 	}
-	out := make([]byte, n)
-	copy(out, payload)
-	return out, nil
+	return payload, nil
 }

@@ -81,6 +81,19 @@ func TestDecodeBadSymbolValue(t *testing.T) {
 	}
 }
 
+// TestDecodeBadSymbolBeforeCRC: an out-of-range symbol in the payload or
+// the CRC is ErrBadSymbol, reported ahead of the CRC comparison.
+func TestDecodeBadSymbolBeforeCRC(t *testing.T) {
+	good, _ := Encode([]byte("body"))
+	for _, at := range []int{HeaderSymbols, HeaderSymbols + 7, len(good) - 1} {
+		syms := append([]int(nil), good...)
+		syms[at] = 16
+		if _, err := Decode(syms); !errors.Is(err, ErrBadSymbol) {
+			t.Fatalf("bad symbol at %d: err = %v, want ErrBadSymbol", at, err)
+		}
+	}
+}
+
 func TestDecodeBogusLengthByte(t *testing.T) {
 	syms, _ := Encode(nil)
 	// Overwrite length byte symbols with 0xFF (255 > MaxPayload).

@@ -124,7 +124,7 @@ func TestCoarseCFOInRangeAccuracy(t *testing.T) {
 	binCFO := 1.0 / (4 * float64(n)) // frequency resolution after ^4
 	for _, cfo := range []float64{0, 5e-5, 1e-4, -1.5e-4} {
 		sig := qpskStream(n, cfo, 0.05, 3)
-		got := CoarseCFOInRange(sig, 2e-4)
+		got := CoarseCFOInRange(make([]complex128, n), sig, 2e-4)
 		if math.Abs(got-cfo) > binCFO {
 			t.Errorf("cfo=%g: estimate %g off by more than a bin (%g)", cfo, got, binCFO)
 		}
@@ -132,7 +132,7 @@ func TestCoarseCFOInRangeAccuracy(t *testing.T) {
 	// Out-of-range offset: the restricted search must not report a large
 	// spurious value (it clamps to the search window).
 	sig := qpskStream(n, 5e-3, 0.05, 3)
-	if got := CoarseCFOInRange(sig, 2e-4); math.Abs(got) > 2e-4+binCFO {
+	if got := CoarseCFOInRange(make([]complex128, n), sig, 2e-4); math.Abs(got) > 2e-4+binCFO {
 		t.Errorf("restricted search returned %g, beyond its own window", got)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"math"
 
 	"bhss/internal/dsp"
-	"bhss/internal/dsp/simd"
 )
 
 // CoarseCFOInRange estimates a QPSK carrier frequency offset of magnitude
@@ -24,16 +23,20 @@ import (
 // (stripping the modulation) and locating the spectral peak within that
 // range; it pulls the offset into the Costas loop's capture range.
 // Restricting the search keeps the chip-rate harmonics of a shaped pulse's
-// envelope out of the peak search. It allocates its FFT scratch (coarse
-// acquisition runs once per burst, not per hop), so it is deliberately not
-// //bhss:hotpath.
-func CoarseCFOInRange(x []complex128, maxCFO float64) float64 {
+// envelope out of the peak search. The FFT runs in buf, which must hold at
+// least dsp.NextPow2(len(x)) samples and is overwritten; a receiver keeps it
+// across bursts.
+func CoarseCFOInRange(buf, x []complex128, maxCFO float64) float64 {
 	n := dsp.NextPow2(len(x))
 	if n < 4 || maxCFO <= 0 {
 		return 0
 	}
-	buf := make([]complex128, n)
-	simd.Pow4Into(buf, x)
+	buf = buf[:n]
+	for i, v := range x {
+		v2 := v * v
+		buf[i] = v2 * v2
+	}
+	clear(buf[len(x):])
 	dsp.PlanFFT(n).Forward(buf)
 	limit := int(4 * maxCFO * float64(n))
 	if limit < 1 {
@@ -102,6 +105,13 @@ func NewCostas(loopBW float64) (*Costas, error) {
 		MaxFreq: 0.25,
 	}
 	return c, nil
+}
+
+// Reset returns the loop to its construction state for a new burst: phase,
+// frequency and both averages at zero. The loop gains and MaxFreq keep
+// their values.
+func (c *Costas) Reset() {
+	c.phase, c.freq, c.avgMag, c.errEMA = 0, 0, 0, 0
 }
 
 // Frequency returns the currently tracked frequency offset

@@ -22,18 +22,27 @@ func qpskChips(n int, seed uint64) []complex128 {
 
 func TestCoarseCFOEstimatesOffset(t *testing.T) {
 	chips := qpskChips(4096, 1)
+	buf := make([]complex128, len(chips))
 	for _, cfo := range []float64{0.002, -0.005, 0.01} {
 		x := append([]complex128(nil), chips...)
 		dsp.Mix(x, cfo, 0.3)
-		got := CoarseCFOInRange(x, 0.0125)
+		got := CoarseCFOInRange(buf, x, 0.0125)
 		if math.Abs(got-cfo) > 3e-4 {
 			t.Fatalf("CFO %v estimated as %v", cfo, got)
+		}
+		// A capture shorter than its FFT is zero-padded whatever the
+		// buffer held: the spectrum left in buf above must not change the
+		// estimate.
+		short := x[:3000]
+		reused := CoarseCFOInRange(buf, short, 0.0125)
+		if fresh := CoarseCFOInRange(make([]complex128, len(buf)), short, 0.0125); reused != fresh {
+			t.Fatalf("CFO %v: a reused buffer estimates %v, a fresh one %v", cfo, reused, fresh)
 		}
 	}
 }
 
 func TestCoarseCFOZeroOnShortInput(t *testing.T) {
-	if CoarseCFOInRange([]complex128{1}, 0.01) != 0 {
+	if CoarseCFOInRange(nil, []complex128{1}, 0.01) != 0 {
 		t.Fatal("degenerate input should estimate 0")
 	}
 }
@@ -88,6 +97,33 @@ func TestCostasErrors(t *testing.T) {
 	}
 	if _, err := NewCostas(0.5); err == nil {
 		t.Fatal("bandwidth 0.5 should error")
+	}
+}
+
+// TestCostasResetMatchesFresh: a loop that tracked one burst and was reset
+// processes the next burst bit for bit like a newly built loop.
+func TestCostasResetMatchesFresh(t *testing.T) {
+	used, _ := NewCostas(0.02)
+	first := qpskChips(3000, 5)
+	dsp.Mix(first, 2e-3, 1.1)
+	used.SetFrequency(2e-3)
+	used.Process(first)
+	used.Reset()
+
+	fresh, _ := NewCostas(0.02)
+	want := qpskChips(3000, 6)
+	dsp.Mix(want, -1e-3, 0.4)
+	got := append([]complex128(nil), want...)
+	fresh.Process(want)
+	used.Process(got)
+	for i := range want {
+		if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+			math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+			t.Fatalf("sample %d: reset loop %v, fresh loop %v", i, got[i], want[i])
+		}
+	}
+	if *used != *fresh {
+		t.Fatalf("reset loop state %+v, fresh loop state %+v", *used, *fresh)
 	}
 }
 
