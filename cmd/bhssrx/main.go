@@ -100,26 +100,7 @@ func run() (err error) {
 	}()
 
 	events := make(chan rxEvent, 64)
-	go func() {
-		defer close(events)
-		for {
-			block, err := client.Recv()
-			if err != nil {
-				if errors.Is(err, iqstream.ErrStreamGap) {
-					events <- rxEvent{gap: true}
-					continue
-				}
-				return
-			}
-			// This receiver's own front end distorts the stream before any
-			// DSP sees it; the chain is streaming, so block boundaries do
-			// not appear in its output. Only this goroutine touches it.
-			if front.Len() > 0 {
-				block = front.ProcessAppend(make([]complex128, 0, len(block)+8), block)
-			}
-			events <- rxEvent{block: block}
-		}
-	}()
+	go readEvents(client.Recv, front, events)
 
 	s := &session{rx: rx, count: *count}
 	idle := time.Duration(*idleMS) * time.Millisecond
@@ -160,6 +141,30 @@ func run() (err error) {
 		fmt.Printf("link: %d reconnects, %d stream gaps\n", n, met.Net.StreamGaps.Load())
 	}
 	return nil
+}
+
+// readEvents forwards the blocks recv returns to events, each in storage of
+// its own, and a gap marker for each ErrStreamGap. It closes events when
+// recv fails otherwise (the client closed).
+func readEvents(recv func() ([]complex128, error), front *impair.Chain, events chan<- rxEvent) {
+	defer close(events)
+	//bhss:allow(goroleak) run passes client.Recv, which fails once run's deferred Close shuts the client
+	for {
+		block, err := recv()
+		if err != nil {
+			if errors.Is(err, iqstream.ErrStreamGap) {
+				events <- rxEvent{gap: true}
+				continue
+			}
+			return
+		}
+		// This receiver's own front end distorts the stream before any
+		// DSP sees it; the chain is streaming, so block boundaries do not
+		// appear in its output. Only this goroutine touches it. The block
+		// is valid only until the next recv, and ProcessAppend writes
+		// fresh storage: the chain's output, or a copy when it is empty.
+		events <- rxEvent{block: front.ProcessAppend(make([]complex128, 0, len(block)+8), block)}
+	}
 }
 
 // worstSamples is the worst-case burst: a max-length frame entirely on the

@@ -37,13 +37,14 @@ func bind() {
 	modulate = modulateAsm
 	firReal = firRealAsm
 	demodulate = demodulateAsm
-	corrReal = corrRealAsm
 	allFinite = allFiniteAsm
 	span2 = span2Asm
 	unit4Fwd = unit4FwdAsm
 	unit4Inv = unit4InvAsm
 	radix4Fwd = radix4FwdAsm
 	radix4Inv = radix4InvAsm
+	packIQ32 = packIQ32Asm
+	unpackIQ32 = unpackIQ32Asm
 }
 
 // The wrappers in kernels.go guarantee non-empty, length-matched slices
@@ -67,8 +68,6 @@ func demodulateAsm(out, x []complex128, g []float64, energy float64) {
 	demodulateAVX2(&out[0], &x[0], &g[0], len(out), len(g), energy)
 }
 
-func corrRealAsm(a, b []complex128) float64 { return corrRealAVX2(&a[0], &b[0], len(a)) }
-
 func allFiniteAsm(x []complex128) bool { return allFiniteAVX2(&x[0], len(x)) }
 
 func span2Asm(x []complex128) { span2AVX2(&x[0], len(x)) }
@@ -84,6 +83,10 @@ func radix4FwdAsm(x []complex128, h int, twA, twB []complex128) {
 func radix4InvAsm(x []complex128, h int, twA, twB []complex128) {
 	radix4InvAVX2(&x[0], len(x), h, &twA[0], &twB[0])
 }
+
+func packIQ32Asm(dst []byte, src []complex128) { packIQ32AVX2(&dst[0], &src[0], len(src)) }
+
+func unpackIQ32Asm(dst []complex128, src []byte) { unpackIQ32AVX2(&dst[0], &src[0], len(dst)) }
 
 // boxMuller runs the AVX2 kernel over the multiple of four and the generic
 // body over the tail.
@@ -123,9 +126,6 @@ func boxMullerAVX2(dst *complex128, u, v *float64, n int, gain float64)
 func demodulateAVX2(out, x *complex128, taps *float64, nchips, sps int, energy float64)
 
 //go:noescape
-func corrRealAVX2(a, b *complex128, n int) float64
-
-//go:noescape
 func allFiniteAVX2(x *complex128, n int) bool
 
 //go:noescape
@@ -142,3 +142,9 @@ func radix4FwdAVX2(x *complex128, n, h int, twA, twB *complex128)
 
 //go:noescape
 func radix4InvAVX2(x *complex128, n, h int, twA, twB *complex128)
+
+//go:noescape
+func packIQ32AVX2(dst *byte, src *complex128, n int)
+
+//go:noescape
+func unpackIQ32AVX2(dst *complex128, src *byte, n int)

@@ -1,6 +1,9 @@
 package simd
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // Pure-Go canonical kernels. These are the fallback on CPUs without an
 // assembly set and the reference the parity tests compare the assembly
@@ -86,23 +89,6 @@ func demodulateGeneric(out, x []complex128, g []float64, energy float64) {
 	}
 }
 
-func corrRealGeneric(a, b []complex128) float64 {
-	var eRB, eIB, oRB, oIB float64
-	n := len(a)
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		eRB += real(a[i]) * real(b[i])
-		eIB += imag(a[i]) * imag(b[i])
-		oRB += real(a[i+1]) * real(b[i+1])
-		oIB += imag(a[i+1]) * imag(b[i+1])
-	}
-	if i < n {
-		eRB += real(a[i]) * real(b[i])
-		eIB += imag(a[i]) * imag(b[i])
-	}
-	return (eRB + oRB) + (eIB + oIB)
-}
-
 func allFiniteGeneric(x []complex128) bool {
 	for _, v := range x {
 		if real(v)-real(v) != 0 || imag(v)-imag(v) != 0 {
@@ -184,5 +170,26 @@ func radix4InvGeneric(x []complex128, h int, twA, twB []complex128) {
 			q0[k], q2[k] = u0+v2, u0-v2
 			q1[k], q3[k] = u1+v3, u1-v3
 		}
+	}
+}
+
+// The codec bodies convert each component once, float32(x) and float64(f):
+// the scalar conversions the vector instructions repeat per lane. The
+// three-index reslice gives each sample's eight bytes one bounds check.
+
+func packIQ32Generic(dst []byte, src []complex128) {
+	for i, s := range src {
+		b := dst[8*i : 8*i+8 : 8*i+8]
+		binary.LittleEndian.PutUint32(b, math.Float32bits(float32(real(s))))
+		binary.LittleEndian.PutUint32(b[4:], math.Float32bits(float32(imag(s))))
+	}
+}
+
+func unpackIQ32Generic(dst []complex128, src []byte) {
+	for i := range dst {
+		b := src[8*i : 8*i+8 : 8*i+8]
+		re := math.Float32frombits(binary.LittleEndian.Uint32(b))
+		im := math.Float32frombits(binary.LittleEndian.Uint32(b[4:]))
+		dst[i] = complex(float64(re), float64(im))
 	}
 }

@@ -10,13 +10,14 @@ var (
 	modulate   func(out, chips []complex128, g []float64)             = modulateGeneric
 	firReal    func(out, buf []complex128, h []float64)               = firRealGeneric
 	demodulate func(out, x []complex128, g []float64, energy float64) = demodulateGeneric
-	corrReal   func(a, b []complex128) float64                        = corrRealGeneric
 	allFinite  func(x []complex128) bool                              = allFiniteGeneric
 	span2      func(x []complex128)                                   = span2Generic
 	unit4Fwd   func(x []complex128)                                   = unit4FwdGeneric
 	unit4Inv   func(x []complex128)                                   = unit4InvGeneric
 	radix4Fwd  func(x []complex128, h int, twA, twB []complex128)     = radix4FwdGeneric
 	radix4Inv  func(x []complex128, h int, twA, twB []complex128)     = radix4InvGeneric
+	packIQ32   func(dst []byte, src []complex128)                     = packIQ32Generic
+	unpackIQ32 func(dst []complex128, src []byte)                     = unpackIQ32Generic
 )
 
 // WindowInto writes dst[i] = x[i] scaled component-wise by w[i] — the PSD
@@ -113,20 +114,6 @@ func Demodulate(out, x []complex128, g []float64, energy float64) {
 	demodulate(out, x[:len(out)*sps], g, energy)
 }
 
-// CorrReal returns Σ real(a[i])·real(b[i]) + imag(a[i])·imag(b[i]) — the
-// real part of the conjugate correlation, the despreader's decision
-// metric — in the canonical even/odd-lane accumulation order.
-func CorrReal(a, b []complex128) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	if n == 0 {
-		return 0
-	}
-	return corrReal(a[:n], b[:n])
-}
-
 // AllFinite reports whether every component of x is finite (no NaN, no
 // ±Inf) — the receiver's input-sanity scan.
 func AllFinite(x []complex128) bool {
@@ -180,4 +167,31 @@ func Radix4Inverse(x []complex128, h int, twA, twB []complex128) {
 		return
 	}
 	radix4Inv(x, h, twA[:h], twB[:h])
+}
+
+// PackIQ32 writes each sample of src to dst as two little-endian float32s,
+// real part first: the wire codec's encoder. Each component is converted
+// once, exactly as float32(x) converts it, so ±0, ±Inf, overflow to Inf,
+// rounding to subnormals and NaN payloads match the scalar conversion.
+// len(dst) must be at least 8·len(src).
+func PackIQ32(dst []byte, src []complex128) {
+	n := len(src)
+	if n == 0 {
+		return
+	}
+	_ = dst[8*n-1]
+	packIQ32(dst[:8*n], src)
+}
+
+// UnpackIQ32 fills dst from the little-endian float32 pairs at the head of
+// src, each component widened exactly as float64(f) widens it: the wire
+// codec's decoder. A signalling NaN comes back quiet, as the scalar
+// conversion returns it. len(src) must be at least 8·len(dst).
+func UnpackIQ32(dst []complex128, src []byte) {
+	n := len(dst)
+	if n == 0 {
+		return
+	}
+	_ = src[8*n-1]
+	unpackIQ32(dst, src[:8*n])
 }

@@ -7,7 +7,8 @@
 // products use separate VMULPD + VADDSUBPD (never FMA), so every lane
 // rounds like the corresponding Go expression. Reduction kernels use the
 // canonical even/odd-lane accumulation order that generic.go spells out;
-// the sliding-window FIR gives each lane its own output, in scalar tap order.
+// the sliding-window FIR gives each lane its own output, in scalar tap order;
+// the wire codec converts each component once, as the scalar conversion does.
 
 // Sign masks: flip the sign bit of selected 64-bit lanes.
 DATA oddMask<>+0(SB)/8, $0x0000000000000000
@@ -311,46 +312,6 @@ dmcombine:
 	ADDQ    $16, DI
 	DECQ    CX
 	JNZ     dmchip
-	VZEROUPPER
-	RET
-
-// func corrRealAVX2(a, b *complex128, n int) float64
-TEXT ·corrRealAVX2(SB), NOSPLIT, $0-32
-	MOVQ   a+0(FP), SI
-	MOVQ   b+8(FP), BX
-	MOVQ   n+16(FP), CX
-	VXORPD Y4, Y4, Y4
-	MOVQ   CX, DX
-	SHRQ   $1, DX
-	JZ     crtail
-
-crloop:
-	VMOVUPD (SI), Y0
-	VMOVUPD (BX), Y1
-	VMULPD  Y1, Y0, Y2
-	VADDPD  Y2, Y4, Y4
-	ADDQ    $32, SI
-	ADDQ    $32, BX
-	DECQ    DX
-	JNZ     crloop
-
-crtail:
-	VEXTRACTF128 $1, Y4, X6
-	ANDQ         $1, CX
-	JZ           creven
-	VMOVUPD (SI), X0
-	VMOVUPD (BX), X1
-	VMULPD  X1, X0, X2
-	VADDPD  X2, X4, X10
-	JMP     crcombine
-
-creven:
-	VMOVAPD X4, X10
-
-crcombine:
-	VADDPD  X6, X10, X10
-	VHADDPD X10, X10, X10
-	VMOVSD  X10, ret+24(FP)
 	VZEROUPPER
 	RET
 
@@ -872,5 +833,97 @@ bmloop:
 	JNZ        bmloop
 
 bmdone:
+	VZEROUPPER
+	RET
+
+// func packIQ32AVX2(dst *byte, src *complex128, n int)
+// VCVTPD2PS narrows four components per instruction with the rounding
+// float32(x) uses; the narrowed [re im re im] is the wire layout.
+TEXT ·packIQ32AVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ CX, DX
+	SHRQ $3, DX
+	JZ   pkpairs
+
+pkloop:
+	VCVTPD2PSY (SI), X0
+	VCVTPD2PSY 32(SI), X1
+	VCVTPD2PSY 64(SI), X2
+	VCVTPD2PSY 96(SI), X3
+	VMOVUPS    X0, (DI)
+	VMOVUPS    X1, 16(DI)
+	VMOVUPS    X2, 32(DI)
+	VMOVUPS    X3, 48(DI)
+	ADDQ       $128, SI
+	ADDQ       $64, DI
+	DECQ       DX
+	JNZ        pkloop
+
+pkpairs:
+	ANDQ $7, CX
+	CMPQ CX, $2
+	JB   pkone
+	VCVTPD2PSY (SI), X0
+	VMOVUPS    X0, (DI)
+	ADDQ       $32, SI
+	ADDQ       $16, DI
+	SUBQ       $2, CX
+	JMP        pkpairs
+
+pkone:
+	TESTQ      CX, CX
+	JZ         pkdone
+	VCVTPD2PSX (SI), X0
+	VMOVSD     X0, (DI)
+
+pkdone:
+	VZEROUPPER
+	RET
+
+// func unpackIQ32AVX2(dst *complex128, src *byte, n int)
+// VCVTPS2PD widens four components per instruction exactly, as float64(f)
+// does, quieting signalling NaNs the same way.
+TEXT ·unpackIQ32AVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ CX, DX
+	SHRQ $3, DX
+	JZ   uppairs
+
+uploop:
+	VCVTPS2PD (SI), Y0
+	VCVTPS2PD 16(SI), Y1
+	VCVTPS2PD 32(SI), Y2
+	VCVTPS2PD 48(SI), Y3
+	VMOVUPD   Y0, (DI)
+	VMOVUPD   Y1, 32(DI)
+	VMOVUPD   Y2, 64(DI)
+	VMOVUPD   Y3, 96(DI)
+	ADDQ      $64, SI
+	ADDQ      $128, DI
+	DECQ      DX
+	JNZ       uploop
+
+uppairs:
+	ANDQ $7, CX
+	CMPQ CX, $2
+	JB   upone
+	VCVTPS2PD (SI), Y0
+	VMOVUPD   Y0, (DI)
+	ADDQ      $16, SI
+	ADDQ      $32, DI
+	SUBQ      $2, CX
+	JMP       uppairs
+
+upone:
+	TESTQ     CX, CX
+	JZ        updone
+	VCVTPS2PD (SI), X0
+	VMOVUPD   X0, (DI)
+
+updone:
 	VZEROUPPER
 	RET

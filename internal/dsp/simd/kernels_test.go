@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -266,15 +267,109 @@ func TestBoxMullerParity(t *testing.T) {
 	BoxMuller(nil, nil, nil, 1) // no panic on empty
 }
 
-func TestCorrRealParity(t *testing.T) {
-	rng := lcg(9)
-	for _, n := range parityLens {
-		a, b := rng.complexSlice(n), rng.complexSlice(n)
-		sameScalar(t, "CorrReal", n, CorrReal(a, b), corrRealGeneric(a, b))
+// codecSpecials are the float64 components where a narrowing conversion
+// could part from float32(x): signed zeros and infinities, quiet and
+// signalling NaNs with payloads, overflow past MaxFloat32 and its halfway
+// point, float32 subnormals and the halfway cases of their rounding, ties
+// to even in the normal range, and float64 subnormals that narrow to zero.
+var codecSpecials = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.Float64frombits(0x7ff8000000000000), // quiet NaN
+	math.Float64frombits(0xfff8000000000123), // negative quiet NaN, payload
+	math.Float64frombits(0x7ff0000000000001), // signalling NaN
+	math.Float64frombits(0x7ff4000020000000), // signalling NaN, payload above float32's
+	math.MaxFloat32, -math.MaxFloat32, 1e39, -1e300, math.MaxFloat64,
+	0x1.ffffffp127, // halfway to overflow: the tie rounds to Inf
+	math.Nextafter(0x1.ffffffp127, 0),
+	0x1p-126, 0x1p-149, -0x1p-149, 0x1p-150, 0x1.8p-150, 3 * 0x1p-150, 1e-40, -1e-44,
+	1 + 0x1p-24, 1 + 3*0x1p-24, -(1 + 0x1p-24), math.Nextafter(1+0x1p-24, 2),
+	5e-324, -2.2250738585072014e-308,
+}
+
+// codecInputs returns n samples: random components, with the specials
+// woven through both rails at every lane position as n grows.
+func codecInputs(rng *lcg, n int) []complex128 {
+	sp := codecSpecials
+	x := rng.complexSlice(n)
+	for i := range x {
+		switch i % 3 {
+		case 0:
+			x[i] = complex(sp[(i+n)%len(sp)], imag(x[i]))
+		case 1:
+			x[i] = complex(real(x[i]), sp[(3*i+n)%len(sp)])
+		}
 	}
-	if CorrReal(nil, nil) != 0 {
-		t.Fatal("CorrReal(nil, nil) != 0")
+	return x
+}
+
+// codecLens is every length from 0 to 70 and a wire block: all residues
+// of the 8-sample loop and its pair and single tails.
+func codecLens() []int {
+	lens := []int{4096}
+	for n := 0; n <= 70; n++ {
+		lens = append(lens, n)
 	}
+	return lens
+}
+
+func TestPackIQ32Parity(t *testing.T) {
+	rng := lcg(17)
+	for _, n := range codecLens() {
+		src := codecInputs(&rng, n)
+		// One guard sample past the end: nothing may be written there.
+		want, got := make([]byte, 8*n+8), make([]byte, 8*n+8)
+		for i := range got {
+			got[i], want[i] = 0xA5, 0xA5
+		}
+		packIQ32Generic(want[:8*n], src)
+		PackIQ32(got, src)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("PackIQ32 n=%d: byte %d = %#x, want %#x (mode %v)", n, i, got[i], want[i], Active())
+			}
+		}
+		for i, s := range src {
+			re := binary.LittleEndian.Uint32(got[8*i:])
+			im := binary.LittleEndian.Uint32(got[8*i+4:])
+			if re != math.Float32bits(float32(real(s))) || im != math.Float32bits(float32(imag(s))) {
+				t.Fatalf("PackIQ32 n=%d: sample %d = %#x %#x, not float32(%v)", n, i, re, im, s)
+			}
+		}
+	}
+	PackIQ32(nil, nil)
+}
+
+func TestUnpackIQ32Parity(t *testing.T) {
+	rng := lcg(18)
+	specials := []uint32{
+		0, 0x80000000, 0x7f800000, 0xff800000, // ±0, ±Inf
+		0x7fc00000, 0xffc00123, // quiet NaNs
+		0x7f800001, 0xffa00000, 0x7fbfffff, // signalling NaNs
+		0x00000001, 0x807fffff, 0x00400000, // subnormals
+		0x7f7fffff, 0x00800000, 0x3f800001, // largest, smallest normal, 1+ulp
+	}
+	for _, n := range codecLens() {
+		src := make([]byte, 8*n)
+		for i := 0; i < 2*n; i++ {
+			w := uint32(rng.next() >> 32)
+			if i%3 == 0 {
+				w = specials[(i/3+n)%len(specials)]
+			}
+			binary.LittleEndian.PutUint32(src[4*i:], w)
+		}
+		want := make([]complex128, n+1)
+		got := make([]complex128, n+1)
+		want[n], got[n] = 7, 7
+		unpackIQ32Generic(want[:n], src)
+		UnpackIQ32(got[:n], src)
+		sameC(t, fmt.Sprintf("UnpackIQ32 n=%d", n), got, want)
+		for i := range got[:n] {
+			re := math.Float32frombits(binary.LittleEndian.Uint32(src[8*i:]))
+			im := math.Float32frombits(binary.LittleEndian.Uint32(src[8*i+4:]))
+			sameC(t, fmt.Sprintf("UnpackIQ32 n=%d sample %d", n, i), got[i:i+1], []complex128{complex(float64(re), float64(im))})
+		}
+	}
+	UnpackIQ32(nil, nil)
 }
 
 func TestAllFiniteParity(t *testing.T) {
@@ -421,6 +516,29 @@ func BenchmarkBoxMuller(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BoxMuller(dst, u, v, 1)
+	}
+}
+
+func BenchmarkPackIQ32(b *testing.B) {
+	rng := lcg(99)
+	src := rng.complexSlice(4096)
+	dst := make([]byte, 8*len(src))
+	b.SetBytes(int64(len(dst)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PackIQ32(dst, src)
+	}
+}
+
+func BenchmarkUnpackIQ32(b *testing.B) {
+	rng := lcg(99)
+	src := make([]byte, 8*4096)
+	PackIQ32(src, rng.complexSlice(4096))
+	dst := make([]complex128, 4096)
+	b.SetBytes(int64(len(src)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		UnpackIQ32(dst, src)
 	}
 }
 

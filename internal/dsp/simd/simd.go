@@ -3,9 +3,9 @@
 // passes, the half-sine modulate/demodulate loops, PSD windowing and
 // magnitude-squared accumulation, the streaming real-tap FIR that shapes the
 // band-limited jammer, the Box–Muller transform behind every Gaussian noise
-// draw, the despreader's correlation reduction and the receiver's
-// input-sanity scan. DESIGN.md §13 records which benchmark workload pays for
-// each; loops no workload measures stay plain Go in their callers.
+// draw, the receiver's input-sanity scan and the hub's float32 wire codec.
+// DESIGN.md §13 records which benchmark workload pays for each; loops no
+// workload measures stay plain Go in their callers.
 //
 // One kernel set is selected at package init — AVX2 (written in Go
 // assembly) on amd64 CPUs that support it, and the pure-Go fallback
@@ -16,7 +16,7 @@
 // # Bit compatibility
 //
 // The accelerated and fallback paths produce bit-identical results; the
-// golden-vector and parity tests pin this. Four rules make it possible:
+// golden-vector and parity tests pin this. Five rules make it possible:
 //
 //   - Element-wise kernels (WindowInto, Mag2Accum, Modulate, the FFT
 //     butterfly passes) perform exactly the scalar sequence of IEEE-754
@@ -24,7 +24,7 @@
 //     instructions (never FMA, which amd64 Go also never emits) and
 //     VADDSUBPD for the complex cross terms, so each lane rounds exactly
 //     like the scalar expression.
-//   - Reduction kernels (Demodulate, CorrReal) define a canonical blocked
+//   - Reduction kernels (Demodulate) define a canonical blocked
 //     accumulation order — two lanes (even/odd elements), combined
 //     pairwise at the end, with the odd tail folded into the even lanes
 //     before the combine. The pure-Go fallback implements the identical
@@ -38,6 +38,11 @@
 //     path runs operation for operation — on amd64 math.Log is
 //     log_amd64.s, not log.go — with the branches turned into lane masks
 //     and blends.
+//   - Conversion kernels (PackIQ32, UnpackIQ32) do one IEEE conversion per
+//     component, in the default rounding mode: VCVTPD2PS and VCVTPS2PD are
+//     the vector forms of the CVTSD2SS and CVTSS2SD that float32(x) and
+//     float64(f) compile to, so ±0, ±Inf, overflow to Inf, rounding to
+//     float32 subnormals and NaN quieting all match.
 //
 // Real-gain kernels (WindowInto, Modulate) multiply the real and imaginary
 // components directly instead of widening the gain to complex(g, 0); the

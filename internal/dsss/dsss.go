@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sync"
 
-	"bhss/internal/dsp/simd"
 	"bhss/internal/pn"
 )
 
@@ -83,11 +82,6 @@ func (s *Spreader) SpreadAppend(dst []complex128, symbols []int) ([]complex128, 
 type Despreader struct {
 	rows [][]complex128
 	scr  *pn.Scrambler
-	// buf holds one symbol's descrambled chips. A local array would move
-	// to the heap on every call: simd.CorrReal calls its kernel through a
-	// dispatch variable, so escape analysis assumes the chips leak.
-	//bhss:scratch
-	buf [ComplexChipsPerSymbol]complex128
 }
 
 // NewDespreader returns a despreader synchronized to the same seed as the
@@ -121,14 +115,15 @@ func (d *Despreader) DespreadInto(symbols []int, metrics []float64, chips []comp
 	n := len(chips) / ComplexChipsPerSymbol
 	symbols = resize(symbols, n)
 	metrics = resize(metrics, n)
-	buf := d.buf[:]
+	var chip [ComplexChipsPerSymbol]complex128
+	buf := chip[:]
 	for i := 0; i < n; i++ {
 		copy(buf, chips[i*ComplexChipsPerSymbol:(i+1)*ComplexChipsPerSymbol])
 		// Descramble: the overlay is ±1, so applying it again removes it.
 		d.scr.Apply(buf)
 		best, bestMetric := 0, negInf
 		for sym, row := range d.rows {
-			acc := simd.CorrReal(buf, row)
+			acc := corrReal(buf, row)
 			if acc > bestMetric {
 				bestMetric = acc
 				best = sym
@@ -138,6 +133,29 @@ func (d *Despreader) DespreadInto(symbols []int, metrics []float64, chips []comp
 		metrics[i] = bestMetric
 	}
 	return symbols, metrics, nil
+}
+
+// corrReal returns Σ real(a[i])·real(b[i]) + imag(a[i])·imag(b[i]) over
+// len(a) elements, the real part of the conjugate correlation and the
+// despreader's decision metric. The sum runs in a fixed two-lane order,
+// kept so that despread metrics stay bit-identical: even and odd elements
+// accumulate apart, the odd tail folds into the even lanes, and the lanes
+// combine as (eRB+oRB)+(eIB+oIB).
+func corrReal(a, b []complex128) float64 {
+	var eRB, eIB, oRB, oIB float64
+	n := len(a)
+	i := 0
+	for ; i+2 <= n; i += 2 {
+		eRB += real(a[i]) * real(b[i])
+		eIB += imag(a[i]) * imag(b[i])
+		oRB += real(a[i+1]) * real(b[i+1])
+		oIB += imag(a[i+1]) * imag(b[i+1])
+	}
+	if i < n {
+		eRB += real(a[i]) * real(b[i])
+		eIB += imag(a[i]) * imag(b[i])
+	}
+	return (eRB + oRB) + (eIB + oIB)
 }
 
 // resize returns a slice of length n, reusing s's storage when it is large

@@ -57,30 +57,12 @@ func CRC16(data []byte) uint16 {
 	return crc
 }
 
-// BytesToSymbols expands bytes to 4-bit symbols, low nibble first.
-func BytesToSymbols(data []byte) []int {
-	return appendSymbols(make([]int, 0, len(data)*SymbolsPerByte), data)
-}
-
 // appendSymbols appends the symbols of data to out, low nibble first.
 func appendSymbols(out []int, data []byte) []int {
 	for _, b := range data {
 		out = append(out, int(b&0x0F), int(b>>4))
 	}
 	return out
-}
-
-// SymbolsToBytes packs 4-bit symbols (low nibble first) back into bytes.
-// It returns an error if a symbol is out of range or the count is odd.
-func SymbolsToBytes(symbols []int) ([]byte, error) {
-	if len(symbols)%SymbolsPerByte != 0 {
-		return nil, ErrTruncated
-	}
-	out := make([]byte, len(symbols)/SymbolsPerByte)
-	if err := packSymbols(out, symbols); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // packSymbols fills dst from the first len(dst)*SymbolsPerByte symbols, low

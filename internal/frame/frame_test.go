@@ -128,28 +128,6 @@ func TestCRC16DetectsSingleBitFlips(t *testing.T) {
 	}
 }
 
-func TestBytesSymbolsRoundTrip(t *testing.T) {
-	f := func(data []byte) bool {
-		if len(data) > 256 {
-			data = data[:256]
-		}
-		back, err := SymbolsToBytes(BytesToSymbols(data))
-		return err == nil && bytes.Equal(back, data)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSymbolsToBytesErrors(t *testing.T) {
-	if _, err := SymbolsToBytes([]int{1}); !errors.Is(err, ErrTruncated) {
-		t.Fatal("odd symbol count should be ErrTruncated")
-	}
-	if _, err := SymbolsToBytes([]int{1, -1}); !errors.Is(err, ErrBadSymbol) {
-		t.Fatal("negative symbol should be ErrBadSymbol")
-	}
-}
-
 func TestQuickEncodeDecode(t *testing.T) {
 	f := func(data []byte) bool {
 		if len(data) > MaxPayload {

@@ -43,17 +43,3 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
-
-// FuzzSymbolsToBytes must never panic and must invert BytesToSymbols.
-func FuzzSymbolsToBytes(f *testing.F) {
-	f.Add([]byte("roundtrip me"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		back, err := SymbolsToBytes(BytesToSymbols(data))
-		if err != nil {
-			t.Fatalf("valid symbols rejected: %v", err)
-		}
-		if !bytes.Equal(back, data) {
-			t.Fatal("round trip mismatch")
-		}
-	})
-}

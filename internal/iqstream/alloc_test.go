@@ -12,9 +12,8 @@ import (
 
 // TestHubStreamAllocs pins the hub's steady-state block path at no
 // allocations: one link streams 4,096-sample blocks with 16 in flight,
-// as the benchmark's hub_link phase B does. The receiver reads through
-// the Reader's own decode storage, so the count is the hub's and the
-// transmitter's alone.
+// as the benchmark's hub_link phase B does. The count covers the
+// transmitting client, the hub and the receiving client's Recv.
 func TestHubStreamAllocs(t *testing.T) {
 	const blockLen, window, warm, blocks = 4096, 16, 256, 4096
 	h := startHub(t, HubConfig{BlockSize: blockLen})
@@ -40,7 +39,7 @@ func TestHubStreamAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			b, err := rx.r.nextBlock()
+			b, err := rx.Recv()
 			if err != nil {
 				t.Fatal(err)
 			}

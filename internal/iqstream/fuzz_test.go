@@ -2,24 +2,37 @@ package iqstream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"strings"
 	"testing"
+
+	"bhss/internal/dsp/simd"
 )
 
 // FuzzReadBlock feeds arbitrary bytes to the wire-format reader: it must
-// never panic or allocate absurdly, and any block it accepts must
-// re-serialize to the same prefix.
+// never panic or allocate absurdly, and every block it accepts must
+// re-serialize, before the next read, to the bytes it was read from. The
+// one exception is a float32 signalling NaN, which widening returns quiet:
+// it re-serializes with bit 22 set.
 func FuzzReadBlock(f *testing.F) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	_ = w.WriteBlock([]complex128{1, 2i, -3})
+	_ = w.WriteBlock(wireSpecials)
 	f.Add(buf.Bytes())
 	f.Add([]byte("IQS1"))
 	f.Add([]byte{})
+	snan := []byte("IQS1\x02\x00\x00\x00")
+	for _, v := range []uint32{0x7f800001, 0xffa00000, 0x00000001, 0x80000000} {
+		snan = binary.LittleEndian.AppendUint32(snan, v)
+	}
+	f.Add(snan)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		r := NewReader(bytes.NewReader(raw))
-		for {
+		var re bytes.Buffer
+		w := NewWriter(&re)
+		for off := 0; ; {
 			block, err := r.ReadBlock()
 			if err != nil {
 				if err != io.EOF && err != ErrBadMagic && err != ErrTooLarge && err != ErrShortRead {
@@ -30,6 +43,25 @@ func FuzzReadBlock(f *testing.F) {
 			if len(block) > MaxBlock {
 				t.Fatalf("accepted oversize block of %d samples", len(block))
 			}
+			re.Reset()
+			if err := w.WriteBlock(block); err != nil {
+				t.Fatalf("accepted block does not re-serialize: %v", err)
+			}
+			got, want := re.Bytes(), raw[off:off+8+8*len(block)]
+			if len(got) != len(want) {
+				t.Fatalf("block at byte %d re-serializes to %d bytes, read from %d", off, len(got), len(want))
+			}
+			for i := 0; i < len(want); i += 4 {
+				wv := binary.LittleEndian.Uint32(want[i:])
+				if i >= 8 && wv&0x7f800000 == 0x7f800000 && wv&0x007fffff != 0 {
+					wv |= 1 << 22 // a NaN comes back quiet
+				}
+				if gv := binary.LittleEndian.Uint32(got[i:]); gv != wv {
+					t.Fatalf("block at byte %d: word %d re-serializes as %#08x, read as %#08x (simd %v)",
+						off, i/4, gv, binary.LittleEndian.Uint32(want[i:]), simd.Active())
+				}
+			}
+			off += len(want)
 		}
 	})
 }

@@ -486,7 +486,7 @@ func (h *Hub) runTx(conn net.Conn, br *bufio.Reader, lk *link, port int, q *txQu
 	r := NewReader(br)
 	reason := "stream ended"
 	for {
-		block, err := r.nextBlock()
+		block, err := r.ReadBlock()
 		if err != nil {
 			reason = err.Error()
 			break
@@ -692,7 +692,9 @@ func (c *Client) Send(samples []complex128) error {
 	return c.w.WriteBlock(samples)
 }
 
-// Recv reads the next mixed block (receiver clients).
+// Recv reads the next mixed block (receiver clients) into storage the
+// Client keeps: the block is valid only until the next Recv, so a caller
+// that keeps samples past it copies them.
 func (c *Client) Recv() ([]complex128, error) {
 	return c.r.ReadBlock()
 }

@@ -13,7 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
+
+	"bhss/internal/dsp/simd"
 )
 
 // Magic opens every sample block.
@@ -63,10 +64,7 @@ func (w *Writer) writeBlockBuffered(samples []complex128) error {
 	buf := w.buf[:need]
 	copy(buf[:4], Magic[:])
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(samples)))
-	for i, s := range samples {
-		binary.LittleEndian.PutUint32(buf[8+i*8:], math.Float32bits(float32(real(s))))
-		binary.LittleEndian.PutUint32(buf[12+i*8:], math.Float32bits(float32(imag(s))))
-	}
+	simd.PackIQ32(buf[8:], samples)
 	_, err := w.w.Write(buf)
 	return err
 }
@@ -80,7 +78,7 @@ type Reader struct {
 	r      *bufio.Reader
 	header [8]byte
 	buf    []byte
-	// block is nextBlock's decode storage, reused from block to block.
+	// block is ReadBlock's decode storage, reused from block to block.
 	block []complex128
 }
 
@@ -89,26 +87,10 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReader(r)}
 }
 
-// ReadBlock reads the next block into a fresh slice the caller owns.
-// io.EOF is returned unwrapped at a clean block boundary.
+// ReadBlock reads the next block into storage the Reader keeps: the block
+// is valid only until the next read, so a caller that keeps samples past
+// it copies them. io.EOF is returned unwrapped at a clean block boundary.
 func (r *Reader) ReadBlock() ([]complex128, error) {
-	return r.readBlock(nil)
-}
-
-// nextBlock is ReadBlock into storage the Reader keeps: the block is
-// valid only until the next read. The hub's transmitter loop copies each
-// block into its queue, so its steady state allocates nothing.
-func (r *Reader) nextBlock() ([]complex128, error) {
-	block, err := r.readBlock(r.block)
-	if err == nil {
-		r.block = block
-	}
-	return block, err
-}
-
-// readBlock decodes the next block into dst's backing array, or into a
-// fresh slice when dst is nil or too small.
-func (r *Reader) readBlock(dst []complex128) ([]complex128, error) {
 	header := r.header[:]
 	if _, err := io.ReadFull(r.r, header[:1]); err != nil {
 		if err == io.EOF {
@@ -134,14 +116,10 @@ func (r *Reader) readBlock(dst []complex128) ([]complex128, error) {
 	if _, err := io.ReadFull(r.r, buf); err != nil {
 		return nil, ErrShortRead
 	}
-	if dst == nil || cap(dst) < int(n) {
-		dst = make([]complex128, n)
+	if cap(r.block) < int(n) {
+		r.block = make([]complex128, n)
 	}
-	out := dst[:n]
-	for i := range out {
-		re := math.Float32frombits(binary.LittleEndian.Uint32(buf[i*8:]))
-		im := math.Float32frombits(binary.LittleEndian.Uint32(buf[i*8+4:]))
-		out[i] = complex(float64(re), float64(im))
-	}
+	out := r.block[:n]
+	simd.UnpackIQ32(out, buf)
 	return out, nil
 }

@@ -2,6 +2,8 @@ package iqstream
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
@@ -10,6 +12,7 @@ import (
 
 	"bhss/internal/core"
 	"bhss/internal/dsp"
+	"bhss/internal/dsp/simd"
 )
 
 func TestBlockRoundTrip(t *testing.T) {
@@ -245,6 +248,76 @@ func TestBHSSBurstThroughHub(t *testing.T) {
 	}
 	if stats.AcquisitionOffset != 0 {
 		t.Fatalf("odd acquisition offset %d", stats.AcquisitionOffset)
+	}
+}
+
+// wireSpecials are the components where the float32 wire conversion has an
+// edge: signed zeros and infinities, quiet and signalling NaNs with
+// payloads, overflow past MaxFloat32 (and the halfway case that rounds to
+// Inf), float32 subnormals and the ties of their rounding, ties to even in
+// the normal range and float64 subnormals. In 17 samples, so every length
+// from 0 to 17 runs every tail of the codec kernels.
+var wireSpecials = []complex128{
+	complex(0, math.Copysign(0, -1)),
+	complex(math.Inf(1), math.Inf(-1)),
+	complex(math.Float64frombits(0x7ff8000000000000), math.Float64frombits(0xfffc000020000000)), // quiet NaNs
+	complex(math.Float64frombits(0x7ff4000000000000), math.Float64frombits(0xfff0000020000000)), // signalling NaNs
+	complex(1e39, -3.5e38),
+	complex(0x1.ffffffp127, -math.Nextafter(0x1.ffffffp127, 0)), // the tie rounds to Inf
+	complex(math.MaxFloat64, -math.MaxFloat32),
+	complex(1e-40, -0x1p-149),
+	complex(0x1p-150, -0x1.8p-150),
+	complex(3*0x1p-150, -0x1p-151),
+	complex(0x1p-126, -math.Nextafter(0x1p-126, 0)),
+	complex(1+0x1p-24, 1+3*0x1p-24),
+	complex(-math.Nextafter(1+0x1p-24, 2), math.Nextafter(1+0x1p-24, 0)),
+	complex(5e-324, -2.2250738585072014e-308),
+	complex(0.1, -2.5e-3),
+	complex(1.0/3, -math.Pi),
+	complex(65504.00390625, -16777217),
+}
+
+// wireSpecialsHex is WriteBlock's payload for wireSpecials: per sample,
+// float32(real) then float32(imag), little-endian.
+const wireSpecialsHex = "0000000000000080" +
+	"0000807f000080ff" +
+	"0000c07f0100e0ff" +
+	"0000e07f0100c0ff" +
+	"0000807f000080ff" +
+	"0000807fffff7fff" +
+	"0000807fffff7fff" +
+	"c216010001000080" +
+	"0000000001000080" +
+	"0200000000000080" +
+	"0000800000008080" +
+	"0000803f0200803f" +
+	"010080bf0000803f" +
+	"0000000000000080" +
+	"cdcccc3d0ad723bb" +
+	"abaaaa3edb0f49c0" +
+	"01e07f47000080cb"
+
+// TestWriteBlockBytes pins the exact wire bytes of the conversion edge
+// cases, for every length from 0 to 17 taken from either end of the
+// table, so each special value passes through every kernel tail.
+func TestWriteBlockBytes(t *testing.T) {
+	payload, err := hex.DecodeString(wireSpecialsHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(wireSpecials)
+	for k := 0; k <= n; k++ {
+		for _, lo := range []int{0, n - k} {
+			var buf bytes.Buffer
+			if err := NewWriter(&buf).WriteBlock(wireSpecials[lo : lo+k]); err != nil {
+				t.Fatal(err)
+			}
+			want := binary.LittleEndian.AppendUint32([]byte("IQS1"), uint32(k))
+			want = append(want, payload[8*lo:8*(lo+k)]...)
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("WriteBlock(samples %d..%d) =\n%x, want\n%x (simd %v)", lo, lo+k, buf.Bytes(), want, simd.Active())
+			}
+		}
 	}
 }
 

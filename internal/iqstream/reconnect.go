@@ -240,9 +240,11 @@ func (rc *ReconnectingClient) Send(samples []complex128) error {
 	return fmt.Errorf("iqstream: send to %s kept failing across reconnects: %w", rc.addr, lastErr)
 }
 
-// Recv reads the next mixed block. After any transport fault it redials
-// and returns ErrStreamGap exactly once; the following Recv resumes on the
-// fresh stream, which begins at a clean wire-block boundary.
+// Recv reads the next mixed block. As with Client.Recv, the block is valid
+// only until the next Recv; a caller that keeps samples past it copies
+// them. After any transport fault it redials and returns ErrStreamGap
+// exactly once; the following Recv resumes on the fresh stream, which
+// begins at a clean wire-block boundary.
 func (rc *ReconnectingClient) Recv() ([]complex128, error) {
 	c, err := rc.current()
 	if err != nil {

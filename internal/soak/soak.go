@@ -11,6 +11,7 @@ package soak
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -269,7 +270,9 @@ func Run(cfg Config) (Report, error) {
 			var ev rxEvent
 			switch {
 			case err == nil:
-				ev = rxEvent{block: block}
+				// The block is valid only until the next Recv, and the
+				// receiver decodes it after this loop has read on.
+				ev = rxEvent{block: slices.Clone(block)}
 			case errors.Is(err, iqstream.ErrStreamGap):
 				ev = rxEvent{gap: true}
 			default:
